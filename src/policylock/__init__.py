@@ -13,7 +13,8 @@ from .forest import (TreeArrays, ForestArrays, validate_forest, traverse_batch,
 from .inference import (InferenceBackend, InitStats, ScoreColumn, ParityReport,
                         score, check_parity, measure_throughput, BACKEND_KINDS)
 from .splitsearch import (Boundaries, uniform_boundaries, bucketize,
-                          candidate_row_count, select_control, PrefixTable,
+                          candidate_row_count, select_control, treatment_codes,
+                          BinnedRows, bin_rows, PrefixTable,
                           build_prefix_sums, windowed_prefix_table, ddp_max,
                           CandidateScore, expand_and_score, compare_candidates,
                           candidate_order_key, SplitConfig, BestSplit,

@@ -1,28 +1,40 @@
 """Collect-less multi-treatment split search.
 
-Stage S1 turns a frame into per-candidate-bin, per-treatment prefix sums with
-an explicit missing bin; stage S2 expands every candidate into both missing
-routes, applies the full validity checks, scores with the DDP max-envelope,
-and selects the winner under a strict total order.  All execution paths share
-one scoring routine, so cross-path score deltas are exactly zero.
+Stage S1 turns rows into per-candidate-bin, per-treatment prefix sums with an
+explicit missing bin.  Rows arrive either as a frame (``ColumnFrame`` or
+``PartitionedFrame``, bucketized feature by feature) or as a ``BinnedRows``
+view whose features were bucketized once under the same fixed boundaries, so
+a caller that searches many row subsets (the trainer, one per node) bins each
+row once.  Both kinds of input reach the three execution paths' distinct
+aggregations through one per-partition ``(bins, codes, positives)`` reader.
+
+Stage S2 expands every candidate into both missing routes, applies the full
+validity checks, scores with the DDP max-envelope and selects the winner
+under a strict total order.  All execution paths share one array routine
+that scores every candidate of a feature at once with the same IEEE
+operations as the scalar ``_score_candidate``, so scores are bit-identical
+to it and cross-path score deltas are exactly zero.  The scalar routine
+stays as the test oracle and serves the naive variants.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidArgumentError
+from .errors import ContractViolationError, InvalidArgumentError, SchemaError
 from .frame import ColumnFrame, PartitionedFrame
 from . import rng
 
 NAN_LEFT = "left"
 NAN_RIGHT = "right"
+_DIRECTIONS = (NAN_LEFT, NAN_RIGHT)
 
 PATH_REFERENCE = "reference_driver_collect"
 PATH_RELATIONAL = "relational_windowed"
@@ -119,6 +131,76 @@ def treatment_codes(frame: ColumnFrame, treatments: tuple[str, ...]) -> np.ndarr
     return mapping[inv] if len(uniq) else inv
 
 
+@dataclass(frozen=True)
+class BinnedRows:
+    """Rows bucketized once under fixed boundaries: ``bins[f]`` is feature
+    ``features[f]``'s bin per row (missing bin B included), ``codes`` the
+    treatment index in ``treatments`` and ``positives`` the outcome-1 mask.
+
+    ``best_split`` accepts a view in place of a frame; the view remembers
+    the boundaries and vocabulary it was built with, and a search under any
+    other raises ``InvalidArgumentError``."""
+    features: tuple[str, ...]
+    boundaries: tuple[Boundaries, ...]
+    treatments: tuple[str, ...]
+    bins: np.ndarray        # uint8 [F, N]; uint16 (or wider) when some B+1 > 256
+    codes: np.ndarray       # int64 [N]
+    positives: np.ndarray   # bool [N]
+
+    def take(self, rows: np.ndarray) -> "BinnedRows":
+        return BinnedRows(self.features, self.boundaries, self.treatments,
+                          self.bins[:, rows], self.codes[rows], self.positives[rows])
+
+    def feature_bins(self, feature: str, boundaries: Boundaries,
+                     treatments: tuple[str, ...]) -> np.ndarray:
+        """One feature's bins, after checking that a search under
+        ``boundaries`` and ``treatments`` sees the same bins as the view."""
+        if feature not in self.features:
+            raise SchemaError(f"no binned feature named {feature!r}")
+        f = self.features.index(feature)
+        if self.boundaries[f] != boundaries:
+            raise InvalidArgumentError(
+                f"binned rows of {feature!r} were built with other boundaries")
+        if self.treatments != treatments:
+            raise InvalidArgumentError(
+                "binned rows were built with another treatment vocabulary")
+        return self.bins[f]
+
+
+def bin_rows(frame: ColumnFrame, features: Sequence[str],
+             boundaries: Mapping[str, Boundaries], treatments: Sequence[str],
+             codes: np.ndarray) -> BinnedRows:
+    """Bucketize every feature of ``frame`` once; ``codes`` is
+    ``treatment_codes(frame, treatments)``."""
+    features, treatments = tuple(features), tuple(treatments)
+    bounds = tuple(boundaries[name] for name in features)
+    dtype = np.min_scalar_type(max((b.missing_bin for b in bounds), default=0))
+    bins = np.empty((len(features), frame.n_rows), dtype=dtype)
+    for f, (name, b) in enumerate(zip(features, bounds)):
+        bins[f] = bucketize(frame.effective_values(name), b)
+    return BinnedRows(features, bounds, treatments, bins, codes, frame.outcomes == 1)
+
+
+SplitInput = Union[ColumnFrame, PartitionedFrame, BinnedRows]
+
+
+def _partition_rows(data: SplitInput, feature: str, boundaries: Boundaries,
+                    treatments: tuple[str, ...]):
+    """S1's one counting input: per partition, int64 bins of ``feature``,
+    treatment codes and the positives mask."""
+    if isinstance(data, BinnedRows):
+        # widened: narrow bins times T would wrap
+        bins = data.feature_bins(feature, boundaries, treatments)
+        yield bins.astype(np.int64), data.codes, data.positives
+        return
+    frames = data.partitions if isinstance(data, PartitionedFrame) else (data,)
+    if not frames:
+        raise InvalidArgumentError("partitioned frame has no partitions")
+    for part in frames:
+        yield (bucketize(part.effective_values(feature), boundaries),
+               treatment_codes(part, treatments), part.outcomes == 1)
+
+
 @dataclass
 class PrefixTable:
     """Per-candidate-bin, per-treatment sufficient statistics.
@@ -185,45 +267,26 @@ class PrefixTable:
         }
 
 
-def _single_frame_counts(frame: ColumnFrame, feature: str, boundaries: Boundaries,
-                         treatments: tuple[str, ...]):
-    T = len(treatments)
-    B = boundaries.n_bins
-    bins = bucketize(frame.effective_values(feature), boundaries)
-    codes = treatment_codes(frame, treatments)
-    combined = bins * T + codes
-    size = (B + 1) * T
-    opps = np.bincount(combined, minlength=size).reshape(B + 1, T).astype(np.int64)
-    accepts = np.bincount(combined[frame.outcomes == 1],
-                          minlength=size).reshape(B + 1, T).astype(np.int64)
-    return opps[:B], accepts[:B], opps[B], accepts[B]
-
-
-def build_prefix_sums(data: Union[ColumnFrame, PartitionedFrame], feature: str,
+def build_prefix_sums(data: SplitInput, feature: str,
                       boundaries: Boundaries, treatments: Sequence[str]) -> PrefixTable:
     """S1: exact group-by counts with explicit zero-fill over the fixed
     treatment vocabulary; independent of row order and partitioning."""
     treatments = tuple(treatments)
-    frames = data.partitions if isinstance(data, PartitionedFrame) else (data,)
-    if not frames:
-        raise InvalidArgumentError("partitioned frame has no partitions")
     T = len(treatments)
     B = boundaries.n_bins
-    opps = np.zeros((B, T), dtype=np.int64)
-    accepts = np.zeros((B, T), dtype=np.int64)
-    missing_opps = np.zeros(T, dtype=np.int64)
-    missing_accepts = np.zeros(T, dtype=np.int64)
-    for part in frames:
-        o, a, mo, ma = _single_frame_counts(part, feature, boundaries, treatments)
-        opps += o
-        accepts += a
-        missing_opps += mo
-        missing_accepts += ma
+    size = (B + 1) * T
+    opps = np.zeros(size, dtype=np.int64)
+    accepts = np.zeros(size, dtype=np.int64)
+    for bins, codes, positives in _partition_rows(data, feature, boundaries, treatments):
+        combined = bins * T + codes
+        opps += np.bincount(combined, minlength=size)
+        accepts += np.bincount(combined[positives], minlength=size)
+    opps, accepts = opps.reshape(B + 1, T), accepts.reshape(B + 1, T)
     return PrefixTable.from_counts(feature, treatments, boundaries.cuts,
-                                   opps, accepts, missing_opps, missing_accepts)
+                                   opps[:B], accepts[:B], opps[B], accepts[B])
 
 
-def windowed_prefix_table(data: Union[ColumnFrame, PartitionedFrame], feature: str,
+def windowed_prefix_table(data: SplitInput, feature: str,
                           boundaries: Boundaries, treatments: Sequence[str]) -> PrefixTable:
     """Same counts via a grouped-then-cumulative plan: sparse (bin, treatment)
     groups merged across partitions, then per-treatment running window sums.
@@ -231,14 +294,11 @@ def windowed_prefix_table(data: Union[ColumnFrame, PartitionedFrame], feature: s
     treatments = tuple(treatments)
     T = len(treatments)
     B = boundaries.n_bins
-    frames = data.partitions if isinstance(data, PartitionedFrame) else (data,)
     groups: dict[tuple[int, int], list[int]] = {}
-    for part in frames:
-        bins = bucketize(part.effective_values(feature), boundaries)
-        codes = treatment_codes(part, treatments)
+    for bins, codes, positives in _partition_rows(data, feature, boundaries, treatments):
         combined = bins * T + codes
         keys, counts = np.unique(combined, return_counts=True)
-        pos_keys, pos_counts = np.unique(combined[part.outcomes == 1], return_counts=True)
+        pos_keys, pos_counts = np.unique(combined[positives], return_counts=True)
         pos_map = dict(zip(pos_keys.tolist(), pos_counts.tolist()))
         for key, cnt in zip(keys.tolist(), counts.tolist()):
             cell = groups.setdefault((key // T, key % T), [0, 0])
@@ -344,9 +404,19 @@ class SplitConfig:
                            self.safety_skip_threshold, path, self.pool_size)
 
 
-def _score_candidate(table: PrefixTable, c: int, direction: str, control_idx: int,
-                     min_leaf_size: int) -> CandidateScore:
-    """The one scoring routine shared by every execution path."""
+_REASON_NO_CONTROL = "needs a control and at least one non-control treatment"
+_REASON_ZERO_SUPPORT = "zero support: every treatment must have opps > 0 on both sides"
+_REASON_NOT_FINITE = "score is not finite"
+
+
+def _reason_min_leaf(min_leaf_size: int) -> str:
+    return f"branch total below min_leaf_size={min_leaf_size}"
+
+
+def _route_branches(table: PrefixTable, c, direction: str):
+    """Left and right (opps, accepts) of candidate ``c`` with the missing
+    tallies added to the ``direction`` branch.  With ``c = slice(None)`` the
+    four arrays are every candidate's, shape [B-1, T]."""
     left_o = table.left_opps[c].copy()
     left_a = table.left_accepts[c].copy()
     right_o = table.totals_opps - table.left_opps[c]
@@ -355,20 +425,28 @@ def _score_candidate(table: PrefixTable, c: int, direction: str, control_idx: in
         left_o += table.missing_opps
         left_a += table.missing_accepts
     else:
-        right_o = right_o + table.missing_opps
-        right_a = right_a + table.missing_accepts
+        right_o += table.missing_opps
+        right_a += table.missing_accepts
+    return left_o, left_a, right_o, right_a
+
+
+def _score_candidate(table: PrefixTable, c: int, direction: str, control_idx: int,
+                     min_leaf_size: int) -> CandidateScore:
+    """Scalar S2 of one candidate: the oracle that ``_FeatureScores`` matches
+    bit for bit, and the scorer of the naive variants."""
+    left_o, left_a, right_o, right_a = _route_branches(table, c, direction)
     cand = CandidateScore(table.feature_name, c, table.cuts[c], direction,
                           math.nan, False, left_opps=left_o, right_opps=right_o,
                           left_accepts=left_a, right_accepts=right_a)
     T = len(table.treatments)
     if T < 2:
-        cand.invalid_reason = "needs a control and at least one non-control treatment"
+        cand.invalid_reason = _REASON_NO_CONTROL
         return cand
     if (left_o == 0).any() or (right_o == 0).any():
-        cand.invalid_reason = "zero support: every treatment must have opps > 0 on both sides"
+        cand.invalid_reason = _REASON_ZERO_SUPPORT
         return cand
     if left_o.sum() < min_leaf_size or right_o.sum() < min_leaf_size:
-        cand.invalid_reason = f"branch total below min_leaf_size={min_leaf_size}"
+        cand.invalid_reason = _reason_min_leaf(min_leaf_size)
         return cand
     left_rates = left_a / left_o
     right_rates = right_a / right_o
@@ -380,7 +458,7 @@ def _score_candidate(table: PrefixTable, c: int, direction: str, control_idx: in
     cand.left_uplifts, cand.right_uplifts = ul, ur
     cand.score = float(score)
     if not math.isfinite(cand.score):
-        cand.invalid_reason = "score is not finite"
+        cand.invalid_reason = _REASON_NOT_FINITE
         return cand
     cand.valid = True
     return cand
@@ -395,10 +473,81 @@ def expand_and_score(table: PrefixTable, config: SplitConfig,
     control_idx = table.treatments.index(control)
     out = []
     for c in range(table.n_candidates):
-        for direction in (NAN_LEFT, NAN_RIGHT):
+        for direction in _DIRECTIONS:
             out.append(_score_candidate(table, c, direction, control_idx,
                                         config.min_leaf_size))
     return out
+
+
+# reason codes, in the order _score_candidate checks them
+_VALID, _NO_CONTROL, _ZERO_SUPPORT, _MIN_LEAF, _NOT_FINITE = range(5)
+
+
+class _FeatureScores:
+    """S2 of every candidate of one feature in one array pass.
+
+    Arrays are [2, B-1] (branch counts [2, B-1, T]), axis 0 the NaN route
+    (left, right).  Every element comes from the same IEEE operations as in
+    ``_score_candidate``: element-wise division and subtraction, exact max and
+    min reductions, and ``where(b > a, b, a)``, which is the builtin
+    ``max(a, b)``.  Reasons and scores therefore equal the scalar routine's,
+    score bits included."""
+
+    def __init__(self, table: PrefixTable, control_idx: int, min_leaf_size: int):
+        self.table = table
+        self.reason_texts = (None, _REASON_NO_CONTROL, _REASON_ZERO_SUPPORT,
+                             _reason_min_leaf(min_leaf_size), _REASON_NOT_FINITE)
+        routes = [_route_branches(table, slice(None), d) for d in _DIRECTIONS]
+        self.left_o, self.left_a, self.right_o, self.right_a = map(np.stack, zip(*routes))
+        T = len(table.treatments)
+        if T < 2:
+            self.reasons = np.full(self.left_o.shape[:2], _NO_CONTROL)
+            self.scores = np.full(self.left_o.shape[:2], math.nan)
+            return
+        zero = (self.left_o == 0).any(axis=2) | (self.right_o == 0).any(axis=2)
+        small = ((self.left_o.sum(axis=2) < min_leaf_size)
+                 | (self.right_o.sum(axis=2) < min_leaf_size))
+        noncontrol = [t for t in range(T) if t != control_idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left_rates = self.left_a / self.left_o
+            right_rates = self.right_a / self.right_o
+            ul = left_rates[..., noncontrol] - left_rates[..., control_idx, None]
+            ur = right_rates[..., noncontrol] - right_rates[..., control_idx, None]
+            a = ur.max(axis=2) - ul.min(axis=2)
+            b = ul.max(axis=2) - ur.min(axis=2)
+        scores = np.where(b > a, b, a)
+        self.reasons = np.select([zero, small, ~np.isfinite(scores)],
+                                 [_ZERO_SUPPORT, _MIN_LEAF, _NOT_FINITE], _VALID)
+        # the scalar routine returns before scoring these
+        self.scores = np.where(zero | small, math.nan, scores)
+
+    def candidate(self, d: int, c: int) -> CandidateScore:
+        """``_score_candidate``'s result for bin ``c`` on route ``d``, with
+        its branch counts but without rates and uplifts."""
+        code = int(self.reasons[d, c])
+        return CandidateScore(self.table.feature_name, c, self.table.cuts[c],
+                              _DIRECTIONS[d], float(self.scores[d, c]), code == _VALID,
+                              self.reason_texts[code],
+                              left_opps=self.left_o[d, c], right_opps=self.right_o[d, c],
+                              left_accepts=self.left_a[d, c],
+                              right_accepts=self.right_a[d, c])
+
+    def winner(self) -> Optional[CandidateScore]:
+        """The feature's first valid candidate under ``candidate_order_key``.
+        Within a feature threshold order is bin order, so the key is (score
+        desc, bin, NaN-left first), and argmax's first maximum over the
+        (bin, route) order picks it."""
+        valid = self.reasons == _VALID
+        if not valid.any():
+            return None
+        ranked = np.where(valid, self.scores, -np.inf).T.ravel()
+        c, d = divmod(int(np.argmax(ranked)), 2)
+        return self.candidate(d, c)
+
+    def reason_counts(self) -> Counter:
+        counts = np.bincount(self.reasons.ravel(), minlength=len(self.reason_texts))
+        return Counter({self.reason_texts[code]: int(n)
+                        for code, n in enumerate(counts) if code != _VALID and n})
 
 
 @dataclass
@@ -456,74 +605,52 @@ def _total_candidate_rows(features: Sequence[str], boundaries: Mapping[str, Boun
     return sum(candidate_row_count(1, boundaries[f].n_bins, n_treatments) for f in features)
 
 
-def _no_valid_summary(cands: Sequence[CandidateScore]) -> str:
-    reasons: dict[str, int] = {}
-    for c in cands:
-        if not c.valid and c.invalid_reason:
-            reasons[c.invalid_reason] = reasons.get(c.invalid_reason, 0) + 1
+def _no_valid_summary(reasons: Mapping[str, int]) -> str:
+    """``reasons`` counts the rejected candidates per invalid reason."""
     parts = [f"{count}x {reason}" for reason, count in sorted(reasons.items())]
     return "no valid candidate: " + ("; ".join(parts) if parts else "no candidates")
 
 
-def best_split(data: Union[ColumnFrame, PartitionedFrame], features: Sequence[str],
+def best_split(data: SplitInput, features: Sequence[str],
                boundaries: Mapping[str, Boundaries], treatments: Sequence[str],
                config: SplitConfig) -> SplitSearchResult:
     """Deterministic best split; all three execution paths return identical
-    results on identical inputs (contract scope: fixed shared boundaries)."""
+    results on identical inputs (contract scope: fixed shared boundaries).
+    ``data`` may be a ``BinnedRows`` view built under the same boundaries
+    and treatment vocabulary."""
     treatments = tuple(treatments)
     features = list(features)
     control = select_control(treatments, config.control_label_override)
+    control_idx = treatments.index(control)
     cand_rows = _total_candidate_rows(features, boundaries, len(treatments))
 
-    if config.execution_path == PATH_REFERENCE:
-        if cand_rows > config.safety_skip_threshold:
-            return SplitSearchResult(
-                STATUS_SKIPPED_TOO_LARGE, None, cand_rows, control,
-                reason=f"candidate rows {cand_rows} exceed safety threshold "
-                       f"{config.safety_skip_threshold}")
-        collected: list[CandidateScore] = []
-        for feat in features:
-            table = build_prefix_sums(data, feat, boundaries[feat], treatments)
-            collected.extend(expand_and_score(table, config, control))
-        valid = [c for c in collected if c.valid]
-        if not valid:
-            return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control,
-                                     reason=_no_valid_summary(collected))
-        return SplitSearchResult(STATUS_OK, _make_best(min(valid, key=candidate_order_key),
-                                                       control), cand_rows, control)
+    def scores(feat: str, prefix_table) -> _FeatureScores:
+        return _FeatureScores(prefix_table(data, feat, boundaries[feat], treatments),
+                              control_idx, config.min_leaf_size)
 
-    if config.execution_path == PATH_RELATIONAL:
-        winners: list[CandidateScore] = []
-        rejected: list[CandidateScore] = []
-        for feat in features:
-            table = windowed_prefix_table(data, feat, boundaries[feat], treatments)
-            cands = expand_and_score(table, config, control)
-            valid = [c for c in cands if c.valid]
-            if valid:
-                winners.append(min(valid, key=candidate_order_key))
-            else:
-                rejected.extend(cands)
-        if not winners:
-            return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control,
-                                     reason=_no_valid_summary(rejected))
-        return SplitSearchResult(STATUS_OK, _make_best(min(winners, key=candidate_order_key),
-                                                       control), cand_rows, control)
-
-    # partitioned_executor_local: feature-sharded workers, winner-only reduce
-    pool_size = config.pool_size or min(8, max(len(features), 1))
-
-    def feature_winner(feat: str):
-        table = build_prefix_sums(data, feat, boundaries[feat], treatments)
-        cands = expand_and_score(table, config, control)
-        valid = [c for c in cands if c.valid]
-        return min(valid, key=candidate_order_key) if valid else None
-
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        results = list(pool.map(feature_winner, features))
-    winners = [w for w in results if w is not None]
+    if config.execution_path == PATH_PARTITIONED:
+        # feature-sharded workers, winner-only reduce
+        pool_size = config.pool_size or min(8, max(len(features), 1))
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            winners = list(pool.map(lambda f: scores(f, build_prefix_sums).winner(),
+                                    features))
+        scored = None
+    else:
+        if config.execution_path == PATH_REFERENCE:
+            if cand_rows > config.safety_skip_threshold:
+                return SplitSearchResult(
+                    STATUS_SKIPPED_TOO_LARGE, None, cand_rows, control,
+                    reason=f"candidate rows {cand_rows} exceed safety threshold "
+                           f"{config.safety_skip_threshold}")
+            scored = [scores(f, build_prefix_sums) for f in features]
+        else:
+            scored = [scores(f, windowed_prefix_table) for f in features]
+        winners = [s.winner() for s in scored]
+    winners = [w for w in winners if w is not None]
     if not winners:
-        return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control,
-                                 reason="no valid candidate on any feature shard")
+        reason = "no valid candidate on any feature shard" if scored is None else \
+            _no_valid_summary(sum((s.reason_counts() for s in scored), Counter()))
+        return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control, reason=reason)
     return SplitSearchResult(STATUS_OK, _make_best(min(winners, key=candidate_order_key),
                                                    control), cand_rows, control)
 
@@ -548,21 +675,12 @@ def _row_order_digest(data: Union[ColumnFrame, PartitionedFrame]) -> int:
 def _naive_score_sparse(table: PrefixTable, c: int, direction: str, control_idx: int,
                         min_leaf_size: int) -> CandidateScore:
     """sparse_omit: drop zero-support cells, skip the positive-support check."""
-    left_o = table.left_opps[c].copy()
-    left_a = table.left_accepts[c].copy()
-    right_o = table.totals_opps - table.left_opps[c]
-    right_a = table.totals_accepts - table.left_accepts[c]
-    if direction == NAN_LEFT:
-        left_o += table.missing_opps
-        left_a += table.missing_accepts
-    else:
-        right_o = right_o + table.missing_opps
-        right_a = right_a + table.missing_accepts
+    left_o, left_a, right_o, right_a = _route_branches(table, c, direction)
     cand = CandidateScore(table.feature_name, c, table.cuts[c], direction,
                           math.nan, False, left_opps=left_o, right_opps=right_o,
                           left_accepts=left_a, right_accepts=right_a)
     if left_o.sum() < min_leaf_size or right_o.sum() < min_leaf_size:
-        cand.invalid_reason = f"branch total below min_leaf_size={min_leaf_size}"
+        cand.invalid_reason = _reason_min_leaf(min_leaf_size)
         return cand
 
     def branch_uplifts(opps, accepts):
@@ -580,7 +698,7 @@ def _naive_score_sparse(table: PrefixTable, c: int, direction: str, control_idx:
     if math.isfinite(cand.score):
         cand.valid = True
     else:
-        cand.invalid_reason = "score is not finite"
+        cand.invalid_reason = _REASON_NOT_FINITE
     return cand
 
 
@@ -658,7 +776,7 @@ def naive_variant_best_split(variant: str, data: Union[ColumnFrame, PartitionedF
     collected: list[CandidateScore] = []
     for feat in features:
         table = build_prefix_sums(data, feat, boundaries[feat], treatments)
-        directions = (NAN_LEFT,) if variant == "implicit_missing" else (NAN_LEFT, NAN_RIGHT)
+        directions = (NAN_LEFT,) if variant == "implicit_missing" else _DIRECTIONS
         for c in range(table.n_candidates):
             for direction in directions:
                 if variant == "sparse_omit":
@@ -670,7 +788,8 @@ def naive_variant_best_split(variant: str, data: Union[ColumnFrame, PartitionedF
     valid = [c for c in collected if c.valid]
     if not valid:
         return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control,
-                                 reason=_no_valid_summary(collected))
+                                 reason=_no_valid_summary(Counter(
+                                     c.invalid_reason for c in collected if not c.valid)))
     if variant == "no_total_order":
         # stable but input-order-dependent tie resolution: scan an order keyed
         # off the concatenated row-id sequence, keep strictly-greater scores

@@ -19,8 +19,8 @@ from .errors import (AlignmentError, ContractViolationError, InvalidArgumentErro
                      SchemaError)
 from .forest import TreeArrays, _leaf_indices, INTERNAL_CONTINUOUS, LEAF
 from .frame import ColumnFrame, PartitionedFrame
-from .splitsearch import (Boundaries, SplitConfig, best_split, select_control,
-                          treatment_codes, PATH_REFERENCE,
+from .splitsearch import (Boundaries, SplitConfig, best_split, bin_rows,
+                          select_control, treatment_codes, PATH_REFERENCE,
                           STATUS_OK, STATUS_SKIPPED_TOO_LARGE)
 
 SIGNATURE_FORMAT_VERSION = "1"
@@ -111,31 +111,83 @@ def manifest_to_text(manifest: Manifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MANIFEST_FIELDS = ("locked", "row_id_digest", "preprocessing_digest", "seed",
+                    "max_depth", "min_leaf_size", "treatments")
+
+
+def _manifest_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise SchemaError(f"manifest {what} {token!r} is not an integer") from None
+
+
+def _manifest_count(token: str, what: str) -> int:
+    count = _manifest_int(token, what)
+    if count < 0:
+        raise SchemaError(f"manifest {what} {count} is negative")
+    return count
+
+
+def _manifest_boundaries(line: str) -> Boundaries:
+    """One ``name n_cuts cut...`` line."""
+    parts = line.split()
+    if len(parts) < 2:
+        raise SchemaError(f"manifest feature line {line!r} has no cut count")
+    name, n_cuts = parts[0], _manifest_count(parts[1], "cut count")
+    if len(parts) != 2 + n_cuts:
+        raise SchemaError(f"manifest feature {name!r} declares {n_cuts} cuts "
+                          f"but lists {len(parts) - 2}")
+    try:
+        return Boundaries(name, tuple(float(c) for c in parts[2:]))
+    except (ValueError, InvalidArgumentError) as exc:
+        raise SchemaError(f"manifest feature {name!r} has bad cuts: {exc}") from None
+
+
 def manifest_from_text(text: str) -> Manifest:
-    """Reader recomputes the preprocessing digest and rejects tampering."""
+    """Reader recomputes the preprocessing digest and rejects tampering.
+    Malformed text (truncated, fields missing or out of order, bad counts or
+    numbers, short feature lines, trailing lines) raises ``SchemaError``."""
     lines = text.splitlines()
-    header = lines[0].split()
+    header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "manifest":
         raise SchemaError("not a manifest file")
     if header[1] != f"v{MANIFEST_FORMAT_VERSION}":
         raise SchemaError(f"unsupported manifest version {header[1]!r}")
-    fields = dict(line.split(" ", 1) for line in lines[1:8])
-    t_count = int(fields["treatments"])
-    labels = tuple(lines[8:8 + t_count])
-    pos = 8 + t_count
-    f_count = int(lines[pos].split()[1])
-    pos += 1
-    names, boundaries = [], {}
-    for line in lines[pos:pos + f_count]:
-        parts = line.split()
-        name, n_cuts = parts[0], int(parts[1])
-        names.append(name)
-        boundaries[name] = Boundaries(name, tuple(float(c)
-                                                  for c in parts[2:2 + n_cuts]))
-    rebuilt = Manifest(fields["row_id_digest"], tuple(names), labels,
-                       tuple((n, boundaries[n]) for n in names),
-                       int(fields["seed"]), int(fields["max_depth"]),
-                       int(fields["min_leaf_size"]),
+
+    def line_at(pos: int, what: str) -> str:
+        if pos >= len(lines):
+            raise SchemaError(f"manifest truncated before {what}")
+        return lines[pos]
+
+    fields = {}
+    for pos, key in enumerate(_MANIFEST_FIELDS, start=1):
+        got, _, value = line_at(pos, f"field {key!r}").partition(" ")
+        if got != key:
+            raise SchemaError(f"manifest line {pos + 1} should hold {key!r}, not {got!r}")
+        fields[key] = value
+    if fields["locked"] not in ("true", "false"):
+        raise SchemaError(f"manifest locked {fields['locked']!r} is not true or false")
+    pos = 1 + len(_MANIFEST_FIELDS)
+    t_count = _manifest_count(fields["treatments"], "treatment count")
+    labels = tuple(line_at(pos + i, f"treatment {i}") for i in range(t_count))
+    pos += t_count
+    key, _, count = line_at(pos, "the feature count").partition(" ")
+    if key != "features":
+        raise SchemaError(f"manifest line {pos + 1} should hold 'features', not {key!r}")
+    f_count = _manifest_count(count, "feature count")
+    bounds = tuple(_manifest_boundaries(line_at(pos + 1 + i, f"feature {i}"))
+                   for i in range(f_count))
+    if len(lines) > pos + 1 + f_count:
+        raise SchemaError("manifest has lines after its last feature")
+    names = tuple(b.feature_name for b in bounds)
+    if len(set(names)) != len(names):
+        raise SchemaError("manifest lists a feature twice")
+    rebuilt = Manifest(fields["row_id_digest"], names, labels,
+                       tuple(zip(names, bounds)),
+                       _manifest_int(fields["seed"], "seed"),
+                       _manifest_int(fields["max_depth"], "max_depth"),
+                       _manifest_int(fields["min_leaf_size"], "min_leaf_size"),
                        fields["preprocessing_digest"],
                        locked=fields["locked"] == "true")
     check = _preprocessing_digest(rebuilt.boundaries, rebuilt.treatment_labels,
@@ -189,13 +241,18 @@ def _leaf_stats(codes: np.ndarray, outcomes: np.ndarray, T: int):
 
 def _train_loop(frame: ColumnFrame, manifest: Manifest, execution_path: str,
                 control_override: Optional[str]) -> PolicyTree:
+    """Every feature is bucketized once; each node searches its rows of the
+    binned view and routes them on bins: with left-inclusive bins,
+    ``value <= cuts[c]`` iff ``bin <= c``, and the missing bin B > c follows
+    the NaN direction."""
     T = len(manifest.treatment_labels)
     codes = treatment_codes(frame, manifest.treatment_labels)
     bmap = manifest.boundary_map()
+    binned = bin_rows(frame, manifest.feature_names, bmap, manifest.treatment_labels,
+                      codes)
     config = SplitConfig(min_leaf_size=manifest.min_leaf_size,
                          control_label_override=control_override,
                          execution_path=execution_path)
-    effective = {name: frame.effective_values(name) for name in manifest.feature_names}
 
     nodes: dict[str, PolicyNode] = {}
     queue: list[tuple[str, np.ndarray]] = [("", np.arange(frame.n_rows))]
@@ -210,7 +267,7 @@ def _train_loop(frame: ColumnFrame, manifest: Manifest, execution_path: str,
         if len(path) >= manifest.max_depth:
             make_leaf()
             continue
-        result = best_split(frame.take(rows), manifest.feature_names, bmap,
+        result = best_split(binned.take(rows), manifest.feature_names, bmap,
                             manifest.treatment_labels, config)
         if result.status == STATUS_SKIPPED_TOO_LARGE:
             raise ContractViolationError(
@@ -224,10 +281,10 @@ def _train_loop(frame: ColumnFrame, manifest: Manifest, execution_path: str,
                                  threshold=best.threshold_boundary,
                                  candidate_bin=best.candidate_bin,
                                  nan_direction=best.nan_direction)
-        vals = effective[best.feature_name][rows]
-        missing = np.isnan(vals)
-        go_left = vals <= best.threshold_boundary
-        go_left = np.where(missing, best.nan_direction == "left", go_left)
+        bins = binned.bins[manifest.feature_names.index(best.feature_name), rows]
+        go_left = bins <= best.candidate_bin
+        if best.nan_direction == "left":
+            go_left |= bins == bmap[best.feature_name].missing_bin
         queue.append((path + "L", rows[go_left]))
         queue.append((path + "R", rows[~go_left]))
     return PolicyTree(nodes, manifest.feature_names, manifest.treatment_labels,

@@ -1,11 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import policylock as pl
 from policylock.harness import random_small_instance
-from policylock.splitsearch import CandidateScore, candidate_order_key
+from policylock.splitsearch import (CandidateScore, PrefixTable, _FeatureScores,
+                                    _make_best, _no_valid_summary, _score_candidate,
+                                    candidate_order_key)
 
 from conftest import build_frame
 from _oracles import oracle_best, oracle_candidates
@@ -323,6 +327,139 @@ class TestBestSplit:
         assert res.status == pl.STATUS_NO_VALID
         assert res.best is None
         assert "min_leaf_size" in res.reason
+
+
+def _table(opps, accepts, missing_opps, missing_accepts):
+    opps = np.array(opps, dtype=np.int64)
+    B, T = opps.shape
+    return PrefixTable.from_counts(
+        "x", tuple(f"t{t}" for t in range(T)), tuple(c / B for c in range(1, B)),
+        opps, np.array(accepts, dtype=np.int64),
+        np.array(missing_opps, dtype=np.int64), np.array(missing_accepts, dtype=np.int64))
+
+
+@st.composite
+def _scored_tables(draw):
+    """(table, control index, min_leaf_size): small counts so that zero-support
+    cells and score ties are common; missing tallies present or all zero;
+    min_leaf_size anywhere from 1 to one past the grand total."""
+    T = draw(st.integers(1, 4))
+    B = draw(st.integers(2, 6))
+    opps = np.array(draw(st.lists(st.integers(0, 6), min_size=B * T, max_size=B * T)),
+                    dtype=np.int64).reshape(B, T)
+    accepts = [[draw(st.integers(0, o)) for o in row] for row in opps.tolist()]
+    if draw(st.booleans()):
+        missing_opps = draw(st.lists(st.integers(0, 4), min_size=T, max_size=T))
+    else:
+        missing_opps = [0] * T
+    missing_accepts = [draw(st.integers(0, o)) for o in missing_opps]
+    table = _table(opps, accepts, missing_opps, missing_accepts)
+    total = int(opps.sum()) + sum(missing_opps)
+    return table, draw(st.integers(0, T - 1)), draw(st.integers(1, total + 1))
+
+
+def _byte_equal(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestArrayScorer:
+    """The one-pass array scorer of best_split against the scalar oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scored_tables())
+    # T=1: no control/non-control pair
+    @example((_table([[3], [2]], [[1], [2]], [1], [0]), 0, 1))
+    # no zero cells, every candidate valid, routes tie without missing tallies
+    @example((_table([[2, 3], [4, 1], [2, 2]], [[1, 1], [2, 0], [0, 2]], [0, 0], [0, 0]),
+              1, 1))
+    # min_leaf_size equal to the smaller branch total of every candidate
+    @example((_table([[2, 2], [2, 2]], [[1, 2], [0, 1]], [1, 1], [1, 0]), 0, 4))
+    # an all-zero table: zero support everywhere
+    @example((_table([[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]], [0, 0, 0],
+                     [0, 0, 0]), 2, 1))
+    def test_matches_scalar_candidate_by_candidate(self, case):
+        table, control_idx, min_leaf = case
+        fast = _FeatureScores(table, control_idx, min_leaf)
+        slow = [_score_candidate(table, c, direction, control_idx, min_leaf)
+                for c in range(table.n_candidates) for direction in ("left", "right")]
+        for want in slow:
+            got = fast.candidate(("left", "right").index(want.nan_direction),
+                                 want.candidate_bin)
+            assert got.identity() == want.identity()
+            assert got.threshold_boundary == want.threshold_boundary
+            assert (got.valid, got.invalid_reason) == (want.valid, want.invalid_reason)
+            assert _byte_equal(got.score, want.score)
+            for name in ("left_opps", "right_opps", "left_accepts", "right_accepts"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+        valid = [c for c in slow if c.valid]
+        winner = fast.winner()
+        if valid:
+            best = min(valid, key=candidate_order_key)
+            assert winner.identity() == best.identity()
+            assert _byte_equal(winner.score, best.score)
+            assert _make_best(winner, "t0").to_record() == _make_best(best, "t0").to_record()
+        else:
+            assert winner is None
+        rejected = Counter(c.invalid_reason for c in slow if not c.valid)
+        assert fast.reason_counts() == rejected
+        assert _no_valid_summary(fast.reason_counts()) == _no_valid_summary(rejected)
+
+
+def _binned(frame, names, bmap, labels):
+    return pl.bin_rows(frame, names, bmap, labels, pl.treatment_codes(frame, labels))
+
+
+def _split_records(data, names, bmap, labels, config):
+    return [pl.best_split(data, names, bmap, labels, config.with_path(p)).to_record()
+            for p in pl.EXECUTION_PATHS]
+
+
+class TestBinnedRows:
+    def test_dtype_fits_the_missing_bin(self):
+        f = build_frame({"a": [0.1, None], "b": [0.2, 0.9]})
+        small = _binned(f, ["a"], {"a": pl.uniform_boundaries("a", 255)}, ("control",))
+        wide = _binned(f, ["a", "b"], {"a": pl.uniform_boundaries("a", 4),
+                                       "b": pl.uniform_boundaries("b", 256)}, ("control",))
+        assert small.bins.dtype == np.uint8 and small.bins[0].tolist() == [25, 255]
+        assert wide.bins.dtype == np.uint16 and wide.bins.tolist() == [[0, 4], [51, 230]]
+
+    @pytest.mark.parametrize("no_valid", [False, True])
+    def test_best_split_equal_on_view_frame_and_partitions(self, no_valid):
+        """status, as_tuple(), reason and diagnostics (all in to_record())
+        agree for every path, also on a row subset of the view."""
+        compared = 0
+        for i in range(12):
+            frame, names, bmap, labels, config = random_small_instance(5100 + i)
+            if no_valid:
+                config = pl.SplitConfig(min_leaf_size=frame.n_rows)
+            view = _binned(frame, names, bmap, labels)
+            want = _split_records(frame, names, bmap, labels, config)
+            assert _split_records(view, names, bmap, labels, config) == want
+            assert _split_records(pl.partition(frame, 4), names, bmap, labels,
+                                  config) == want
+            rows = np.random.RandomState(i).permutation(frame.n_rows)[:frame.n_rows // 2]
+            assert _split_records(view.take(rows), names, bmap, labels, config) == \
+                _split_records(frame.take(rows), names, bmap, labels, config)
+            compared += sum(r["status"] == ("no_valid_candidate" if no_valid else "ok")
+                            for r in want)
+        assert compared >= 12
+
+    @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
+    def test_view_under_other_boundaries_or_vocabulary_rejected(self, path):
+        frame, names, bmap, labels, config = random_small_instance(5300)
+        config = config.with_path(path)
+        other = {n: pl.Boundaries(n, b.cuts[:-1] + (b.cuts[-1] + 0.01,))
+                 for n, b in bmap.items()}
+        with pytest.raises(pl.InvalidArgumentError):
+            pl.best_split(_binned(frame, names, other, labels), names, bmap,
+                          labels, config)
+        with pytest.raises(pl.InvalidArgumentError):
+            pl.best_split(_binned(frame, names, bmap, labels), names, bmap,
+                          labels[::-1], config)
+        with pytest.raises(pl.SchemaError):
+            pl.best_split(_binned(frame, names[:-1], bmap, labels), names, bmap,
+                          labels, config)
 
 
 class TestNaiveVariants:

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import policylock as pl
 from policylock.trainer import tree_to_arrays
-from policylock import rng
+from policylock import rng, splitsearch
 
 from conftest import build_frame
 from _oracles import oracle_best, oracle_auuc_qini, scalar_leaf
@@ -72,6 +74,28 @@ class TestTrain:
         tree = pl.train(frame, man)
         for leaf in tree.leaves():
             assert leaf.n_rows >= 300
+
+    @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
+    def test_bins_each_feature_once_and_takes_no_frames(self, path, monkeypatch):
+        frame, labels = _witness_frame(n_rows=4000)
+        man, _ = _manifest(frame, labels, max_depth=3)
+        calls = Counter()
+        take, bucketize = pl.ColumnFrame.take, splitsearch.bucketize
+
+        def counting_take(self, indices):
+            calls["take"] += 1
+            return take(self, indices)
+
+        def counting_bucketize(value, boundaries):
+            calls["bucketize"] += 1
+            return bucketize(value, boundaries)
+
+        monkeypatch.setattr(pl.ColumnFrame, "take", counting_take)
+        monkeypatch.setattr(splitsearch, "bucketize", counting_bucketize)
+        tree = pl.train(frame, man, path)
+        assert len(tree.nodes) > 3
+        assert calls["take"] == 0
+        assert 0 < calls["bucketize"] <= len(man.feature_names)
 
     def test_depth_monotonic_prefix_extension(self):
         frame, labels = _witness_frame()
@@ -263,6 +287,70 @@ class TestManifestFile:
         text = pl.manifest_to_text(man).replace("manifest v1", "manifest v9")
         with pytest.raises(pl.SchemaError):
             pl.manifest_from_text(text)
+
+
+class TestManifestErrors:
+    """Malformed manifest text raises SchemaError, never a bare KeyError,
+    IndexError or ValueError."""
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        frame, labels = _witness_frame(n_rows=500)
+        man, _ = _manifest(frame, labels, max_depth=2, min_leaf=10)
+        return pl.manifest_to_text(man)
+
+    @staticmethod
+    def _replace_line(text, start, new):
+        lines = text.splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(start))
+        lines[i] = new
+        return "\n".join(lines) + "\n"
+
+    def test_truncated_after_locked(self):
+        with pytest.raises(pl.SchemaError):
+            pl.manifest_from_text("manifest v1\nlocked true\n")
+
+    def test_every_truncation(self, text):
+        lines = text.splitlines(keepends=True)
+        for k in range(len(lines)):
+            with pytest.raises(pl.SchemaError):
+                pl.manifest_from_text("".join(lines[:k]))
+
+    def test_short_feature_line(self, text):
+        with pytest.raises(pl.SchemaError):
+            pl.manifest_from_text(self._replace_line(text, "x_boundary ", "x_boundary"))
+
+    def test_fewer_cuts_than_declared(self, text):
+        line = next(ln for ln in text.splitlines() if ln.startswith("x_boundary "))
+        with pytest.raises(pl.SchemaError):
+            pl.manifest_from_text(self._replace_line(text, "x_boundary ",
+                                                     line.rsplit(" ", 1)[0]))
+
+    def test_bad_cut_value(self, text):
+        with pytest.raises(pl.SchemaError):
+            pl.manifest_from_text(self._replace_line(text, "x_boundary ",
+                                                     "x_boundary 2 0.5 half"))
+
+    @pytest.mark.parametrize("line,bad", [
+        ("treatments ", "treatments four"), ("features ", "features many"),
+        ("treatments ", "treatments -1"), ("seed ", "seed 7.5")])
+    def test_bad_count_or_number(self, text, line, bad):
+        with pytest.raises(pl.SchemaError):
+            pl.manifest_from_text(self._replace_line(text, line, bad))
+
+    def test_reordered_fields(self, text):
+        lines = text.splitlines()
+        lines[4], lines[5] = lines[5], lines[4]
+        with pytest.raises(pl.SchemaError):
+            pl.manifest_from_text("\n".join(lines) + "\n")
+
+    def test_trailing_line(self, text):
+        with pytest.raises(pl.SchemaError):
+            pl.manifest_from_text(text + "extra 1 0.5\n")
+
+    def test_empty_text(self):
+        with pytest.raises(pl.SchemaError):
+            pl.manifest_from_text("")
 
 
 class TestWitness:
