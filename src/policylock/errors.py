@@ -26,4 +26,5 @@ class AlignmentError(EngineError):
 
 
 class MalformedTreeError(EngineError):
-    """Tree traversal exceeded its step budget (cycle or corrupt arrays)."""
+    """A tree cannot be traversed: a cycle, an out-of-range child or feature
+    index, or corrupt arrays."""

@@ -9,7 +9,7 @@ tree order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ _NODE_TYPE_NAMES = {INTERNAL_CONTINUOUS: "internal_continuous",
                     INTERNAL_CATEGORICAL: "internal_categorical",
                     LEAF: "leaf"}
 _NODE_TYPE_CODES = {v: k for k, v in _NODE_TYPE_NAMES.items()}
+_NAN_FLAGS = {"0": False, "1": True}
 
 
 @dataclass
@@ -70,11 +71,6 @@ class ForestArrays:
         return len(self.feature_names)
 
 
-def default_step_budget(n_nodes: int) -> int:
-    # any acyclic traversal is bounded by depth <= n_nodes; factor 4 is slack
-    return 4 * max(n_nodes, 1)
-
-
 @dataclass
 class Violation:
     tree_index: int
@@ -98,11 +94,9 @@ def validate_forest(forest: ForestArrays, step_budget: Optional[int] = None) -> 
     F = forest.n_features
     for ti, tree in enumerate(forest.trees):
         n = tree.n_nodes
-        budget = step_budget if step_budget is not None else default_step_budget(n)
-        lengths = {"node_type": len(tree.node_type), "feature_index": len(tree.feature_index),
-                   "split_value": len(tree.split_value), "left_child": len(tree.left_child),
-                   "right_child": len(tree.right_child), "nan_goes_left": len(tree.nan_goes_left),
-                   "leaf_payload": len(tree.leaf_payload)}
+        # any acyclic traversal is bounded by depth <= n_nodes; factor 4 is slack
+        budget = step_budget if step_budget is not None else 4 * max(n, 1)
+        lengths = {f.name: len(getattr(tree, f.name)) for f in fields(tree)}
         bad = {k: v for k, v in lengths.items() if v != n}
         if bad:
             report.violations.append(Violation(ti, None, f"array length mismatch: {bad}"))
@@ -119,8 +113,7 @@ def validate_forest(forest: ForestArrays, step_budget: Optional[int] = None) -> 
             report.violations.append(Violation(ti, None, "unknown node_type code"))
             continue
         internal = tree.node_type != LEAF
-        idx = np.flatnonzero(internal)
-        for ni in idx:
+        for ni in np.flatnonzero(internal):
             for side, child in (("left", tree.left_child[ni]), ("right", tree.right_child[ni])):
                 if not (0 <= child < n):
                     report.violations.append(Violation(ti, int(ni), f"{side} child {child} out of range"))
@@ -131,15 +124,7 @@ def validate_forest(forest: ForestArrays, step_budget: Optional[int] = None) -> 
                 report.violations.append(Violation(ti, int(ni), f"feature index {f} out of range [0, {F})"))
         if any(v.tree_index == ti for v in report.violations):
             continue
-        # worst-case steps to a leaf from every node; cycles never resolve
-        steps = np.where(internal, np.inf, 0.0)
-        for _ in range(n + 1):
-            nxt = np.where(internal,
-                           1.0 + np.maximum(steps[tree.left_child], steps[tree.right_child]),
-                           0.0)
-            if np.array_equal(nxt, steps, equal_nan=True):
-                break
-            steps = nxt
+        steps = _steps_to_leaf(~internal, tree.left_child, tree.right_child)
         over = ~(steps <= budget)
         if over.any():
             first = int(np.flatnonzero(over)[0])
@@ -149,42 +134,169 @@ def validate_forest(forest: ForestArrays, step_budget: Optional[int] = None) -> 
     return report
 
 
-def _leaf_indices(tree: TreeArrays, columns: np.ndarray, row_major: bool,
-                  step_budget: Optional[int] = None) -> np.ndarray:
-    """Vectorized frontier traversal; returns the leaf node index per row.
+def _steps_to_leaf(is_leaf: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Worst-case steps from every node to a leaf; inf where a cycle is
+    reachable.  Leaf entries of ``left``/``right`` only need to be in-bounds
+    indices; their values are masked out."""
+    steps = np.where(is_leaf, 0.0, np.inf)
+    for _ in range(len(is_leaf) + 1):
+        nxt = np.where(is_leaf, 0.0, 1.0 + np.maximum(steps[left], steps[right]))
+        if np.array_equal(nxt, steps, equal_nan=True):
+            break
+        steps = nxt
+    return steps
 
-    ``columns`` is [F, n] when ``row_major`` is False, else [n, F]; missing
-    cells must already be NaN.
+
+class _PreparedTree:
+    """Per-tree tables tuned for the fixed-depth batch walk: leaves self-loop
+    (left == right == self) so the level update needs no masking, and the
+    feature index is pre-scaled by the partition width for columnar
+    addressing.  Tables are a few hundred entries, so every per-level gather
+    stays cache-resident."""
+
+    def __init__(self, tree: TreeArrays, n_part: int):
+        is_leaf = tree.node_type == LEAF
+        self_idx = np.arange(tree.n_nodes, dtype=np.int64)
+        self.left = np.where(is_leaf, self_idx, tree.left_child)
+        self.right = np.where(is_leaf, self_idx, tree.right_child)
+        self.feature = np.where(is_leaf, 0, tree.feature_index).astype(np.int64)
+        self.feature_scaled = self.feature * n_part
+        # leaf thresholds never route; keep compares clean
+        self.split_value = np.where(is_leaf, 0.0, tree.split_value)
+        self.is_cat = tree.node_type == INTERNAL_CATEGORICAL
+        self.has_cat = bool(self.is_cat.any())
+        self.nan_left = np.asarray(tree.nan_goes_left, dtype=bool)
+        self.payload = tree.leaf_payload
+        self.is_leaf = is_leaf
+        # exact worst-case depth from the root
+        steps = _steps_to_leaf(is_leaf, self.left, self.right)
+        if not np.isfinite(steps[0]):
+            raise MalformedTreeError("prepared scorer given a cyclic tree")
+        self.depth = int(steps[0])
+
+
+class _PreparedForest:
+    """The vectorized traversal kernel, shared by both vectorized backends,
+    ``traverse_batch``, ``score_forest`` and the trainer's assignment.
+
+    One scratch buffer set per batch width is reused across trees and levels
+    (fresh allocations at this size cause mmap churn that dominates runtime).
+    Categorical and NaN handling are skipped when the tree / batch provably
+    has none; the result is identical because those masks would be all-False.
+    Payloads accumulate in tree order, keeping the float operation sequence
+    identical to the scalar walk.
     """
-    n = columns.shape[1] if not row_major else columns.shape[0]
-    budget = step_budget if step_budget is not None else default_step_budget(tree.n_nodes)
-    node = np.zeros(n, dtype=np.int32)
-    if n == 0:
+
+    def __init__(self, forest: ForestArrays, n_part: int):
+        self.n_treatments = forest.n_treatments
+        self.n_trees = len(forest.trees)
+        self.trees = [_PreparedTree(t, n_part) for t in forest.trees]
+        self._scratch_cache: dict[int, dict] = {}
+
+    def _scratch(self, n: int) -> dict:
+        buf = self._scratch_cache.get(n)
+        if buf is None:
+            buf = {"node": np.empty(n, dtype=np.int64),
+                   "alt": np.empty(n, dtype=np.int64),
+                   "idx": np.empty(n, dtype=np.int64),
+                   "vals": np.empty(n, dtype=np.float64),
+                   "thr": np.empty(n, dtype=np.float64),
+                   "go": np.empty(n, dtype=bool),
+                   "flag": np.empty(n, dtype=bool),
+                   "flag2": np.empty(n, dtype=bool),
+                   "acc": np.empty((n, self.n_treatments), dtype=np.float64),
+                   "payload": np.empty((n, self.n_treatments), dtype=np.float64)}
+            self._scratch_cache[n] = buf
+        return buf
+
+    def _walk(self, tree: _PreparedTree, feature_table: np.ndarray,
+              addr_base: np.ndarray, flat: np.ndarray, buf: dict,
+              check_nan: bool) -> np.ndarray:
+        node, alt, idx = buf["node"], buf["alt"], buf["idx"]
+        vals, thr = buf["vals"], buf["thr"]
+        go, flag, flag2 = buf["go"], buf["flag"], buf["flag2"]
+        node.fill(0)
+        for _ in range(tree.depth):
+            np.take(feature_table, node, out=idx)
+            np.add(idx, addr_base, out=idx)
+            np.take(flat, idx, out=vals)
+            np.take(tree.split_value, node, out=thr)
+            if tree.has_cat:
+                np.equal(vals, thr, out=go)
+                np.less_equal(vals, thr, out=flag)
+                np.take(tree.is_cat, node, out=flag2)
+                np.logical_not(flag2, out=flag2)
+                np.copyto(go, flag, where=flag2)
+            else:
+                np.less_equal(vals, thr, out=go)
+            if check_nan:
+                np.isnan(vals, out=flag)
+                np.take(tree.nan_left, node, out=flag2)
+                np.copyto(go, flag2, where=flag)
+            np.take(tree.right, node, out=alt)
+            np.take(tree.left, node, out=idx)
+            np.copyto(alt, idx, where=go)
+            buf["node"], buf["alt"] = alt, node
+            node, alt = alt, node
+        if not tree.is_leaf[node].all():
+            raise MalformedTreeError("traversal did not reach leaves in depth steps")
         return node
-    active = np.flatnonzero(tree.node_type[node] != LEAF)
-    steps = 0
-    while active.size:
-        if steps >= budget:
-            raise MalformedTreeError(f"traversal exceeded step budget {budget}")
-        nd = node[active]
-        f = tree.feature_index[nd]
-        vals = columns[active, f] if row_major else columns[f, active]
-        miss = np.isnan(vals)
-        thr = tree.split_value[nd]
-        is_cat = tree.node_type[nd] == INTERNAL_CATEGORICAL
-        go_left = np.where(is_cat, vals == thr, vals <= thr)
-        go_left = np.where(miss, tree.nan_goes_left[nd], go_left)
-        node[active] = np.where(go_left, tree.left_child[nd], tree.right_child[nd])
-        active = active[tree.node_type[node[active]] != LEAF]
-        steps += 1
-    return node
+
+    def _score(self, flat: np.ndarray, addr_base: np.ndarray, n: int,
+               check_nan: bool, columnar: bool) -> np.ndarray:
+        buf = self._scratch(n)
+        acc, pbuf = buf["acc"], buf["payload"]
+        acc.fill(0.0)
+        for tree in self.trees:
+            table = tree.feature_scaled if columnar else tree.feature
+            node = self._walk(tree, table, addr_base, flat, buf, check_nan)
+            np.take(tree.payload, node, axis=0, out=pbuf)
+            acc += pbuf
+        return acc / float(self.n_trees)
+
+    def score_columnar(self, flat: np.ndarray, rows: np.ndarray,
+                       check_nan: bool = True) -> np.ndarray:
+        return self._score(flat, rows, len(rows), check_nan, columnar=True)
+
+    def score_rowmajor(self, rm: np.ndarray, check_nan: bool = True) -> np.ndarray:
+        n, F = rm.shape
+        base = np.arange(n, dtype=np.int64)
+        np.multiply(base, F, out=base)
+        return self._score(rm.ravel(), base, n, check_nan, columnar=False)
 
 
-def traverse_batch(tree: TreeArrays, columns: np.ndarray, row_major: bool = False,
-                   step_budget: Optional[int] = None) -> np.ndarray:
-    """Leaf payload [n, T] for a float64 batch whose missing cells are NaN."""
-    leaves = _leaf_indices(tree, columns, row_major, step_budget)
-    return tree.leaf_payload[leaves]
+def _checked_batch(forest: ForestArrays, columns: np.ndarray, row_major: bool) -> np.ndarray:
+    """C-contiguous float64 batch, once the batch holds the forest's features
+    and the forest passes validation."""
+    batch = np.ascontiguousarray(columns, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1 if row_major else 0] != forest.n_features:
+        raise InvalidArgumentError(
+            f"batch of shape {batch.shape} does not hold {forest.n_features} features "
+            f"{'per row' if row_major else 'as rows'}")
+    report = validate_forest(forest)
+    if not report.passed:
+        raise MalformedTreeError(report.violations[0].message)
+    return batch
+
+
+def _leaf_nodes(forest: ForestArrays, columns: np.ndarray) -> np.ndarray:
+    """Leaf node index per row of a valid one-tree forest over a C-contiguous
+    float64 [F, n] batch whose missing cells are NaN."""
+    n = columns.shape[1]
+    prepared = _PreparedForest(forest, n)
+    tree = prepared.trees[0]
+    return prepared._walk(tree, tree.feature_scaled, np.arange(n, dtype=np.int64),
+                          columns.reshape(-1), prepared._scratch(n), check_nan=True)
+
+
+def traverse_batch(tree: TreeArrays, columns: np.ndarray, row_major: bool = False) -> np.ndarray:
+    """Leaf payload [n, T] for a float64 batch whose missing cells are NaN;
+    the tree may address every feature the batch holds."""
+    columns = np.asarray(columns, dtype=np.float64)
+    if row_major:
+        columns = columns.T
+    forest = ForestArrays([tree], ("",) * len(columns), ("",) * tree.leaf_payload.shape[-1])
+    return tree.leaf_payload[_leaf_nodes(forest, _checked_batch(forest, columns, False))]
 
 
 def score_forest(forest: ForestArrays, columns: np.ndarray, row_major: bool = False) -> np.ndarray:
@@ -192,12 +304,12 @@ def score_forest(forest: ForestArrays, columns: np.ndarray, row_major: bool = Fa
     float operation sequence matches the scalar reference walk exactly."""
     if not forest.trees:
         raise InvalidArgumentError("cannot score an empty forest")
-    n = columns.shape[0] if row_major else columns.shape[1]
-    acc = np.zeros((n, forest.n_treatments), dtype=np.float64)
-    for tree in forest.trees:
-        acc += traverse_batch(tree, columns, row_major)
-    acc /= float(len(forest.trees))
-    return acc
+    batch = _checked_batch(forest, columns, row_major)
+    if row_major:
+        return _PreparedForest(forest, batch.shape[0]).score_rowmajor(batch)
+    n = batch.shape[1]
+    return _PreparedForest(forest, n).score_columnar(batch.reshape(-1),
+                                                     np.arange(n, dtype=np.int64))
 
 
 FOREST_FORMAT_VERSION = "1"
@@ -229,6 +341,9 @@ def forest_to_text(forest: ForestArrays) -> str:
 
 
 def forest_from_text(text: str) -> ForestArrays:
+    """Reader of ``forest_to_text``'s format.  Malformed text (truncated, bad
+    count lines, unknown node types, node lines with a wrong field count or a
+    non-numeric field, trailing lines) raises ``SchemaError``."""
     lines = text.splitlines()
     pos = 0
 
@@ -240,38 +355,46 @@ def forest_from_text(text: str) -> ForestArrays:
         pos += 1
         return line
 
+    def count(keyword: str) -> int:
+        parts = next_line().split()
+        if len(parts) != 2 or parts[0] != keyword or not parts[1].isdecimal():
+            raise SchemaError(f"forest line {pos} should read '{keyword} <count>', "
+                              f"not {' '.join(parts)!r}")
+        return int(parts[1])
+
     header = next_line().split()
     if len(header) != 2 or header[0] != "forestarrays":
         raise SchemaError("not a forest file")
     if header[1] != f"v{FOREST_FORMAT_VERSION}":
         raise SchemaError(f"unsupported forest format version {header[1]!r}")
-    t_count = int(next_line().split()[1])
+    t_count = count("treatments")
     labels = [next_line() for _ in range(t_count)]
-    f_count = int(next_line().split()[1])
+    f_count = count("features")
     names = [next_line() for _ in range(f_count)]
-    n_trees = int(next_line().split()[1])
+    n_trees = count("trees")
     trees = []
     for _ in range(n_trees):
-        n_nodes = int(next_line().split()[1])
-        node_type = np.empty(n_nodes, dtype=np.int8)
-        feature_index = np.empty(n_nodes, dtype=np.int32)
-        split_value = np.empty(n_nodes, dtype=np.float64)
-        left = np.empty(n_nodes, dtype=np.int32)
-        right = np.empty(n_nodes, dtype=np.int32)
-        nan_left = np.empty(n_nodes, dtype=bool)
-        payload = np.empty((n_nodes, t_count), dtype=np.float64)
-        for i in range(n_nodes):
-            parts = next_line().split()
-            node_type[i] = _NODE_TYPE_CODES[parts[0]]
-            feature_index[i] = int(parts[1])
-            split_value[i] = float(parts[2])
-            left[i] = int(parts[3])
-            right[i] = int(parts[4])
-            nan_left[i] = parts[5] == "1"
-            for t in range(t_count):
-                payload[i, t] = float(parts[6 + t])
-        trees.append(TreeArrays(node_type, feature_index, split_value,
-                                left, right, nan_left, payload))
+        n_nodes = count("tree")
+        first = pos + 1
+        rows = [next_line().split() for _ in range(n_nodes)]
+        if any(len(parts) != 6 + t_count for parts in rows):
+            raise SchemaError(f"forest lines {first}-{pos}: a node line does not "
+                              f"hold {6 + t_count} fields")
+        try:
+            trees.append(TreeArrays(
+                np.array([_NODE_TYPE_CODES[p[0]] for p in rows], dtype=np.int8),
+                np.array([int(p[1]) for p in rows], dtype=np.int32),
+                np.array([float(p[2]) for p in rows], dtype=np.float64),
+                np.array([int(p[3]) for p in rows], dtype=np.int32),
+                np.array([int(p[4]) for p in rows], dtype=np.int32),
+                np.array([_NAN_FLAGS[p[5]] for p in rows], dtype=bool),
+                np.array([[float(v) for v in p[6:]] for p in rows],
+                         dtype=np.float64).reshape(n_nodes, t_count)))
+        except (KeyError, ValueError, OverflowError):
+            raise SchemaError(f"forest lines {first}-{pos} hold an unknown node type, a "
+                              f"NaN flag other than 0/1, or a bad number") from None
+    if pos < len(lines):
+        raise SchemaError("forest text has lines after its last tree")
     return ForestArrays(trees, tuple(names), tuple(labels))
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import AlignmentError, InvalidArgumentError
 from .frame import (ColumnFrame, PerturbationKind, PerturbationSpec,
                     apply_perturbation, partition)
 from .forest import ForestArrays, random_forest
@@ -709,7 +709,7 @@ def _run_s1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
             drift = (not rep.signature_equal) or rep.policy_vector_mismatches > 0 \
                 or rep.leaf_mismatches > 0
             sig_equal = rep.signature_equal
-        except Exception:
+        except AlignmentError:
             drift, sig_equal = True, False
         drifted += drift
         bundle.cases.append({"case": "before_lock", "variant": name,

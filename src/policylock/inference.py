@@ -27,9 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (AlignmentError, InvalidArgumentError, MalformedTreeError,
-                     SchemaError)
-from .forest import (ForestArrays, forest_from_text, forest_to_text,
+from .errors import AlignmentError, InvalidArgumentError, SchemaError
+from .forest import (ForestArrays, _PreparedForest, forest_from_text, forest_to_text,
                      validate_forest, LEAF, INTERNAL_CATEGORICAL)
 from .frame import ColumnFrame, PartitionedFrame, partition
 
@@ -69,136 +68,6 @@ class ScoreColumn:
     @property
     def n_rows(self) -> int:
         return len(self.row_ids)
-
-
-class _PreparedTree:
-    """Per-tree tables tuned for the batch frontier walk: leaves self-loop
-    (left == right == self) so the level update needs no masking, and the
-    feature index is pre-scaled by the partition width for columnar
-    addressing.  Tables are a few hundred entries, so every per-level gather
-    stays cache-resident."""
-
-    def __init__(self, tree, n_part: int):
-        is_leaf = tree.node_type == LEAF
-        self_idx = np.arange(tree.n_nodes, dtype=np.int64)
-        left = tree.left_child.astype(np.int64)
-        right = tree.right_child.astype(np.int64)
-        left[is_leaf] = self_idx[is_leaf]
-        right[is_leaf] = self_idx[is_leaf]
-        self.left = left
-        self.right = right
-        feat = tree.feature_index.astype(np.int64)
-        feat[is_leaf] = 0
-        self.feature = feat
-        self.feature_scaled = feat * n_part
-        sv = tree.split_value.copy()
-        sv[is_leaf] = 0.0  # leaf thresholds never route; keep compares clean
-        self.split_value = sv
-        self.is_cat = tree.node_type == INTERNAL_CATEGORICAL
-        self.has_cat = bool(self.is_cat.any())
-        self.nan_left = np.asarray(tree.nan_goes_left, dtype=bool)
-        self.payload = tree.leaf_payload
-        self.is_leaf = is_leaf
-        # exact worst-case depth from the root; the forest is pre-validated
-        steps = np.where(is_leaf, 0.0, np.inf)
-        for _ in range(tree.n_nodes + 1):
-            nxt = np.where(is_leaf, 0.0, 1.0 + np.maximum(steps[left], steps[right]))
-            if np.array_equal(nxt, steps, equal_nan=True):
-                break
-            steps = nxt
-        if not np.isfinite(steps[0]):
-            raise MalformedTreeError("prepared scorer given a cyclic tree")
-        self.depth = int(steps[0])
-
-
-class _PreparedForest:
-    """Vectorized batch scorer shared by both vectorized backends.
-
-    One scratch buffer set per batch width is reused across trees and levels
-    (fresh allocations at this size cause mmap churn that dominates runtime).
-    Categorical and NaN handling are skipped when the tree / batch provably
-    has none; the result is identical because those masks would be all-False.
-    Payloads accumulate in tree order, keeping the float operation sequence
-    identical to the scalar walk.
-    """
-
-    def __init__(self, forest: ForestArrays, n_part: int):
-        self.n_treatments = forest.n_treatments
-        self.n_trees = len(forest.trees)
-        self.trees = [_PreparedTree(t, n_part) for t in forest.trees]
-        self._scratch_cache: dict[int, dict] = {}
-
-    def _scratch(self, n: int) -> dict:
-        buf = self._scratch_cache.get(n)
-        if buf is None:
-            buf = {"node": np.empty(n, dtype=np.int64),
-                   "alt": np.empty(n, dtype=np.int64),
-                   "idx": np.empty(n, dtype=np.int64),
-                   "vals": np.empty(n, dtype=np.float64),
-                   "thr": np.empty(n, dtype=np.float64),
-                   "go": np.empty(n, dtype=bool),
-                   "flag": np.empty(n, dtype=bool),
-                   "flag2": np.empty(n, dtype=bool),
-                   "acc": np.empty((n, self.n_treatments), dtype=np.float64),
-                   "payload": np.empty((n, self.n_treatments), dtype=np.float64)}
-            self._scratch_cache[n] = buf
-        return buf
-
-    def _walk(self, tree: _PreparedTree, feature_table: np.ndarray,
-              addr_base: np.ndarray, flat: np.ndarray, buf: dict,
-              check_nan: bool) -> np.ndarray:
-        node, alt, idx = buf["node"], buf["alt"], buf["idx"]
-        vals, thr = buf["vals"], buf["thr"]
-        go, flag, flag2 = buf["go"], buf["flag"], buf["flag2"]
-        node.fill(0)
-        for _ in range(tree.depth):
-            np.take(feature_table, node, out=idx)
-            np.add(idx, addr_base, out=idx)
-            np.take(flat, idx, out=vals)
-            np.take(tree.split_value, node, out=thr)
-            if tree.has_cat:
-                np.equal(vals, thr, out=go)
-                np.less_equal(vals, thr, out=flag)
-                np.take(tree.is_cat, node, out=flag2)
-                np.logical_not(flag2, out=flag2)
-                np.copyto(go, flag, where=flag2)
-            else:
-                np.less_equal(vals, thr, out=go)
-            if check_nan:
-                np.isnan(vals, out=flag)
-                np.take(tree.nan_left, node, out=flag2)
-                np.copyto(go, flag2, where=flag)
-            np.take(tree.right, node, out=alt)
-            np.take(tree.left, node, out=idx)
-            np.copyto(alt, idx, where=go)
-            buf["node"], buf["alt"] = alt, node
-            node, alt = alt, node
-        if not tree.is_leaf[node].all():
-            raise MalformedTreeError("traversal did not reach leaves in depth steps")
-        return node
-
-    def _score(self, flat: np.ndarray, addr_base: np.ndarray, n: int,
-               check_nan: bool, columnar: bool) -> np.ndarray:
-        buf = self._scratch(n)
-        acc, pbuf = buf["acc"], buf["payload"]
-        acc.fill(0.0)
-        for tree in self.trees:
-            table = tree.feature_scaled if columnar else tree.feature
-            node = self._walk(tree, table, addr_base, flat, buf, check_nan)
-            np.take(tree.payload, node, axis=0, out=pbuf)
-            acc += pbuf
-        out = acc / float(self.n_trees)
-        return out
-
-    def score_columnar(self, flat: np.ndarray, rows: np.ndarray,
-                       check_nan: bool = True) -> np.ndarray:
-        return self._score(flat, rows, len(rows), check_nan, columnar=True)
-
-    def score_rowmajor(self, rm: np.ndarray, check_nan: bool = True) -> np.ndarray:
-        n, F = rm.shape
-        base = np.arange(n, dtype=np.int64)
-        np.multiply(base, F, out=base)
-        return self._score(rm.ravel(), base, n, check_nan, columnar=False)
 
 
 class _ScalarForest:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (AlignmentError, ContractViolationError, InvalidArgumentError,
                      SchemaError)
-from .forest import TreeArrays, _leaf_indices, INTERNAL_CONTINUOUS, LEAF
+from .forest import (ForestArrays, TreeArrays, _leaf_nodes, INTERNAL_CONTINUOUS,
+                     LEAF)
 from .frame import ColumnFrame, PartitionedFrame
 from .splitsearch import (Boundaries, SplitConfig, best_split, bin_rows,
                           select_control, treatment_codes, PATH_REFERENCE,
@@ -397,7 +398,8 @@ def assign(tree: PolicyTree, frame: ColumnFrame) -> Assignments:
         frame.column_index(name)
     arrays, paths = tree_to_arrays(tree)
     columns = frame.feature_matrix_effective(tree.feature_names)
-    leaf_idx = _leaf_indices(arrays, columns, row_major=False)
+    leaf_idx = _leaf_nodes(ForestArrays([arrays], tree.feature_names, tree.treatment_labels),
+                           columns)
     vectors = arrays.leaf_payload[leaf_idx]
     top = np.argmax(vectors, axis=1).astype(np.int64)
     path_table = np.array(paths, dtype=object)

@@ -7,6 +7,7 @@ from policylock.forest import (INTERNAL_CATEGORICAL, INTERNAL_CONTINUOUS, LEAF,
 from policylock import rng
 
 from _oracles import scalar_leaf, scalar_scores
+from conftest import build_frame
 
 
 def single_leaf_tree(payload):
@@ -111,6 +112,26 @@ class TestTraversal:
         with pytest.raises(pl.MalformedTreeError):
             pl.traverse_batch(tree, np.array([[0.1]]))
 
+    def test_child_out_of_range_raises_at_scoring(self):
+        # the row routes right, onto the missing node 9
+        tree = TreeArrays([INTERNAL_CONTINUOUS, LEAF], [0, -1], [0.5, 0.0],
+                          [1, -1], [9, -1], [False, False], [[0.0], [1.0]])
+        forest = pl.ForestArrays([tree], ("f0",), ("a",))
+        with pytest.raises(pl.MalformedTreeError, match="out of range"):
+            pl.traverse_batch(tree, np.array([[0.9]]))
+        with pytest.raises(pl.MalformedTreeError, match="out of range"):
+            pl.score_forest(forest, np.array([[0.9]]))
+
+    def test_feature_out_of_range_raises_at_scoring(self):
+        tree = TreeArrays([INTERNAL_CONTINUOUS, LEAF, LEAF], [3, -1, -1],
+                          [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                          [False] * 3, [[0.0], [1.0], [2.0]])
+        forest = pl.ForestArrays([tree], ("f0",), ("a",))
+        with pytest.raises(pl.MalformedTreeError, match="feature index 3"):
+            pl.traverse_batch(tree, np.array([[0.9]]))
+        with pytest.raises(pl.MalformedTreeError, match="feature index 3"):
+            pl.score_forest(forest, np.array([[0.9]]))
+
 
 class TestScoreForest:
     def test_one_tree_equals_traverse(self):
@@ -139,6 +160,76 @@ class TestScoreForest:
         with pytest.raises(pl.InvalidArgumentError):
             pl.score_forest(pl.ForestArrays([], ("f0",), ("a",)), np.zeros((1, 0)))
 
+    def test_batch_must_hold_the_forest_features(self):
+        forest = pl.random_forest(2, 3, ["f0", "f1"], ("a", "b"), seed=9)
+        for cols, row_major in ((np.zeros((1, 5)), False), (np.zeros((5, 3)), True),
+                                (np.zeros(5), False)):
+            with pytest.raises(pl.InvalidArgumentError):
+                pl.score_forest(forest, cols, row_major=row_major)
+
+
+def _kernel_batch(n_features, categorical, n_rows, seed):
+    """[F, n] cells in [0, 1), categorical columns on codes 0..4, ~1 in 8 NaN."""
+    cols = np.vstack([rng.uniform_stream(seed, f"col{i}", n_rows)
+                      for i in range(n_features)])
+    for f in categorical:
+        cols[f] = np.floor(cols[f] * 5.0)
+    nan_mask = np.vstack([rng.uniform_stream(seed, f"nan{i}", n_rows)
+                          for i in range(n_features)]) < 0.125
+    cols[nan_mask] = np.nan
+    return cols
+
+
+class TestOneKernel:
+    """Every entry point of the prepared kernel against the scalar oracle, on
+    partial trees (rows must stay parked at shallow leaves while the
+    fixed-depth walk runs on), categorical nodes and NaN cells."""
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_partial_trees_match_scalar_oracle(self, depth):
+        names = [f"f{i}" for i in range(6)]
+        categorical = (1, 4)
+        forest = pl.random_forest(3, depth, names, ("a", "b", "c"), seed=100 + depth,
+                                  categorical_features=categorical,
+                                  categorical_cardinality=5, full=False)
+        cols = _kernel_batch(len(names), categorical, 300, seed=depth)
+        rows = cols.T.tolist()
+        expected = np.array(scalar_scores(forest, rows))
+        assert np.isnan(cols).any()
+        assert pl.score_forest(forest, cols).tobytes() == expected.tobytes()
+        rm = np.ascontiguousarray(cols.T)
+        assert pl.score_forest(forest, rm, row_major=True).tobytes() == expected.tobytes()
+        for tree in forest.trees:
+            leaves = [scalar_leaf(tree, row) for row in rows]
+            want = tree.leaf_payload[leaves].tobytes()
+            assert pl.traverse_batch(tree, cols).tobytes() == want
+            assert pl.traverse_batch(tree, rm, row_major=True).tobytes() == want
+        frame = build_frame({name: cols[i].tolist() for i, name in enumerate(names)})
+        pf = pl.partition(frame, 3)
+        for kind in ("vectorized_columnar", "vectorized_rowmajor"):
+            col = pl.score(pf, forest, pl.InferenceBackend(kind, batch_size=64))
+            order = np.argsort(col.row_ids, kind="stable")
+            assert col.vectors[order].tobytes() == expected.tobytes()
+
+    def test_zero_rows(self):
+        forest = pl.random_forest(2, 4, ["f0", "f1"], ("a", "b"), seed=5,
+                                  categorical_features=(1,), full=False)
+        for cols, row_major in ((np.zeros((2, 0)), False), (np.zeros((0, 2)), True)):
+            out = pl.score_forest(forest, cols, row_major=row_major)
+            assert out.shape == (0, 2) and out.dtype == np.float64
+            assert pl.traverse_batch(forest.trees[0], cols, row_major=row_major).shape == (0, 2)
+        spec = pl.SynthSpec(n_rows=2000, n_treatments=2, seed=3, p_miss=0.1,
+                            families=("x_boundary", "generic(2)"))
+        frame = pl.generate(spec)
+        bmap = {n: pl.uniform_boundaries(n, 8) for n in frame.feature_names}
+        manifest = pl.build_manifest(frame, frame.feature_names, spec.treatment_labels(),
+                                     bmap, 7, 2, 100).lock()
+        tree = pl.train(frame, manifest)
+        out = pl.assign(tree, frame.take(np.arange(0)))
+        assert out.row_ids.shape == (0,)
+        assert out.vectors.shape == (0, len(tree.treatment_labels))
+        assert out.top_index.shape == (0,) and out.leaf_paths.shape == (0,)
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
@@ -156,8 +247,49 @@ class TestSerialization:
                                       equal_nan=True)
         assert pl.forest_to_text(back) == text
 
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda ls: _replace_node_field(ls, 0, "leef"), id="unknown-node-type"),
+        pytest.param(lambda ls: _replace_count(ls, "trees", "trees x"), id="non-integer-count"),
+        pytest.param(lambda ls: _replace_count(ls, "trees", "trees"), id="count-without-number"),
+        pytest.param(lambda ls: _replace_count(ls, "trees", "trees -1"), id="negative-count"),
+        pytest.param(lambda ls: _replace_count(ls, "features", "columns 2"), id="wrong-count-keyword"),
+        pytest.param(lambda ls: _edit_node_line(ls, lambda p: p[:-1]), id="short-node-line"),
+        pytest.param(lambda ls: _edit_node_line(ls, lambda p: p + ["0.5"]), id="long-node-line"),
+        pytest.param(lambda ls: _replace_node_field(ls, 1, "one"), id="non-numeric-feature"),
+        pytest.param(lambda ls: _replace_node_field(ls, 2, "0.5x"), id="non-numeric-split"),
+        pytest.param(lambda ls: _replace_node_field(ls, 3, "2**40"), id="non-numeric-child"),
+        pytest.param(lambda ls: _replace_node_field(ls, 4, str(2 ** 40)), id="child-out-of-int32"),
+        pytest.param(lambda ls: _replace_node_field(ls, 5, "2"), id="nan-flag-not-0-or-1"),
+        pytest.param(lambda ls: _replace_node_field(ls, 6, "abc"), id="non-numeric-payload"),
+        pytest.param(lambda ls: ls + ["leaf -1 nan -1 -1 0 0.5 0.5"], id="line-after-last-tree"),
+    ])
+    def test_malformed_text_is_schema_error(self, mutate):
+        forest = pl.random_forest(2, 2, ["f0", "f1"], ("a", "b"), seed=3)
+        lines = pl.forest_to_text(forest).splitlines()
+        text = "\n".join(mutate(lines)) + "\n"
+        with pytest.raises(pl.SchemaError):
+            pl.forest_from_text(text)
+
     def test_unknown_version_rejected(self):
         forest = pl.ForestArrays([single_leaf_tree([0.5])], ("f0",), ("a",))
         text = pl.forest_to_text(forest).replace("v1", "v999")
         with pytest.raises(pl.SchemaError):
             pl.forest_from_text(text)
+
+
+def _first_node_line(lines):
+    return lines.index(next(line for line in lines if line.startswith("tree "))) + 1
+
+
+def _edit_node_line(lines, edit):
+    i = _first_node_line(lines)
+    return lines[:i] + [" ".join(edit(lines[i].split()))] + lines[i + 1:]
+
+
+def _replace_node_field(lines, k, value):
+    return _edit_node_line(lines, lambda parts: parts[:k] + [value] + parts[k + 1:])
+
+
+def _replace_count(lines, keyword, line):
+    i = next(i for i, text in enumerate(lines) if text.split()[:1] == [keyword])
+    return lines[:i] + [line] + lines[i + 1:]
