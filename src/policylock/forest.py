@@ -26,6 +26,7 @@ _NODE_TYPE_NAMES = {INTERNAL_CONTINUOUS: "internal_continuous",
                     LEAF: "leaf"}
 _NODE_TYPE_CODES = {v: k for k, v in _NODE_TYPE_NAMES.items()}
 _NAN_FLAGS = {"0": False, "1": True}
+_NAN_FLAG_TEXT = {v: k for k, v in _NAN_FLAGS.items()}
 
 
 @dataclass
@@ -113,7 +114,12 @@ def validate_forest(forest: ForestArrays, step_budget: Optional[int] = None) -> 
             report.violations.append(Violation(ti, None, "unknown node_type code"))
             continue
         internal = tree.node_type != LEAF
-        for ni in np.flatnonzero(internal):
+        node_ids = np.arange(n)
+        flagged = internal & ~((0 <= tree.feature_index) & (tree.feature_index < F))
+        for child in (tree.left_child, tree.right_child):
+            flagged |= internal & ~((0 <= child) & (child < n) & (child != node_ids))
+        flagged = np.flatnonzero(flagged)
+        for ni in flagged:
             for side, child in (("left", tree.left_child[ni]), ("right", tree.right_child[ni])):
                 if not (0 <= child < n):
                     report.violations.append(Violation(ti, int(ni), f"{side} child {child} out of range"))
@@ -122,7 +128,7 @@ def validate_forest(forest: ForestArrays, step_budget: Optional[int] = None) -> 
             f = tree.feature_index[ni]
             if not (0 <= f < F):
                 report.violations.append(Violation(ti, int(ni), f"feature index {f} out of range [0, {F})"))
-        if any(v.tree_index == ti for v in report.violations):
+        if flagged.size:
             continue
         steps = _steps_to_leaf(~internal, tree.left_child, tree.right_child)
         over = ~(steps <= budget)
@@ -159,6 +165,7 @@ class _PreparedTree:
         self_idx = np.arange(tree.n_nodes, dtype=np.int64)
         self.left = np.where(is_leaf, self_idx, tree.left_child)
         self.right = np.where(is_leaf, self_idx, tree.right_child)
+        self.left_minus_right = self.left - self.right
         self.feature = np.where(is_leaf, 0, tree.feature_index).astype(np.int64)
         self.feature_scaled = self.feature * n_part
         # leaf thresholds never route; keep compares clean
@@ -183,6 +190,9 @@ class _PreparedForest:
     (fresh allocations at this size cause mmap churn that dominates runtime).
     Categorical and NaN handling are skipped when the tree / batch provably
     has none; the result is identical because those masks would be all-False.
+    Each level routes branch-free: the categorical and NaN overrides are
+    bitwise and the child is picked arithmetically, since a masked copy with
+    a data-dependent mask costs many times an element-wise add at batch width.
     Payloads accumulate in tree order, keeping the float operation sequence
     identical to the scalar walk.
     """
@@ -221,21 +231,26 @@ class _PreparedForest:
             np.add(idx, addr_base, out=idx)
             np.take(flat, idx, out=vals)
             np.take(tree.split_value, node, out=thr)
+            np.less_equal(vals, thr, out=go)
             if tree.has_cat:
-                np.equal(vals, thr, out=go)
-                np.less_equal(vals, thr, out=flag)
+                # go ^= is_cat & (go ^ eq): equality where the node is categorical
+                np.equal(vals, thr, out=flag)
+                np.logical_xor(go, flag, out=flag)
                 np.take(tree.is_cat, node, out=flag2)
-                np.logical_not(flag2, out=flag2)
-                np.copyto(go, flag, where=flag2)
-            else:
-                np.less_equal(vals, thr, out=go)
+                np.logical_and(flag, flag2, out=flag)
+                np.logical_xor(go, flag, out=go)
             if check_nan:
+                # NaN compares false, so go is False on missing cells and
+                # go |= isnan & nan_left gives them the node's flag
                 np.isnan(vals, out=flag)
                 np.take(tree.nan_left, node, out=flag2)
-                np.copyto(go, flag2, where=flag)
+                np.logical_and(flag, flag2, out=flag)
+                np.logical_or(go, flag, out=go)
+            # child = right + go * (left - right), without a masked copy
             np.take(tree.right, node, out=alt)
-            np.take(tree.left, node, out=idx)
-            np.copyto(alt, idx, where=go)
+            np.take(tree.left_minus_right, node, out=idx)
+            np.multiply(idx, go, out=idx)
+            np.add(alt, idx, out=alt)
             buf["node"], buf["alt"] = alt, node
             node, alt = alt, node
         if not tree.is_leaf[node].all():
@@ -326,17 +341,14 @@ def forest_to_text(forest: ForestArrays) -> str:
     lines.append(f"trees {len(forest.trees)}")
     for tree in forest.trees:
         lines.append(f"tree {tree.n_nodes}")
-        for i in range(tree.n_nodes):
-            fields = [
-                _NODE_TYPE_NAMES[int(tree.node_type[i])],
-                str(int(tree.feature_index[i])),
-                repr(float(tree.split_value[i])),
-                str(int(tree.left_child[i])),
-                str(int(tree.right_child[i])),
-                "1" if tree.nan_goes_left[i] else "0",
-            ]
-            fields.extend(repr(float(v)) for v in tree.leaf_payload[i])
-            lines.append(" ".join(fields))
+        columns = [map(_NODE_TYPE_NAMES.__getitem__, tree.node_type.tolist()),
+                   map(str, tree.feature_index.tolist()),
+                   map(repr, tree.split_value.tolist()),
+                   map(str, tree.left_child.tolist()),
+                   map(str, tree.right_child.tolist()),
+                   map(_NAN_FLAG_TEXT.__getitem__, tree.nan_goes_left.tolist())]
+        columns.extend(map(repr, col) for col in tree.leaf_payload.T.tolist())
+        lines.extend(map(" ".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 

@@ -24,6 +24,7 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -48,7 +49,8 @@ STATUS_SKIPPED_TOO_LARGE = "skipped_too_large"
 
 @dataclass(frozen=True)
 class Boundaries:
-    """Explicit interior cut points; B regular bins plus missing bin index B."""
+    """Explicit interior cut points, strictly increasing and never NaN; B
+    regular bins plus missing bin index B."""
     feature_name: str
     cuts: tuple[float, ...]
 
@@ -57,6 +59,8 @@ class Boundaries:
         object.__setattr__(self, "cuts", cuts)
         if len(cuts) < 1:
             raise InvalidArgumentError("boundaries need at least one interior cut (B >= 2)")
+        if any(math.isnan(c) for c in cuts):
+            raise InvalidArgumentError("cuts must not be NaN")
         if any(not (a < b) for a, b in zip(cuts, cuts[1:])):
             raise InvalidArgumentError("cuts must be strictly increasing")
 
@@ -75,13 +79,32 @@ def uniform_boundaries(feature_name: str, n_bins: int, lo: float = 0.0,
     return Boundaries(feature_name, cuts)
 
 
+# widest B bucketized by counting cuts (the bin count fits a uint8 counter)
+_COUNT_CUTS_MAX_BINS = 255
+
+
 def bucketize(value, boundaries: Boundaries):
     """Bin index in [0, B]: missing -> B; a value equal to cuts[i] lands in
-    bin i (left-inclusive, matching '<=' left routing)."""
-    cuts = np.asarray(boundaries.cuts)
+    bin i (left-inclusive, matching '<=' left routing).
+
+    The bin is the number of cuts strictly below the value, which equals
+    ``searchsorted(cuts, value, side="left")`` because cuts strictly increase
+    and are never NaN.  For B <= 255 it is computed branch-free, one
+    compare-and-add pass per cut into a uint8 counter; a binary search over
+    random values mispredicts at every step and is several times slower
+    there.  Compare-and-count is O(B) per value, so wider features keep
+    ``searchsorted``."""
     arr = np.asarray(value, dtype=np.float64)
-    bins = np.searchsorted(cuts, arr, side="left").astype(np.int64)
-    bins = np.where(np.isnan(arr), boundaries.missing_bin, bins)
+    if boundaries.n_bins <= _COUNT_CUTS_MAX_BINS:
+        count = np.zeros(arr.shape, dtype=np.uint8)
+        below = np.empty(arr.shape, dtype=bool)
+        for cut in boundaries.cuts:
+            np.less(cut, arr, out=below)
+            np.add(count, below.view(np.uint8), out=count)
+        bins = count.astype(np.int64)
+    else:
+        bins = np.asarray(np.searchsorted(boundaries.cuts, arr, side="left"), dtype=np.int64)
+    bins[np.isnan(arr)] = boundaries.missing_bin
     if np.isscalar(value) or arr.ndim == 0:
         return int(bins)
     return bins
@@ -113,22 +136,28 @@ def select_control(treatment_labels: Sequence[str], override: Optional[str] = No
 
 def treatment_codes(frame: ColumnFrame, treatments: tuple[str, ...]) -> np.ndarray:
     """Vocabulary index per row; a label outside the fixed vocabulary is a
-    contract violation (the vocabulary is never inferred from data)."""
-    cached = getattr(frame, "_treatment_factorized", None)
-    if cached is None:
-        uniq, inv = np.unique(np.asarray(frame.treatments, dtype=str), return_inverse=True)
-        cached = (tuple(uniq.tolist()), inv.astype(np.int64))
-        frame._treatment_factorized = cached
-    uniq, inv = cached
+    contract violation (the vocabulary is never inferred from data), reported
+    for the lexicographically smallest unknown label.  Labels match by their
+    ``str``.  The read-only codes are cached on the frame per vocabulary."""
+    treatments = tuple(treatments)
+    cached = getattr(frame, "_treatment_codes", None)
+    if cached is not None and cached[0] == treatments:
+        return cached[1]
     lookup = {label: i for i, label in enumerate(treatments)}
-    mapping = np.empty(len(uniq), dtype=np.int64)
-    for i, label in enumerate(uniq):
-        code = lookup.get(label)
-        if code is None:
+    labels = frame.treatments.tolist()
+    codes = np.fromiter(map(lookup.get, labels, repeat(-1, len(labels))),
+                        dtype=np.int64, count=len(labels))
+    misses = np.flatnonzero(codes < 0)
+    if misses.size:
+        texts = [str(labels[r]) for r in misses]
+        unknown = {text for text in texts if text not in lookup}
+        if unknown:
             raise ContractViolationError(
-                f"treatment label {label!r} outside the fixed vocabulary {treatments}")
-        mapping[i] = code
-    return mapping[inv] if len(uniq) else inv
+                f"treatment label {min(unknown)!r} outside the fixed vocabulary {treatments}")
+        codes[misses] = [lookup[text] for text in texts]
+    codes.flags.writeable = False
+    frame._treatment_codes = (treatments, codes)
+    return codes
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import policylock as pl
 from policylock.forest import (INTERNAL_CATEGORICAL, INTERNAL_CONTINUOUS, LEAF,
@@ -210,6 +212,38 @@ class TestOneKernel:
             col = pl.score(pf, forest, pl.InferenceBackend(kind, batch_size=64))
             order = np.argsort(col.row_ids, kind="stable")
             assert col.vectors[order].tobytes() == expected.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), depth=st.integers(1, 8),
+           categorical=st.sets(st.integers(0, 4), max_size=3),
+           cardinality=st.integers(2, 6), nan_share=st.sampled_from([0.0, 0.1, 0.5]),
+           on_threshold=st.sampled_from([0.0, 0.3]))
+    def test_seeded_partial_trees_match_scalar_oracle(self, seed, depth, categorical,
+                                                      cardinality, nan_share, on_threshold):
+        """Seeded partial trees with categorical nodes, NaN cells and cells
+        equal to a node's threshold, in both layouts."""
+        names = [f"f{i}" for i in range(5)]
+        forest = pl.random_forest(3, depth, names, ("a", "b"), seed=seed,
+                                  categorical_features=sorted(categorical),
+                                  categorical_cardinality=cardinality, full=False)
+        gen = np.random.default_rng(seed)
+        cols = gen.random((len(names), 120))
+        for f in categorical:
+            cols[f] = np.floor(cols[f] * (cardinality + 1))
+        thresholds = [(tree.feature_index[i], tree.split_value[i])
+                      for tree in forest.trees for i in np.flatnonzero(tree.node_type != LEAF)]
+        for f, value in thresholds:
+            cols[f, gen.random(cols.shape[1]) < on_threshold / len(thresholds)] = value
+        cols[gen.random(cols.shape) < nan_share] = np.nan
+        rows = cols.T.tolist()
+        expected = np.array(scalar_scores(forest, rows)).tobytes()
+        rm = np.ascontiguousarray(cols.T)
+        assert pl.score_forest(forest, cols).tobytes() == expected
+        assert pl.score_forest(forest, rm, row_major=True).tobytes() == expected
+        for tree in forest.trees:
+            want = tree.leaf_payload[[scalar_leaf(tree, row) for row in rows]].tobytes()
+            assert pl.traverse_batch(tree, cols).tobytes() == want
+            assert pl.traverse_batch(tree, rm, row_major=True).tobytes() == want
 
     def test_zero_rows(self):
         forest = pl.random_forest(2, 4, ["f0", "f1"], ("a", "b"), seed=5,

@@ -15,6 +15,38 @@ from conftest import build_frame
 from _oracles import oracle_best, oracle_candidates
 
 
+@st.composite
+def _bucketize_cases(draw):
+    """Cuts on a 1/8 grid for B on both sides of the count-cuts crossover,
+    optionally -0.0 in place of 0.0 and infinite end cuts; values mix the
+    cuts themselves, their float neighbours, signed zeros, infinities, NaN,
+    grid and arbitrary floats, shaped as a scalar, a 0-d, empty, 1-D or 2-D
+    array."""
+    n_bins = draw(st.sampled_from([2, 254, 255, 256, 1024]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cuts = np.sort(gen.choice(np.arange(-1500, 1500), n_bins - 1, replace=False)) / 8.0
+    if draw(st.booleans()):
+        cuts[cuts == 0.0] = -0.0
+    if draw(st.booleans()):
+        cuts[0] = -np.inf
+    if draw(st.booleans()):
+        cuts[-1] = np.inf
+    pool = np.concatenate([
+        cuts, np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf),
+        [0.0, -0.0, np.inf, -np.inf, np.nan], gen.integers(-1700, 1700, 40) / 8.0,
+        draw(st.lists(st.floats(), max_size=8))])
+    shape = draw(st.sampled_from(["scalar", "0-d", "empty", "1-d", "2-d"]))
+    if shape == "scalar":
+        value = float(gen.choice(pool))
+    elif shape == "0-d":
+        value = np.array(gen.choice(pool))
+    elif shape == "empty":
+        value = np.array([])
+    else:
+        value = gen.choice(pool, size=60 if shape == "1-d" else (6, 10))
+    return tuple(cuts.tolist()), value
+
+
 class TestBucketize:
     def test_null_goes_to_missing_bin(self):
         b = pl.Boundaries("x", (0.5,))
@@ -48,6 +80,29 @@ class TestBucketize:
             pl.Boundaries("x", (0.5, 0.5))
         with pytest.raises(pl.InvalidArgumentError):
             pl.Boundaries("x", ())
+
+    @pytest.mark.parametrize("cuts", [(float("nan"),), (float("nan"), 0.5),
+                                      (0.5, float("nan")), (0.1, float("nan"), 0.9)])
+    def test_nan_cut_rejected(self, cuts):
+        with pytest.raises(pl.InvalidArgumentError):
+            pl.Boundaries("x", cuts)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_bucketize_cases())
+    @example(((0.5,), np.array([0.5, -0.0, np.nan, np.inf, -np.inf])))
+    @example(((-0.0, np.inf), np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5.0])))
+    def test_equals_searchsorted_with_missing_bin(self, case):
+        cuts, value = case
+        b = pl.Boundaries("x", cuts)
+        arr = np.asarray(value, dtype=np.float64)
+        want = np.searchsorted(np.array(cuts), arr, side="left")
+        want = np.where(np.isnan(arr), b.missing_bin, want)
+        got = pl.bucketize(value, b)
+        if isinstance(value, float) or arr.ndim == 0:
+            assert type(got) is int and got == int(want)
+        else:
+            assert got.dtype == np.int64 and got.shape == arr.shape
+            assert np.array_equal(got, want)
 
 
 class TestCandidateRowCount:

@@ -331,6 +331,12 @@ class TestManifestErrors:
             pl.manifest_from_text(self._replace_line(text, "x_boundary ",
                                                      "x_boundary 2 0.5 half"))
 
+    @pytest.mark.parametrize("cuts", ["1 nan", "2 nan 0.5", "2 0.5 nan"])
+    def test_nan_cut(self, text, cuts):
+        with pytest.raises(pl.SchemaError):
+            pl.manifest_from_text(self._replace_line(text, "x_boundary ",
+                                                     f"x_boundary {cuts}"))
+
     @pytest.mark.parametrize("line,bad", [
         ("treatments ", "treatments four"), ("features ", "features many"),
         ("treatments ", "treatments -1"), ("seed ", "seed 7.5")])
