@@ -2,7 +2,8 @@
 batch inference with parity/throughput reports, and the experiment harness.
 
 All commands are batch-oriented (CI consumers); exit code is nonzero iff a
-non-skipped case fails its block predicate.
+non-skipped case fails its block predicate (1) or the engine rejects an input
+or argument (2, with ``error: <message>`` on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 
 import numpy as np
 
+from .errors import EngineError
 from .frame import CsvRoles, frame_checksum, partition, read_csv, write_csv
 from .forest import forest_from_text, forest_to_text, random_forest
 from .harness import (BLOCKS, ExperimentSpec, ResultBundle, emit_report, run_block,
@@ -264,7 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

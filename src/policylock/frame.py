@@ -288,19 +288,37 @@ class CsvRoles:
     row_id: Optional[str] = None
 
 
+def _int64(cell: str) -> np.int64:
+    return np.int64(int(cell))   # OverflowError outside the int64 range
+
+
+def _parse_cell(parse, cell: str, what: str, r: int):
+    try:
+        return parse(cell)
+    except (ValueError, OverflowError):
+        raise SchemaError(f"CSV data row {r + 1}: bad {what} {cell!r}") from None
+
+
 def read_csv(path, roles: CsvRoles) -> ColumnFrame:
-    """Generic ingestion: empty cells -> NULL, literal "NaN" -> NaN payload."""
+    """Generic ingestion: empty cells -> NULL, literal "NaN" -> NaN payload;
+    malformed rows and cells raise ``SchemaError`` (docs/normative.md)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError("CSV file has no header row")
-        missing_cols = [c for c in (*roles.features, roles.treatment, roles.outcome)
-                        if c not in reader.fieldnames]
-        if roles.row_id and roles.row_id not in reader.fieldnames:
-            missing_cols.append(roles.row_id)
-        if missing_cols:
-            raise SchemaError(f"CSV is missing columns: {missing_cols}")
-        rows = list(reader)
+        try:
+            fieldnames = reader.fieldnames
+            rows = list(reader)
+        except csv.Error as exc:
+            raise SchemaError(f"malformed CSV: {exc}") from None
+    if fieldnames is None:
+        raise SchemaError("CSV file has no header row")
+    if len(set(fieldnames)) != len(fieldnames):
+        raise SchemaError(f"CSV header repeats a column name: {fieldnames}")
+    missing_cols = [c for c in (*roles.features, roles.treatment, roles.outcome)
+                    if c not in fieldnames]
+    if roles.row_id and roles.row_id not in fieldnames:
+        missing_cols.append(roles.row_id)
+    if missing_cols:
+        raise SchemaError(f"CSV is missing columns: {missing_cols}")
 
     n = len(rows)
     values = [np.zeros(n) for _ in roles.features]
@@ -309,6 +327,11 @@ def read_csv(path, roles: CsvRoles) -> ColumnFrame:
     outcomes = np.zeros(n, dtype=np.int64)
     row_ids = np.arange(n, dtype=np.int64)
     for r, row in enumerate(rows):
+        # DictReader fills a short row with None values and files the extra
+        # fields of a long row under the None key
+        if None in row or None in row.values():
+            raise SchemaError(f"CSV data row {r + 1} does not have "
+                              f"{len(fieldnames)} fields")
         for i, feat in enumerate(roles.features):
             cell = row[feat]
             if cell == "":
@@ -316,11 +339,11 @@ def read_csv(path, roles: CsvRoles) -> ColumnFrame:
             elif cell == "NaN":
                 values[i][r] = np.nan
             else:
-                values[i][r] = float(cell)
+                values[i][r] = _parse_cell(float, cell, f"{feat} value", r)
         treatments[r] = row[roles.treatment]
-        outcomes[r] = int(row[roles.outcome])
+        outcomes[r] = _parse_cell(_int64, row[roles.outcome], "outcome", r)
         if roles.row_id:
-            row_ids[r] = int(row[roles.row_id])
+            row_ids[r] = _parse_cell(_int64, row[roles.row_id], "row id", r)
     return ColumnFrame(row_ids, roles.features, values, valid, treatments, outcomes)
 
 

@@ -16,25 +16,24 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import AlignmentError, InvalidArgumentError
-from .frame import (ColumnFrame, PerturbationKind, PerturbationSpec,
-                    apply_perturbation, partition)
+from .frame import (ColumnFrame, PartitionedFrame, PerturbationKind,
+                    PerturbationSpec, apply_perturbation, partition)
 from .forest import ForestArrays, random_forest
-from .inference import (InferenceBackend, measure_throughput, score,
+from .inference import (InferenceBackend, ParityReport, measure_throughput, score,
                         parity_from_columns)
 from .splitsearch import (Boundaries, SplitConfig, best_split, candidate_row_count,
                           naive_variant_best_split, uniform_boundaries,
                           approx_quantile_boundaries,
                           EXECUTION_PATHS, NAIVE_VARIANTS, PATH_REFERENCE,
-                          PATH_RELATIONAL, PATH_PARTITIONED,
-                          STATUS_OK, STATUS_NO_VALID, STATUS_SKIPPED_TOO_LARGE)
+                          STATUS_OK, STATUS_SKIPPED_TOO_LARGE)
 from .synth import SynthSpec, generate, split_train_holdout
-from .trainer import (build_manifest, train, train_unlocked_naive, signature,
-                      make_witness, witness_compare)
+from .trainer import (Manifest, WitnessReport, build_manifest, train,
+                      train_unlocked_naive, make_witness, witness_compare)
 from . import rng
 
 BLOCKS = ("P1", "P2", "C1", "C2", "E1", "F1", "F2", "F3", "S1", "S2")
@@ -232,9 +231,94 @@ def _witness_spec(seed: int, n_rows: int, n_treatments: int = 4, p_miss: float =
 def run_block(spec: ExperimentSpec) -> ResultBundle:
     bundle = ResultBundle(spec.block, spec.seed, dict(spec.knobs),
                           environment=_environment())
-    runner: Callable[[ExperimentSpec, ResultBundle], None] = _RUNNERS[spec.block]
-    runner(spec, bundle)
+    _RUNNERS[spec.block](spec, bundle)
     return bundle
+
+
+# ---------------------------------------------------------------------------
+# shared block scaffolding: locked fixtures, witnesses, path parity
+# ---------------------------------------------------------------------------
+
+
+class _LockedSplit(NamedTuple):
+    frame: ColumnFrame
+    train: ColumnFrame
+    holdout: ColumnFrame
+    labels: tuple[str, ...]
+    bmap: dict
+    manifest: Manifest
+
+
+def _locked_split(synth: SynthSpec, spec: ExperimentSpec, depth: int,
+                  cuts: Optional[dict] = None) -> _LockedSplit:
+    """Generate, split off the holdout, fix uniform boundaries (``cuts``
+    overrides single features) and lock the training manifest."""
+    frame = generate(synth)
+    labels = synth.treatment_labels()
+    train_fr, hold_fr = split_train_holdout(frame, spec.knob("holdout_fraction"),
+                                            spec.seed)
+    bmap = {n: uniform_boundaries(n, spec.knob("n_bins")) for n in frame.feature_names}
+    for name, feature_cuts in (cuts or {}).items():
+        bmap[name] = Boundaries(name, feature_cuts)
+    manifest = build_manifest(train_fr, tuple(bmap), labels, bmap, spec.seed, depth,
+                              spec.knob("min_leaf_size")).lock()
+    return _LockedSplit(frame, train_fr, hold_fr, labels, bmap, manifest)
+
+
+def _witness_reports(fit: Callable, inputs, holdout: ColumnFrame):
+    """Train each input, witness it on the holdout and compare it with the
+    first.  Returns the first witness and one report per input; a comparison
+    whose holdout rows do not align is ``None``."""
+    base = None
+    reports: list[Optional[WitnessReport]] = []
+    for item in inputs:
+        wit = make_witness(fit(item), holdout)
+        if base is None:
+            base = wit
+        try:
+            reports.append(witness_compare(base, wit))
+        except AlignmentError:
+            reports.append(None)
+    return base, reports
+
+
+def _exact_witness(rep: WitnessReport) -> bool:
+    return rep.signature_equal and rep.policy_vector_mismatches == 0 \
+        and rep.leaf_mismatches == 0
+
+
+def _pairwise_parity(pf: PartitionedFrame, forest: ForestArrays, kinds,
+                     batch_size: int = 10000, tol: float = 1e-9) -> list[ParityReport]:
+    """Score with every backend kind once and compare each pair in order."""
+    cols = {k: score(pf, forest, InferenceBackend(k, batch_size)) for k in kinds}
+    return [parity_from_columns(cols[a], cols[b], a, b, tol)
+            for i, a in enumerate(kinds) for b in kinds[i + 1:]]
+
+
+def _exact_parity(rep: ParityReport) -> bool:
+    return rep.mismatch_rows == 0 and rep.max_abs_delta == 0.0
+
+
+def _path_results(data, features, bmap, labels, cfg: SplitConfig):
+    """One ``best_split`` per execution path, and its wall time in seconds."""
+    results, seconds = {}, {}
+    for path in EXECUTION_PATHS:
+        t0 = time.perf_counter()
+        results[path] = best_split(data, features, bmap, labels, cfg.with_path(path))
+        seconds[path] = time.perf_counter() - t0
+    return results, seconds
+
+
+def _best_tuple(res):
+    return res.best.as_tuple() if res.best else None
+
+
+def _best_list(res):
+    return list(res.best.as_tuple()) if res.best else None
+
+
+def _paths_agree(results: dict) -> bool:
+    return len({(r.status, _best_tuple(r)) for r in results.values()}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +354,9 @@ def _run_p1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
             report = measure_throughput(pf, forest, backend, repeats=repeats,
                                         max_rows=caps[kind])
             rates[(kind, n_rows)] = report.rows_per_second
-            rec = report.to_record()
-            rec.update({"case": "throughput", "method": kind, "status": "ok",
-                        "requested_rows": n_rows, "pass": True})
-            bundle.cases.append(rec)
+            bundle.cases.append({**report.to_record(), "case": "throughput",
+                                 "method": kind, "status": "ok",
+                                 "requested_rows": n_rows, "pass": True})
             if report.wall_seconds > wall_cap:
                 too_slow[kind] = report.wall_seconds
     top_n = max(spec.knob("n_rows_grid"))
@@ -299,34 +382,28 @@ def _run_p2(spec: ExperimentSpec, bundle: ResultBundle) -> None:
         synth = SynthSpec(n_rows=n_rows, n_treatments=T, seed=spec.seed,
                           families=(f"generic({F})",))
         frame = generate(synth)
-        labels = synth.treatment_labels()
         bmap = {name: uniform_boundaries(name, B) for name in frame.feature_names}
         expected_rows = candidate_row_count(F, B, T)
         cfg = SplitConfig(min_leaf_size=spec.knob("min_leaf_size"),
                           safety_skip_threshold=threshold)
-        results = {}
-        for path in EXECUTION_PATHS:
-            t0 = time.perf_counter()
-            res = best_split(frame, frame.feature_names, bmap, labels,
-                             cfg.with_path(path))
-            elapsed = time.perf_counter() - t0
-            results[path] = res
+        results, seconds = _path_results(frame, frame.feature_names, bmap,
+                                         synth.treatment_labels(), cfg)
+        del frame
+        for path, res in results.items():
             expect_skip = path == PATH_REFERENCE and expected_rows > threshold
-            ok = (res.status == STATUS_SKIPPED_TOO_LARGE) if expect_skip \
-                else (res.status == STATUS_OK)
+            ok = res.status == (STATUS_SKIPPED_TOO_LARGE if expect_skip else STATUS_OK)
             bundle.cases.append({
                 "case": "split_scale", "path": path, "n_features": F,
                 "candidate_rows": res.candidate_rows,
                 "expected_candidate_rows": expected_rows,
-                "status": res.status, "runtime_seconds": elapsed,
-                "best": res.best.as_tuple() if res.best else None,
+                "status": res.status, "runtime_seconds": seconds[path],
+                "best": _best_tuple(res),
                 "pass": ok and res.candidate_rows == expected_rows})
-        ok_paths = [p for p in EXECUTION_PATHS if results[p].status == STATUS_OK]
-        tuples = {results[p].best.as_tuple() for p in ok_paths}
+        ok_paths = [p for p, res in results.items() if res.status == STATUS_OK]
+        tuples = {_best_tuple(results[p]) for p in ok_paths}
         bundle.cases.append({"case": "path_agreement", "n_features": F,
                              "paths_ok": ok_paths, "distinct_tuples": len(tuples),
                              "pass": len(tuples) <= 1})
-        del frame
 
 
 def _run_c1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
@@ -337,126 +414,74 @@ def _run_c1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
     tol = spec.knob("tolerance")
     batch = spec.knob("batch_size")
     full = ("broadcast_rowwise", "vectorized_columnar", "vectorized_rowmajor")
-    columns = {k: score(pf, forest, InferenceBackend(k, batch)) for k in full}
-    for i, a in enumerate(full):
-        for b in full[i + 1:]:
-            rep = parity_from_columns(columns[a], columns[b], a, b, tol)
-            rec = rep.to_record()
-            rec.update({"case": "parity", "scope": "full",
-                        "pass": rep.mismatch_rows == 0 and rep.max_abs_delta == 0.0})
-            bundle.cases.append(rec)
+    for rep in _pairwise_parity(pf, forest, full, batch, tol):
+        bundle.cases.append({**rep.to_record(), "case": "parity", "scope": "full",
+                             "pass": _exact_parity(rep)})
     # anti_pattern re-parses the model per row; parity is checked on a
     # deterministic leading slice where that cost stays practical
     slice_rows = min(spec.knob("anti_slice_rows"), frame.n_rows)
     sliced = partition(frame.take(np.arange(slice_rows)), 2)
-    anti_col = score(sliced, forest, InferenceBackend("anti_pattern", batch))
-    for b in full:
-        ref = score(sliced, forest, InferenceBackend(b, batch))
-        rep = parity_from_columns(anti_col, ref, "anti_pattern", b, tol)
-        rec = rep.to_record()
-        rec.update({"case": "parity", "scope": f"slice:{slice_rows}",
-                    "pass": rep.mismatch_rows == 0 and rep.max_abs_delta == 0.0})
-        bundle.cases.append(rec)
+    # the first pairs put anti_pattern against each full-scope backend
+    anti_pairs = _pairwise_parity(sliced, forest, ("anti_pattern",) + full, batch, tol)
+    for rep in anti_pairs[:len(full)]:
+        bundle.cases.append({**rep.to_record(), "case": "parity",
+                             "scope": f"slice:{slice_rows}", "pass": _exact_parity(rep)})
 
 
 def _run_c2(spec: ExperimentSpec, bundle: ResultBundle) -> None:
-    synth = _witness_spec(spec.seed, spec.knob("n_rows"), spec.knob("n_treatments"),
-                          spec.knob("p_miss"))
-    frame = generate(synth)
-    labels = synth.treatment_labels()
-    bmap = {n: uniform_boundaries(n, spec.knob("n_bins")) for n in frame.feature_names}
     cfg = SplitConfig(min_leaf_size=spec.knob("min_leaf_size"))
-    results = {p: best_split(frame, frame.feature_names, bmap, labels, cfg.with_path(p))
-               for p in EXECUTION_PATHS}
-    tuples = {p: r.best.as_tuple() if r.best else None for p, r in results.items()}
-    ref_tuple = tuples[PATH_REFERENCE]
-    bundle.cases.append({
-        "case": "fixture_parity", "tuples": {p: list(t) if t else None
-                                             for p, t in tuples.items()},
-        "best": list(ref_tuple) if ref_tuple else None,
-        "pass": all(t == ref_tuple for t in tuples.values()) and ref_tuple is not None})
-
-    adv = _adversarial_spec(spec.seed, max(spec.knob("n_rows") // 2, 1000))
-    adv_frame = generate(adv)
-    adv_labels = adv.treatment_labels()
-    adv_bmap = {n: uniform_boundaries(n, spec.knob("n_bins"))
-                for n in adv_frame.feature_names}
-    adv_results = {p: best_split(adv_frame, adv_frame.feature_names, adv_bmap,
-                                 adv_labels, cfg.with_path(p))
-                   for p in EXECUTION_PATHS}
-    adv_tuples = {p: r.best.as_tuple() if r.best else None for p, r in adv_results.items()}
-    ref_adv = adv_tuples[PATH_REFERENCE]
-    bundle.cases.append({
-        "case": "adversarial_fixture_parity",
-        "tuples": {p: list(t) if t else None for p, t in adv_tuples.items()},
-        "pass": all(t == ref_adv for t in adv_tuples.values())})
+    fixtures = (("fixture_parity", _witness_spec(spec.seed, spec.knob("n_rows"),
+                                                 spec.knob("n_treatments"),
+                                                 spec.knob("p_miss"))),
+                ("adversarial_fixture_parity",
+                 _adversarial_spec(spec.seed, max(spec.knob("n_rows") // 2, 1000))))
+    for case, synth in fixtures:
+        frame = generate(synth)
+        bmap = {n: uniform_boundaries(n, spec.knob("n_bins"))
+                for n in frame.feature_names}
+        results, _ = _path_results(frame, frame.feature_names, bmap,
+                                   synth.treatment_labels(), cfg)
+        ref_tuple = _best_tuple(results[PATH_REFERENCE])
+        agree = all(_best_tuple(r) == ref_tuple for r in results.values())
+        rec = {"case": case, "tuples": {p: _best_list(r) for p, r in results.items()}}
+        if case == "fixture_parity":
+            # the clean fixture must also find a split, the adversarial one need not
+            rec["best"] = _best_list(results[PATH_REFERENCE])
+            agree = agree and ref_tuple is not None
+        bundle.cases.append({**rec, "pass": agree})
 
     mismatches = 0
     for i in range(spec.knob("random_instances")):
-        inst_frame, names, inst_bmap, inst_labels, inst_cfg = \
-            random_small_instance(spec.seed * 1000 + i)
-        outs = [best_split(inst_frame, names, inst_bmap, inst_labels,
-                           inst_cfg.with_path(p)) for p in EXECUTION_PATHS]
-        ts = {(o.status, o.best.as_tuple() if o.best else None) for o in outs}
-        if len(ts) != 1:
-            mismatches += 1
+        results, _ = _path_results(*random_small_instance(spec.seed * 1000 + i))
+        mismatches += not _paths_agree(results)
     bundle.cases.append({"case": "random_instance_parity",
                          "instances": spec.knob("random_instances"),
                          "mismatching_instances": mismatches, "pass": mismatches == 0})
 
 
-def _preservation_case(frame, holdout, labels, bmap, depth, min_leaf, partitions,
-                       seed) -> dict:
-    manifest = build_manifest(frame, tuple(bmap), labels, bmap, seed, depth,
-                              min_leaf).lock()
-    witnesses = []
-    for path in EXECUTION_PATHS:
-        for P in partitions:
-            data = partition(frame, P) if P > 1 else frame
-            tree = train(data, manifest, path)
-            witnesses.append(make_witness(tree, holdout))
-    base = witnesses[0]
-    sig_equal = all(w.signature.digest == base.signature.digest for w in witnesses)
-    max_mismatch = max_leaf = 0
-    for w in witnesses[1:]:
-        rep = witness_compare(base, w)
-        max_mismatch = max(max_mismatch, rep.policy_vector_mismatches)
-        max_leaf = max(max_leaf, rep.leaf_mismatches)
-    return {"backends": len(witnesses), "same_signature": sig_equal,
-            "max_policy_mismatches": max_mismatch, "max_leaf_mismatches": max_leaf,
+def _run_e1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
+    n_rows = spec.knob("n_rows")
+    grid = [(_witness_spec(spec.seed, n_rows), depth,
+             {"case": "depth_preservation", "depth": depth})
+            for depth in spec.knob("depth_grid")]
+    grid += [(_witness_spec(spec.seed, n_rows, T, p_miss), spec.knob("extended_depth"),
+              {"case": "extended_grid", "n_treatments": T, "p_miss": p_miss})
+             for T in spec.knob("extended_treatments")
+             for p_miss in spec.knob("extended_p_miss")]
+    for synth, depth, tags in grid:
+        split = _locked_split(synth, spec, depth)
+        inputs = [(path, partition(split.train, P) if P > 1 else split.train)
+                  for path in EXECUTION_PATHS for P in spec.knob("partition_grid")]
+        base, reports = _witness_reports(
+            lambda item: train(item[1], split.manifest, item[0]), inputs, split.holdout)
+        bundle.cases.append({
+            "backends": len(reports),
+            "same_signature": all(r.signature_equal for r in reports),
+            "max_policy_mismatches": max(r.policy_vector_mismatches for r in reports),
+            "max_leaf_mismatches": max(r.leaf_mismatches for r in reports),
             "policy_value": base.metrics["policy_value"],
             "auuc": base.metrics["auuc"], "qini": base.metrics["qini"],
-            "pass": sig_equal and max_mismatch == 0 and max_leaf == 0}
-
-
-def _run_e1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
-    B = spec.knob("n_bins")
-    min_leaf = spec.knob("min_leaf_size")
-    partitions = spec.knob("partition_grid")
-    base_spec = _witness_spec(spec.seed, spec.knob("n_rows"))
-    frame = generate(base_spec)
-    train_fr, hold_fr = split_train_holdout(frame, spec.knob("holdout_fraction"),
-                                            spec.seed)
-    labels = base_spec.treatment_labels()
-    bmap = {n: uniform_boundaries(n, B) for n in frame.feature_names}
-    for depth in spec.knob("depth_grid"):
-        rec = _preservation_case(train_fr, hold_fr, labels, bmap, depth, min_leaf,
-                                 partitions, spec.seed)
-        rec.update({"case": "depth_preservation", "depth": depth})
-        bundle.cases.append(rec)
-    for T in spec.knob("extended_treatments"):
-        for p_miss in spec.knob("extended_p_miss"):
-            ext = _witness_spec(spec.seed, spec.knob("n_rows"), T, p_miss)
-            ext_frame = generate(ext)
-            tr, ho = split_train_holdout(ext_frame, spec.knob("holdout_fraction"),
-                                         spec.seed)
-            rec = _preservation_case(tr, ho, ext.treatment_labels(),
-                                     {n: uniform_boundaries(n, B)
-                                      for n in ext_frame.feature_names},
-                                     spec.knob("extended_depth"), min_leaf,
-                                     partitions, spec.seed)
-            rec.update({"case": "extended_grid", "n_treatments": T, "p_miss": p_miss})
-            bundle.cases.append(rec)
+            "pass": all(_exact_witness(r) for r in reports), **tags})
 
 
 def _run_f1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
@@ -480,26 +505,20 @@ def _run_f1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
                 for feat in frame.feature_names:
                     bmap = {feat: bmap_all[feat]}
                     contract = best_split(frame, [feat], bmap, labels, cfg)
-                    c_tuple = contract.best.as_tuple() if contract.best else None
+                    c_tuple = _best_tuple(contract)
                     for variant in NAIVE_VARIANTS:
                         stats = drift_stats[variant]
                         for order_name, data in (("original", frame),
                                                  ("shuffled", shuffled)):
                             naive = naive_variant_best_split(variant, data, [feat],
                                                              bmap, labels, cfg)
-                            n_tuple = naive.best.as_tuple() if naive.best else None
-                            drifted = False
-                            accepted_invalid = False
-                            score_delta = None
-                            if contract.status != STATUS_OK and naive.status == STATUS_OK:
-                                accepted_invalid = True
-                                drifted = True
-                            elif contract.status == STATUS_OK and naive.status == STATUS_OK:
-                                if n_tuple[:4] != c_tuple[:4]:
-                                    drifted = True
-                                score_delta = abs(n_tuple[4] - c_tuple[4])
-                            elif contract.status != naive.status:
-                                drifted = True
+                            n_tuple = _best_tuple(naive)
+                            both_ok = contract.status == naive.status == STATUS_OK
+                            accepted_invalid = contract.status != STATUS_OK \
+                                and naive.status == STATUS_OK
+                            score_delta = abs(n_tuple[4] - c_tuple[4]) if both_ok else None
+                            drifted = n_tuple[:4] != c_tuple[:4] if both_ok \
+                                else contract.status != naive.status
                             if drifted:
                                 stats["drift"] += 1
                                 stats["features"].add(feat)
@@ -517,8 +536,8 @@ def _run_f1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
                                     "order": order_name,
                                     "accepted_invalid": accepted_invalid,
                                     "score_delta": score_delta,
-                                    "contract": list(c_tuple) if c_tuple else None,
-                                    "naive": list(n_tuple) if n_tuple else None})
+                                    "contract": _best_list(contract),
+                                    "naive": _best_list(naive)})
     for variant in NAIVE_VARIANTS:
         stats = drift_stats[variant]
         ok = stats["drift"] >= 1
@@ -536,121 +555,87 @@ def _run_f1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
 
 
 def _run_f2(spec: ExperimentSpec, bundle: ResultBundle) -> None:
-    B = spec.knob("n_bins")
     synth = SynthSpec(n_rows=spec.knob("n_rows"), n_treatments=4, seed=spec.seed,
                       p_miss=spec.knob("p_miss"),
                       families=("x_boundary", "generic(2)"))
-    frame = generate(synth)
-    labels = synth.treatment_labels()
-    train_fr, hold_fr = split_train_holdout(frame, spec.knob("holdout_fraction"),
-                                            spec.seed)
-    # the witness isolates one planted cut, as in the frozen-vs-nudged story
-    bmap = {n: uniform_boundaries(n, B) for n in frame.feature_names}
-    bmap["x_boundary"] = Boundaries("x_boundary", (0.5,))
-    nudged = dict(bmap)
-    nudged["x_boundary"] = Boundaries("x_boundary", (0.4999999999,))
-
     depth = spec.knob("depth")
-    min_leaf = spec.knob("min_leaf_size")
-    man_a = build_manifest(train_fr, tuple(bmap), labels, bmap, spec.seed, depth,
-                           min_leaf).lock()
-    man_b = build_manifest(train_fr, tuple(nudged), labels, nudged, spec.seed, depth,
-                           min_leaf).lock()
-    wa = make_witness(train(train_fr, man_a), hold_fr)
-    wb = make_witness(train(train_fr, man_b), hold_fr)
-    rep = witness_compare(wa, wb)
+    # the witness isolates one planted cut, as in the frozen-vs-nudged story
+    fixed = _locked_split(synth, spec, depth, {"x_boundary": (0.5,)})
+    nudged = _locked_split(synth, spec, depth, {"x_boundary": (0.4999999999,)})
+    _, reports = _witness_reports(lambda split: train(split.train, split.manifest),
+                                  (fixed, nudged), fixed.holdout)
+    rep = reports[1]
     bundle.cases.append({
         "case": "boundary_witness", "fixed": "b=[0.5]",
         "recomputed": "b=[0.4999999999]",
         "signature_drift": not rep.signature_equal,
         "assignment_agreement": rep.top_agreement,
         "policy_mismatches": rep.policy_vector_mismatches,
-        "leaf_mismatches": rep.leaf_mismatches,
-        "max_delta": rep.max_vector_delta,
+        "leaf_mismatches": rep.leaf_mismatches, "max_delta": rep.max_vector_delta,
         "auuc_abs_delta": rep.metric_deltas["auuc"],
-        "qini_abs_delta": rep.metric_deltas["qini"],
-        "pass": not rep.signature_equal})
+        "qini_abs_delta": rep.metric_deltas["qini"], "pass": not rep.signature_equal})
 
     # shared fixed grid versus an independently recomputed approximate grid
-    cfg = SplitConfig(min_leaf_size=min_leaf)
+    B = spec.knob("n_bins")
+    cfg = SplitConfig(min_leaf_size=spec.knob("min_leaf_size"))
     grid = {"x_boundary": uniform_boundaries("x_boundary", B)}
-    fixed_res = best_split(train_fr, ["x_boundary"], grid, labels, cfg)
-    recomputed = approx_quantile_boundaries(partition(train_fr, 4), "x_boundary", B)
+    fixed_res = best_split(fixed.train, ["x_boundary"], grid, fixed.labels, cfg)
+    recomputed = approx_quantile_boundaries(partition(fixed.train, 4), "x_boundary", B)
     recomputed_differs = recomputed is None or \
         recomputed.cuts != grid["x_boundary"].cuts
-    rec_res = None
-    if recomputed is not None:
-        rec_res = best_split(train_fr, ["x_boundary"], {"x_boundary": recomputed},
-                             labels, cfg)
+    rec_res = None if recomputed is None else best_split(
+        fixed.train, ["x_boundary"], {"x_boundary": recomputed}, fixed.labels, cfg)
     bundle.cases.append({
         "case": "recomputed_quantiles",
         "fixed_status": fixed_res.status,
-        "fixed_best": list(fixed_res.best.as_tuple()) if fixed_res.best else None,
+        "fixed_best": _best_list(fixed_res),
         "recomputed_cuts_differ": recomputed_differs,
         "recomputed_status": rec_res.status if rec_res else "no_boundaries",
-        "recomputed_best": list(rec_res.best.as_tuple())
-            if rec_res and rec_res.best else None,
+        "recomputed_best": _best_list(rec_res) if rec_res else None,
         "pass": fixed_res.status == STATUS_OK and recomputed_differs})
 
 
 def _run_f3(spec: ExperimentSpec, bundle: ResultBundle) -> None:
-    B = spec.knob("n_bins")
     cfg = SplitConfig(min_leaf_size=spec.knob("min_leaf_size"))
     backends = ("broadcast_rowwise", "vectorized_columnar", "vectorized_rowmajor")
     for p_miss in spec.knob("p_miss_grid"):
         for encoding in spec.knob("encodings"):
             for focus in spec.knob("focuses"):
-                synth = _witness_spec(spec.seed, spec.knob("n_rows"),
-                                      p_miss=p_miss, encoding=encoding, focus=focus)
-                frame = generate(synth)
-                labels = synth.treatment_labels()
+                cell = {"p_miss": p_miss, "encoding": encoding, "focus": focus}
+                split = _locked_split(
+                    _witness_spec(spec.seed, spec.knob("n_rows"), p_miss=p_miss,
+                                  encoding=encoding, focus=focus),
+                    spec, spec.knob("depth"))
+                frame, labels = split.frame, split.labels
                 pf = partition(frame, spec.knob("partitions"))
                 forest = random_forest(10, 4, frame.feature_names, labels,
                                        seed=spec.seed + 5)
-                cols = {k: score(pf, forest, InferenceBackend(k)) for k in backends}
-                for i, a in enumerate(backends):
-                    for b in backends[i + 1:]:
-                        rep = parity_from_columns(cols[a], cols[b], a, b)
-                        bundle.cases.append({
-                            "case": "d1_parity", "p_miss": p_miss,
-                            "encoding": encoding, "focus": focus,
-                            "pair": f"{a}|{b}",
-                            "mismatch_rows": rep.mismatch_rows,
-                            "max_abs_delta": rep.max_abs_delta,
-                            "pass": rep.mismatch_rows == 0 and rep.max_abs_delta == 0.0})
-                bmap = {n: uniform_boundaries(n, B) for n in frame.feature_names}
-                outs = {p: best_split(pf, frame.feature_names, bmap, labels,
-                                      cfg.with_path(p)) for p in EXECUTION_PATHS}
-                tuples = {(o.status, o.best.as_tuple() if o.best else None)
-                          for o in outs.values()}
-                for p in EXECUTION_PATHS:
+                for rep in _pairwise_parity(pf, forest, backends):
                     bundle.cases.append({
-                        "case": "d2_parity", "p_miss": p_miss, "encoding": encoding,
-                        "focus": focus, "path": p, "status": outs[p].status,
-                        "best": list(outs[p].best.as_tuple()) if outs[p].best else None,
-                        "pass": len(tuples) == 1})
+                        "case": "d1_parity", **cell,
+                        "pair": f"{rep.reference_backend}|{rep.candidate_backend}",
+                        "mismatch_rows": rep.mismatch_rows,
+                        "max_abs_delta": rep.max_abs_delta, "pass": _exact_parity(rep)})
+                outs, _ = _path_results(pf, frame.feature_names, split.bmap, labels, cfg)
+                agree = _paths_agree(outs)
+                for p, out in outs.items():
+                    bundle.cases.append({
+                        "case": "d2_parity", **cell, "path": p, "status": out.status,
+                        "best": _best_list(out), "pass": agree})
                 if p_miss in spec.knob("e2e_p_miss"):
-                    tr, ho = split_train_holdout(frame, spec.knob("holdout_fraction"),
-                                                 spec.seed)
-                    manifest = build_manifest(tr, tuple(bmap), labels, bmap, spec.seed,
-                                              spec.knob("depth"),
-                                              spec.knob("min_leaf_size")).lock()
-                    wits = [make_witness(train(tr, manifest, p), ho)
-                            for p in EXECUTION_PATHS]
-                    for i, p in enumerate(EXECUTION_PATHS):
-                        rep = witness_compare(wits[0], wits[i])
+                    _, reports = _witness_reports(
+                        lambda p: train(split.train, split.manifest, p),
+                        EXECUTION_PATHS, split.holdout)
+                    for p, rep in zip(EXECUTION_PATHS, reports):
                         bundle.cases.append({
-                            "case": "e2e_witness", "p_miss": p_miss,
-                            "encoding": encoding, "focus": focus, "path": p,
+                            "case": "e2e_witness", **cell, "path": p,
                             "signature_equal": rep.signature_equal,
                             "policy_mismatches": rep.policy_vector_mismatches,
                             "leaf_mismatches": rep.leaf_mismatches,
-                            "pass": rep.signature_equal
-                                    and rep.policy_vector_mismatches == 0
-                                    and rep.leaf_mismatches == 0})
+                            "pass": _exact_witness(rep)})
 
 
-def _s1_variants(base_partitions: int, shuffle_seed: int) -> list[tuple[str, Optional[PerturbationSpec]]]:
+def _s1_variants(shuffle_seed: int) -> list[tuple[str, Optional[PerturbationSpec]]]:
     return [
         ("repartition_2", PerturbationSpec(PerturbationKind.REPARTITION, target_partitions=2)),
         ("repartition_8", PerturbationSpec(PerturbationKind.REPARTITION, target_partitions=8)),
@@ -667,27 +652,18 @@ def _run_s1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
     synth = SynthSpec(n_rows=spec.knob("n_rows"), n_treatments=4, seed=spec.seed,
                       p_miss=0.1, families=("x_boundary", "x_miss", "x_tie",
                                             "generic(1)"))
-    frame = generate(synth)
-    labels = synth.treatment_labels()
-    train_fr, hold_fr = split_train_holdout(frame, spec.knob("holdout_fraction"),
-                                            spec.seed)
-    B = spec.knob("n_bins")
-    bmap = {n: uniform_boundaries(n, B) for n in train_fr.feature_names}
     depth = spec.knob("depth")
-    min_leaf = spec.knob("min_leaf_size")
-    manifest = build_manifest(train_fr, tuple(bmap), labels, bmap, spec.seed, depth,
-                              min_leaf).lock()
-    base_pf = partition(train_fr, spec.knob("partitions"))
-    variants = _s1_variants(spec.knob("partitions"), spec.knob("shuffle_seed"))
+    split = _locked_split(synth, spec, depth)
+    base_pf = partition(split.train, spec.knob("partitions"))
+    variants = _s1_variants(spec.knob("shuffle_seed"))
+    inputs = [base_pf] + [apply_perturbation(base_pf, pert) if pert else base_pf
+                          for _, pert in variants]
 
-    locked_base = make_witness(train(base_pf, manifest), hold_fr)
+    _, reports = _witness_reports(lambda data: train(data, split.manifest), inputs,
+                                  split.holdout)
     preserved = 0
-    for name, pert in variants:
-        data = apply_perturbation(base_pf, pert) if pert else base_pf
-        wit = make_witness(train(data, manifest), hold_fr)
-        rep = witness_compare(locked_base, wit)
-        ok = rep.signature_equal and rep.policy_vector_mismatches == 0 \
-            and rep.leaf_mismatches == 0
+    for (name, _), rep in zip(variants, reports[1:]):
+        ok = _exact_witness(rep)
         preserved += ok
         bundle.cases.append({"case": "after_lock", "variant": name,
                              "same_signature": rep.signature_equal,
@@ -697,23 +673,17 @@ def _run_s1(spec: ExperimentSpec, bundle: ResultBundle) -> None:
     bundle.cases.append({"case": "after_lock_summary", "preserved": preserved,
                          "variants": len(variants), "pass": preserved == len(variants)})
 
-    naive_base = make_witness(
-        train_unlocked_naive(base_pf, bmap, depth, min_leaf), hold_fr)
+    _, reports = _witness_reports(
+        lambda data: train_unlocked_naive(data, split.bmap, depth,
+                                          spec.knob("min_leaf_size")),
+        inputs, split.holdout)
     drifted = 0
-    for name, pert in variants:
-        data = apply_perturbation(base_pf, pert) if pert else base_pf
-        tree = train_unlocked_naive(data, bmap, depth, min_leaf)
-        wit = make_witness(tree, hold_fr)
-        try:
-            rep = witness_compare(naive_base, wit)
-            drift = (not rep.signature_equal) or rep.policy_vector_mismatches > 0 \
-                or rep.leaf_mismatches > 0
-            sig_equal = rep.signature_equal
-        except AlignmentError:
-            drift, sig_equal = True, False
+    for (name, _), rep in zip(variants, reports[1:]):
+        drift = rep is None or not _exact_witness(rep)
         drifted += drift
         bundle.cases.append({"case": "before_lock", "variant": name,
-                             "same_signature": sig_equal, "drift": drift})
+                             "same_signature": rep is not None and rep.signature_equal,
+                             "drift": drift})
     bundle.cases.append({"case": "before_lock_summary", "drifted": drifted,
                          "variants": len(variants), "pass": drifted >= 1})
 

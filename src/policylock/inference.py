@@ -122,21 +122,15 @@ def _score_partition(part: ColumnFrame, forest: ForestArrays, forest_text: str,
 
     # rowwise backends materialize each row inside the loop; a bulk transpose
     # up front would already be the vectorized_rowmajor batch strategy
-    if backend.kind == "anti_pattern":
+    if backend.kind in ("anti_pattern", "broadcast_rowwise"):
+        reparse = backend.kind == "anti_pattern"   # the model travels with every row
         col_lists = [c.tolist() for c in columns]
+        model: Optional[_ScalarForest] = None
         for r in range(n):
-            model = _ScalarForest(forest_from_text(forest_text))
-            if stats:
-                stats.record()
-            out[r] = model.score_row([col[r] for col in col_lists])
-        return out
-
-    if backend.kind == "broadcast_rowwise":
-        model = _ScalarForest(forest_from_text(forest_text))
-        if stats:
-            stats.record()
-        col_lists = [c.tolist() for c in columns]
-        for r in range(n):
+            if model is None or reparse:
+                model = _ScalarForest(forest_from_text(forest_text))
+                if stats:
+                    stats.record()
             out[r] = model.score_row([col[r] for col in col_lists])
         return out
 

@@ -265,16 +265,6 @@ class PrefixTable:
                    np.cumsum(opps, axis=0)[:-1], np.cumsum(accepts, axis=0)[:-1],
                    opps.sum(axis=0), accepts.sum(axis=0))
 
-    def merge(self, other: "PrefixTable") -> "PrefixTable":
-        if (other.feature_name != self.feature_name or other.treatments != self.treatments
-                or other.cuts != self.cuts):
-            raise InvalidArgumentError("cannot merge prefix tables with different shapes")
-        return PrefixTable.from_counts(
-            self.feature_name, self.treatments, self.cuts,
-            self.opps + other.opps, self.accepts + other.accepts,
-            self.missing_opps + other.missing_opps,
-            self.missing_accepts + other.missing_accepts)
-
     def zero_support_cells(self) -> list[tuple[int, int]]:
         bins, ts = np.nonzero(self.opps == 0)
         return list(zip(bins.tolist(), ts.tolist()))

@@ -148,6 +148,73 @@ class TestCsv:
         with pytest.raises(pl.SchemaError):
             pl.read_csv(path, pl.CsvRoles(("a",), "treatment", "outcome"))
 
+    def test_repeated_header_name_is_schema_error(self, tmp_path):
+        # csv.DictReader would silently keep only the last "x" column
+        path = tmp_path / "dup.csv"
+        path.write_text("row_id,x,x,treatment,outcome\n0,1.5,2.5,control,1\n")
+        with pytest.raises(pl.SchemaError, match="repeats a column name"):
+            pl.read_csv(path, pl.CsvRoles(("x",), "treatment", "outcome", "row_id"))
+
+
+_CSV_HEADER = "row_id,x,treatment,outcome\n"
+
+
+@pytest.mark.parametrize("row", [
+    "0,abc,control,1",                      # non-numeric feature cell
+    "0,0.5,control,yes",                    # non-integer outcome
+    "0,0.5,control,1.0",
+    "0,0.5,control,",                       # empty outcome
+    "z,0.5,control,1",                      # non-integer row id
+    "99999999999999999999,0.5,control,1",   # row id outside int64
+    "0,0.5,control,99999999999999999999",   # outcome outside int64
+    "0,0.5,control",                        # fewer fields than the header
+    "0,0.5,control,1,7",                    # more fields than the header
+])
+def test_read_csv_bad_row_is_schema_error(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(_CSV_HEADER + "1,0.25,t,0\n" + row + "\n")
+    with pytest.raises(pl.SchemaError, match="CSV data row 2"):
+        pl.read_csv(path, pl.CsvRoles(("x",), "treatment", "outcome", "row_id"))
+
+
+def test_read_csv_accepted_cells(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text(_CSV_HEADER + "3,,control,0\n1,NaN,t,1\n2,-inf,t,0\n"
+                    "7, 1e-3 ,t,1\n")
+    f = pl.read_csv(path, pl.CsvRoles(("x",), "treatment", "outcome", "row_id"))
+    assert f.row_ids.tolist() == [3, 1, 2, 7]
+    assert f.missing_kinds("x").tolist() == [NULL, NAN, PRESENT, PRESENT]
+    assert f.feature_values[0][2:].tolist() == [float("-inf"), 1e-3]
+
+
+_CSV_FRAME = build_frame({"x": [None, float("nan"), -0.0, 1e300, float("inf"), 0.5],
+                          "y": [1.0, 2.0, None, 3.5, float("nan"), -7.25]},
+                         treatments=["control", "a", "b", "a", "control", "b"],
+                         outcomes=[1, 0, 1, 1, 0, 0], row_ids=[5, 3, 9, 0, 12, 7])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_read_csv_mutated_text_reads_or_raises_engine_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "frame.csv"
+    pl.write_csv(_CSV_FRAME, path)
+    text = path.read_text()
+    for _ in range(data.draw(st.integers(1, 3))):
+        pos = data.draw(st.integers(0, len(text)))
+        op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        char = data.draw(st.sampled_from(list(',"\n\r 0179.-+eExzNa_')))
+        if op == "insert":
+            text = text[:pos] + char + text[pos:]
+        else:
+            text = text[:pos] + (char if op == "replace" else "") + text[pos + 1:]
+    path.write_text(text)
+    roles = pl.CsvRoles(("x", "y"), "treatment", "outcome", "row_id")
+    try:
+        back = pl.read_csv(path, roles)
+    except pl.EngineError:
+        return
+    assert isinstance(back, pl.ColumnFrame)
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,

@@ -158,6 +158,39 @@ class TestReports:
             assert os.path.getsize(path) > 0
 
 
+# The CSV report's columns are the case keys in first-seen order, so these
+# headers pin each block's record layout.
+CSV_HEADERS = {
+    "P2": "case,path,n_features,candidate_rows,expected_candidate_rows,status,"
+          "runtime_seconds,best,pass,paths_ok,distinct_tuples",
+    "C1": "reference_backend,candidate_backend,mismatch_rows,max_abs_delta,"
+          "checksum_equal,tolerance,n_rows,case,scope,pass",
+    "C2": "case,tuples,best,pass,instances,mismatching_instances",
+    "E1": "backends,same_signature,max_policy_mismatches,max_leaf_mismatches,"
+          "policy_value,auuc,qini,pass,case,depth,n_treatments,p_miss",
+    "F1": "case,variant,feature,n_treatments,p_miss,skew,order,accepted_invalid,"
+          "score_delta,contract,naive,failure_mode,drift_cases,"
+          "accepted_invalid_cases,affected_features,largest_score_delta,"
+          "contract_rule,pass",
+    "F2": "case,fixed,recomputed,signature_drift,assignment_agreement,"
+          "policy_mismatches,leaf_mismatches,max_delta,auuc_abs_delta,"
+          "qini_abs_delta,pass,fixed_status,fixed_best,recomputed_cuts_differ,"
+          "recomputed_status,recomputed_best",
+    "F3": "case,p_miss,encoding,focus,pair,mismatch_rows,max_abs_delta,pass,path,"
+          "status,best,signature_equal,policy_mismatches,leaf_mismatches",
+    "S1": "case,variant,same_signature,policy_mismatches,leaf_mismatches,"
+          "max_vector_delta,pass,preserved,variants,drift,drifted",
+}
+
+
+@pytest.mark.parametrize("block", sorted(CSV_HEADERS))
+def test_csv_report_header_pins_case_key_order(block, tmp_path):
+    bundle = run_block(ExperimentSpec(block, seed=7, knobs=TINY[block]))
+    (path,) = emit_report(bundle, "csv", str(tmp_path))
+    with open(path) as fh:
+        assert fh.readline().rstrip("\n") == CSV_HEADERS[block]
+
+
 class TestFixtures:
     def test_inference_fixture_deterministic(self):
         f1, forest1 = inference_fixture(500, 6, 3, 4, 3, seed=7)
@@ -242,6 +275,31 @@ class TestCli:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["block"] == "C2"
+
+    def test_engine_error_exits_2_with_message(self, tmp_path, capsys):
+        with pytest.raises(pl.InvalidArgumentError) as exc:
+            ExperimentSpec("C2", knobs={"bogus": 1})
+        rc = cli_main(["harness", "run", "--block", "C2", "--knob", "bogus=1",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {exc.value}\n"
+        assert captured.out == ""
+
+    def test_infer_malformed_csv_exits_2(self, tmp_path, capsys):
+        forest_path = tmp_path / "forest.txt"
+        assert cli_main(["forest-gen", "--trees", "2", "--depth", "2",
+                         "--n-features", "1", "--n-treatments", "2",
+                         "--out", str(forest_path)]) == 0
+        capsys.readouterr()
+        data_path = tmp_path / "rows.csv"
+        data_path.write_text("row_id,f00,treatment,outcome\n0,abc,control,1\n")
+        rc = cli_main(["infer", "--csv", str(data_path), "--feature-cols", "f00",
+                       "--row-id-col", "row_id", "--forest", str(forest_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: CSV data row 1: bad f00 value 'abc'\n"
+        assert captured.out == ""
 
     def test_synth_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
