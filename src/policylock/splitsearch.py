@@ -4,17 +4,21 @@ Stage S1 turns rows into per-candidate-bin, per-treatment prefix sums with an
 explicit missing bin.  Rows arrive either as a frame (``ColumnFrame`` or
 ``PartitionedFrame``, bucketized feature by feature) or as a ``BinnedRows``
 view whose features were bucketized once under the same fixed boundaries, so
-a caller that searches many row subsets (the trainer, one per node) bins each
-row once.  Both kinds of input reach the three execution paths' distinct
-aggregations through one per-partition ``(bins, codes, positives)`` reader.
+a caller that searches many row subsets bins each row once.  Both kinds of
+input reach the three execution paths' distinct aggregations through one
+per-partition reader of cell keys ``((slot*(B+1) + bin)*T + code)*2 +
+positive``.  A view may carry a node slot per row; then every table gains a
+leading node axis and ``best_split`` answers for every node in one pass (the
+trainer searches all nodes of a tree level at once).  Without slots all rows
+are one node.
 
 Stage S2 expands every candidate into both missing routes, applies the full
 validity checks, scores with the DDP max-envelope and selects the winner
 under a strict total order.  All execution paths share one array routine
-that scores every candidate of a feature at once with the same IEEE
-operations as the scalar ``_score_candidate``, so scores are bit-identical
-to it and cross-path score deltas are exactly zero.  The scalar routine
-stays as the test oracle and serves the naive variants.
+that scores every candidate of a feature, for every node, at once with the
+same IEEE operations as the scalar ``_score_candidate``, so scores are
+bit-identical to it and cross-path score deltas are exactly zero.  The
+scalar routine stays as the test oracle and serves the naive variants.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import hashlib
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
 from typing import Mapping, Optional, Sequence, Union
 
@@ -165,6 +170,7 @@ class BinnedRows:
     """Rows bucketized once under fixed boundaries: ``bins[f]`` is feature
     ``features[f]``'s bin per row (missing bin B included), ``codes`` the
     treatment index in ``treatments`` and ``positives`` the outcome-1 mask.
+    ``slots``, when set, places each row in one of ``n_slots`` nodes.
 
     ``best_split`` accepts a view in place of a frame; the view remembers
     the boundaries and vocabulary it was built with, and a search under any
@@ -175,10 +181,32 @@ class BinnedRows:
     bins: np.ndarray        # uint8 [F, N]; uint16 (or wider) when some B+1 > 256
     codes: np.ndarray       # int64 [N]
     positives: np.ndarray   # bool [N]
+    slots: Optional[np.ndarray] = None   # int64 [N] in [0, n_slots)
+    n_slots: int = 1
+
+    def __post_init__(self):
+        if self.slots is not None and len(self.slots) and (
+                self.slots.min() < 0 or self.slots.max() >= self.n_slots):
+            raise InvalidArgumentError(f"node slots must lie in [0, {self.n_slots})")
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.codes)
+
+    @cached_property
+    def cell_tails(self) -> np.ndarray:
+        """``code*2 + positive`` per row, the low digits of every cell key."""
+        return self.codes * 2 + self.positives
 
     def take(self, rows: np.ndarray) -> "BinnedRows":
         return BinnedRows(self.features, self.boundaries, self.treatments,
-                          self.bins[:, rows], self.codes[rows], self.positives[rows])
+                          np.take(self.bins, rows, axis=1), self.codes[rows],
+                          self.positives[rows],
+                          None if self.slots is None else self.slots[rows],
+                          self.n_slots)
+
+    def with_slots(self, slots: Optional[np.ndarray], n_slots: int = 1) -> "BinnedRows":
+        return replace(self, slots=slots, n_slots=n_slots)
 
     def feature_bins(self, feature: str, boundaries: Boundaries,
                      treatments: tuple[str, ...]) -> np.ndarray:
@@ -213,21 +241,35 @@ def bin_rows(frame: ColumnFrame, features: Sequence[str],
 SplitInput = Union[ColumnFrame, PartitionedFrame, BinnedRows]
 
 
-def _partition_rows(data: SplitInput, feature: str, boundaries: Boundaries,
+def _node_count(data: SplitInput) -> Optional[int]:
+    """K for a view with node slots, None for input that is one node."""
+    return data.n_slots if isinstance(data, BinnedRows) and data.slots is not None \
+        else None
+
+
+def _partition_keys(data: SplitInput, feature: str, boundaries: Boundaries,
                     treatments: tuple[str, ...]):
-    """S1's one counting input: per partition, int64 bins of ``feature``,
-    treatment codes and the positives mask."""
+    """S1's one counting input: per partition, each row's int64 cell key
+    ``((slot*(B+1) + bin)*T + code)*2 + positive`` (slot 0 without slots)."""
+    T = len(treatments)
     if isinstance(data, BinnedRows):
         # widened: narrow bins times T would wrap
-        bins = data.feature_bins(feature, boundaries, treatments)
-        yield bins.astype(np.int64), data.codes, data.positives
+        keys = data.feature_bins(feature, boundaries, treatments).astype(np.int64)
+        if data.slots is not None:
+            keys += data.slots * (boundaries.n_bins + 1)
+        keys *= 2 * T
+        keys += data.cell_tails
+        yield keys
         return
     frames = data.partitions if isinstance(data, PartitionedFrame) else (data,)
     if not frames:
         raise InvalidArgumentError("partitioned frame has no partitions")
     for part in frames:
-        yield (bucketize(part.effective_values(feature), boundaries),
-               treatment_codes(part, treatments), part.outcomes == 1)
+        keys = bucketize(part.effective_values(feature), boundaries) * T
+        keys += treatment_codes(part, treatments)
+        keys *= 2
+        keys += part.outcomes == 1
+        yield keys
 
 
 @dataclass
@@ -235,7 +277,9 @@ class PrefixTable:
     """Per-candidate-bin, per-treatment sufficient statistics.
 
     Right-branch statistics are always derived as totals minus prefixes;
-    missing tallies stay separate until a candidate routes them.
+    missing tallies stay separate until a candidate routes them.  A table
+    built from rows with node slots carries a leading node axis [K, ...] on
+    every array; ``node(k)`` is node k's own table.
     """
     feature_name: str
     treatments: tuple[str, ...]
@@ -249,6 +293,9 @@ class PrefixTable:
     totals_opps: np.ndarray      # int64 [T]
     totals_accepts: np.ndarray   # int64 [T]
 
+    _ARRAYS = ("opps", "accepts", "missing_opps", "missing_accepts", "left_opps",
+               "left_accepts", "totals_opps", "totals_accepts")
+
     @property
     def n_bins(self) -> int:
         return len(self.cuts) + 1
@@ -260,10 +307,25 @@ class PrefixTable:
     @classmethod
     def from_counts(cls, feature_name, treatments, cuts, opps, accepts,
                     missing_opps, missing_accepts) -> "PrefixTable":
+        """Counts are [..., B, T] and [..., T]; prefixes run over the bins."""
         return cls(feature_name, tuple(treatments), tuple(cuts),
                    opps, accepts, missing_opps, missing_accepts,
-                   np.cumsum(opps, axis=0)[:-1], np.cumsum(accepts, axis=0)[:-1],
-                   opps.sum(axis=0), accepts.sum(axis=0))
+                   np.cumsum(opps, axis=-2)[..., :-1, :],
+                   np.cumsum(accepts, axis=-2)[..., :-1, :],
+                   opps.sum(axis=-2), accepts.sum(axis=-2))
+
+    @classmethod
+    def from_cells(cls, feature_name, treatments, cuts, cells) -> "PrefixTable":
+        """``cells`` is int64 [..., B+1, T, 2]: rows with outcome 0 and 1 per
+        bin (the missing bin last) and treatment."""
+        opps = cells.sum(axis=-1)
+        accepts = cells[..., 1]
+        return cls.from_counts(feature_name, treatments, cuts, opps[..., :-1, :],
+                               accepts[..., :-1, :], opps[..., -1, :], accepts[..., -1, :])
+
+    def node(self, k: int) -> "PrefixTable":
+        return PrefixTable(self.feature_name, self.treatments, self.cuts,
+                           *(getattr(self, name)[k] for name in self._ARRAYS))
 
     def zero_support_cells(self) -> list[tuple[int, int]]:
         bins, ts = np.nonzero(self.opps == 0)
@@ -275,87 +337,49 @@ class PrefixTable:
             "treatments": list(self.treatments),
             "n_bins": self.n_bins,
             "cuts": list(self.cuts),
-            "opps": self.opps.tolist(),
-            "accepts": self.accepts.tolist(),
-            "missing_opps": self.missing_opps.tolist(),
-            "missing_accepts": self.missing_accepts.tolist(),
-            "left_opps": self.left_opps.tolist(),
-            "left_accepts": self.left_accepts.tolist(),
-            "totals_opps": self.totals_opps.tolist(),
-            "totals_accepts": self.totals_accepts.tolist(),
+            **{name: getattr(self, name).tolist() for name in self._ARRAYS},
         }
+
+
+def _cell_shape(data: SplitInput, boundaries: Boundaries, T: int) -> tuple[int, ...]:
+    K = _node_count(data)
+    return ((K,) if K is not None else ()) + (boundaries.n_bins + 1, T, 2)
 
 
 def build_prefix_sums(data: SplitInput, feature: str,
                       boundaries: Boundaries, treatments: Sequence[str]) -> PrefixTable:
     """S1: exact group-by counts with explicit zero-fill over the fixed
-    treatment vocabulary; independent of row order and partitioning."""
+    treatment vocabulary; independent of row order and partitioning.  One
+    ``bincount`` of the cell keys per partition, merged in partition order."""
     treatments = tuple(treatments)
-    T = len(treatments)
-    B = boundaries.n_bins
-    size = (B + 1) * T
-    opps = np.zeros(size, dtype=np.int64)
-    accepts = np.zeros(size, dtype=np.int64)
-    for bins, codes, positives in _partition_rows(data, feature, boundaries, treatments):
-        combined = bins * T + codes
-        opps += np.bincount(combined, minlength=size)
-        accepts += np.bincount(combined[positives], minlength=size)
-    opps, accepts = opps.reshape(B + 1, T), accepts.reshape(B + 1, T)
-    return PrefixTable.from_counts(feature, treatments, boundaries.cuts,
-                                   opps[:B], accepts[:B], opps[B], accepts[B])
+    shape = _cell_shape(data, boundaries, len(treatments))
+    size = math.prod(shape)
+    counts = np.zeros(size, dtype=np.int64)
+    for keys in _partition_keys(data, feature, boundaries, treatments):
+        counts += np.bincount(keys, minlength=size)
+    return PrefixTable.from_cells(feature, treatments, boundaries.cuts,
+                                  counts.reshape(shape))
 
 
 def windowed_prefix_table(data: SplitInput, feature: str,
                           boundaries: Boundaries, treatments: Sequence[str]) -> PrefixTable:
-    """Same counts via a grouped-then-cumulative plan: sparse (bin, treatment)
-    groups merged across partitions, then per-treatment running window sums.
-    Integer arithmetic makes it exactly equal to the dense path."""
+    """Same counts via a grouped-then-cumulative plan: sparse cell groups per
+    partition, merged across partitions by a sort on the cell key, then
+    per-(node, treatment) running window sums over the bins.  Integer
+    arithmetic makes it exactly equal to the dense path."""
     treatments = tuple(treatments)
-    T = len(treatments)
-    B = boundaries.n_bins
-    groups: dict[tuple[int, int], list[int]] = {}
-    for bins, codes, positives in _partition_rows(data, feature, boundaries, treatments):
-        combined = bins * T + codes
-        keys, counts = np.unique(combined, return_counts=True)
-        pos_keys, pos_counts = np.unique(combined[positives], return_counts=True)
-        pos_map = dict(zip(pos_keys.tolist(), pos_counts.tolist()))
-        for key, cnt in zip(keys.tolist(), counts.tolist()):
-            cell = groups.setdefault((key // T, key % T), [0, 0])
-            cell[0] += cnt
-            cell[1] += pos_map.get(key, 0)
-    opps = np.zeros((B, T), dtype=np.int64)
-    accepts = np.zeros((B, T), dtype=np.int64)
-    missing_opps = np.zeros(T, dtype=np.int64)
-    missing_accepts = np.zeros(T, dtype=np.int64)
-    left_opps = np.zeros((B - 1, T), dtype=np.int64)
-    left_accepts = np.zeros((B - 1, T), dtype=np.int64)
-    totals_opps = np.zeros(T, dtype=np.int64)
-    totals_accepts = np.zeros(T, dtype=np.int64)
-    for t in range(T):
-        bins_for_t = sorted(bb for (bb, tt) in groups if tt == t)
-        running_o = running_a = 0
-        pos = 0
-        for c in range(B - 1):
-            while pos < len(bins_for_t) and bins_for_t[pos] <= c:
-                b = bins_for_t[pos]
-                if b < B:
-                    running_o += groups[(b, t)][0]
-                    running_a += groups[(b, t)][1]
-                pos += 1
-            left_opps[c, t] = running_o
-            left_accepts[c, t] = running_a
-        for b in bins_for_t:
-            o, a = groups[(b, t)]
-            if b == B:
-                missing_opps[t], missing_accepts[t] = o, a
-            else:
-                opps[b, t] = o
-                accepts[b, t] = a
-                totals_opps[t] += o
-                totals_accepts[t] += a
-    return PrefixTable(feature, treatments, boundaries.cuts, opps, accepts,
-                       missing_opps, missing_accepts, left_opps, left_accepts,
-                       totals_opps, totals_accepts)
+    shape = _cell_shape(data, boundaries, len(treatments))
+    groups = [np.unique(keys, return_counts=True)
+              for keys in _partition_keys(data, feature, boundaries, treatments)]
+    keys = np.concatenate([k for k, _ in groups])
+    sizes = np.concatenate([n for _, n in groups])
+    order = np.argsort(keys, kind="stable")
+    keys, sizes = keys[order], sizes[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counts = np.zeros(math.prod(shape), dtype=np.int64)
+    counts[keys[starts]] = np.add.reduceat(sizes, starts) if len(keys) else 0
+    return PrefixTable.from_cells(feature, treatments, boundaries.cuts,
+                                  counts.reshape(shape))
 
 
 def ddp_max(uplifts_left: Sequence[float], uplifts_right: Sequence[float]) -> float:
@@ -432,28 +456,30 @@ def _reason_min_leaf(min_leaf_size: int) -> str:
     return f"branch total below min_leaf_size={min_leaf_size}"
 
 
-def _route_branches(table: PrefixTable, c, direction: str):
-    """Left and right (opps, accepts) of candidate ``c`` with the missing
-    tallies added to the ``direction`` branch.  With ``c = slice(None)`` the
-    four arrays are every candidate's, shape [B-1, T]."""
-    left_o = table.left_opps[c].copy()
-    left_a = table.left_accepts[c].copy()
-    right_o = table.totals_opps - table.left_opps[c]
-    right_a = table.totals_accepts - table.left_accepts[c]
+def _route_branches(table: PrefixTable, direction: str, c: Optional[int] = None):
+    """Left and right (opps, accepts) of every candidate, shape [..., B-1, T],
+    with the missing tallies added to the ``direction`` branch; with ``c``,
+    the [T] arrays of candidate ``c`` of a table without a node axis."""
+    span = slice(None) if c is None else slice(c, c + 1)
+    left_o = table.left_opps[..., span, :].copy()
+    left_a = table.left_accepts[..., span, :].copy()
+    right_o = table.totals_opps[..., None, :] - table.left_opps[..., span, :]
+    right_a = table.totals_accepts[..., None, :] - table.left_accepts[..., span, :]
     if direction == NAN_LEFT:
-        left_o += table.missing_opps
-        left_a += table.missing_accepts
+        left_o += table.missing_opps[..., None, :]
+        left_a += table.missing_accepts[..., None, :]
     else:
-        right_o += table.missing_opps
-        right_a += table.missing_accepts
-    return left_o, left_a, right_o, right_a
+        right_o += table.missing_opps[..., None, :]
+        right_a += table.missing_accepts[..., None, :]
+    routed = left_o, left_a, right_o, right_a
+    return routed if c is None else tuple(a[0] for a in routed)
 
 
 def _score_candidate(table: PrefixTable, c: int, direction: str, control_idx: int,
                      min_leaf_size: int) -> CandidateScore:
     """Scalar S2 of one candidate: the oracle that ``_FeatureScores`` matches
     bit for bit, and the scorer of the naive variants."""
-    left_o, left_a, right_o, right_a = _route_branches(table, c, direction)
+    left_o, left_a, right_o, right_a = _route_branches(table, direction, c)
     cand = CandidateScore(table.feature_name, c, table.cuts[c], direction,
                           math.nan, False, left_opps=left_o, right_opps=right_o,
                           left_accepts=left_a, right_accepts=right_a)
@@ -503,12 +529,13 @@ _VALID, _NO_CONTROL, _ZERO_SUPPORT, _MIN_LEAF, _NOT_FINITE = range(5)
 
 
 class _FeatureScores:
-    """S2 of every candidate of one feature in one array pass.
+    """S2 of every candidate of one feature, for every node, in one array pass.
 
-    Arrays are [2, B-1] (branch counts [2, B-1, T]), axis 0 the NaN route
-    (left, right).  Every element comes from the same IEEE operations as in
-    ``_score_candidate``: element-wise division and subtraction, exact max and
-    min reductions, and ``where(b > a, b, a)``, which is the builtin
+    Arrays are [K, 2, B-1] (branch counts [K, 2, B-1, T]): axis 0 the node
+    (K = 1 for a table without a node axis), axis 1 the NaN route (left,
+    right).  Every element comes from the same IEEE operations as in
+    ``_score_candidate``: element-wise division and subtraction, exact max
+    and min reductions, and ``where(b > a, b, a)``, which is the builtin
     ``max(a, b)``.  Reasons and scores therefore equal the scalar routine's,
     score bits included."""
 
@@ -516,55 +543,60 @@ class _FeatureScores:
         self.table = table
         self.reason_texts = (None, _REASON_NO_CONTROL, _REASON_ZERO_SUPPORT,
                              _reason_min_leaf(min_leaf_size), _REASON_NOT_FINITE)
-        routes = [_route_branches(table, slice(None), d) for d in _DIRECTIONS]
-        self.left_o, self.left_a, self.right_o, self.right_a = map(np.stack, zip(*routes))
         T = len(table.treatments)
+        routes = [_route_branches(table, d) for d in _DIRECTIONS]
+        self.left_o, self.left_a, self.right_o, self.right_a = (
+            np.stack(arrays, axis=-3).reshape(-1, 2, table.n_candidates, T)
+            for arrays in zip(*routes))
         if T < 2:
-            self.reasons = np.full(self.left_o.shape[:2], _NO_CONTROL)
-            self.scores = np.full(self.left_o.shape[:2], math.nan)
+            self.reasons = np.full(self.left_o.shape[:-1], _NO_CONTROL)
+            self.scores = np.full(self.left_o.shape[:-1], math.nan)
             return
-        zero = (self.left_o == 0).any(axis=2) | (self.right_o == 0).any(axis=2)
-        small = ((self.left_o.sum(axis=2) < min_leaf_size)
-                 | (self.right_o.sum(axis=2) < min_leaf_size))
+        zero = (self.left_o == 0).any(axis=-1) | (self.right_o == 0).any(axis=-1)
+        small = ((self.left_o.sum(axis=-1) < min_leaf_size)
+                 | (self.right_o.sum(axis=-1) < min_leaf_size))
         noncontrol = [t for t in range(T) if t != control_idx]
         with np.errstate(divide="ignore", invalid="ignore"):
             left_rates = self.left_a / self.left_o
             right_rates = self.right_a / self.right_o
             ul = left_rates[..., noncontrol] - left_rates[..., control_idx, None]
             ur = right_rates[..., noncontrol] - right_rates[..., control_idx, None]
-            a = ur.max(axis=2) - ul.min(axis=2)
-            b = ul.max(axis=2) - ur.min(axis=2)
+            a = ur.max(axis=-1) - ul.min(axis=-1)
+            b = ul.max(axis=-1) - ur.min(axis=-1)
         scores = np.where(b > a, b, a)
         self.reasons = np.select([zero, small, ~np.isfinite(scores)],
                                  [_ZERO_SUPPORT, _MIN_LEAF, _NOT_FINITE], _VALID)
         # the scalar routine returns before scoring these
         self.scores = np.where(zero | small, math.nan, scores)
 
-    def candidate(self, d: int, c: int) -> CandidateScore:
-        """``_score_candidate``'s result for bin ``c`` on route ``d``, with
-        its branch counts but without rates and uplifts."""
-        code = int(self.reasons[d, c])
+    def candidate(self, d: int, c: int, node: int = 0) -> CandidateScore:
+        """``_score_candidate``'s result for bin ``c`` on route ``d`` of
+        ``node``, with its branch counts but without rates and uplifts."""
+        at = (node, d, c)
+        code = int(self.reasons[at])
         return CandidateScore(self.table.feature_name, c, self.table.cuts[c],
-                              _DIRECTIONS[d], float(self.scores[d, c]), code == _VALID,
+                              _DIRECTIONS[d], float(self.scores[at]), code == _VALID,
                               self.reason_texts[code],
-                              left_opps=self.left_o[d, c], right_opps=self.right_o[d, c],
-                              left_accepts=self.left_a[d, c],
-                              right_accepts=self.right_a[d, c])
+                              left_opps=self.left_o[at], right_opps=self.right_o[at],
+                              left_accepts=self.left_a[at], right_accepts=self.right_a[at])
+
+    def winners(self) -> list[Optional[CandidateScore]]:
+        """Per node, the feature's first valid candidate under
+        ``candidate_order_key``.  Within a feature threshold order is bin
+        order, so the key is (score desc, bin, NaN-left first), and argmax's
+        first maximum over each node's (bin, route) order picks it."""
+        valid = self.reasons == _VALID
+        ranked = np.where(valid, self.scores, -np.inf).swapaxes(1, 2)
+        best = np.argmax(ranked.reshape(len(ranked), -1), axis=1)
+        return [self.candidate(*divmod(int(i), 2)[::-1], node=k) if has else None
+                for k, (i, has) in enumerate(zip(best, valid.any(axis=(1, 2))))]
 
     def winner(self) -> Optional[CandidateScore]:
-        """The feature's first valid candidate under ``candidate_order_key``.
-        Within a feature threshold order is bin order, so the key is (score
-        desc, bin, NaN-left first), and argmax's first maximum over the
-        (bin, route) order picks it."""
-        valid = self.reasons == _VALID
-        if not valid.any():
-            return None
-        ranked = np.where(valid, self.scores, -np.inf).T.ravel()
-        c, d = divmod(int(np.argmax(ranked)), 2)
-        return self.candidate(d, c)
+        """The winner of a table without a node axis."""
+        return self.winners()[0]
 
-    def reason_counts(self) -> Counter:
-        counts = np.bincount(self.reasons.ravel(), minlength=len(self.reason_texts))
+    def reason_counts(self, node: int = 0) -> Counter:
+        counts = np.bincount(self.reasons[node].ravel(), minlength=len(self.reason_texts))
         return Counter({self.reason_texts[code]: int(n)
                         for code, n in enumerate(counts) if code != _VALID and n})
 
@@ -632,46 +664,54 @@ def _no_valid_summary(reasons: Mapping[str, int]) -> str:
 
 def best_split(data: SplitInput, features: Sequence[str],
                boundaries: Mapping[str, Boundaries], treatments: Sequence[str],
-               config: SplitConfig) -> SplitSearchResult:
+               config: SplitConfig) -> Union[SplitSearchResult, list[SplitSearchResult]]:
     """Deterministic best split; all three execution paths return identical
     results on identical inputs (contract scope: fixed shared boundaries).
     ``data`` may be a ``BinnedRows`` view built under the same boundaries
-    and treatment vocabulary."""
+    and treatment vocabulary.  On a view with node slots the result is a list
+    with one ``SplitSearchResult`` per node, each equal to the search on that
+    node's rows alone; otherwise it is one ``SplitSearchResult``."""
     treatments = tuple(treatments)
     features = list(features)
     control = select_control(treatments, config.control_label_override)
     control_idx = treatments.index(control)
     cand_rows = _total_candidate_rows(features, boundaries, len(treatments))
+    n_nodes = _node_count(data)
 
     def scores(feat: str, prefix_table) -> _FeatureScores:
         return _FeatureScores(prefix_table(data, feat, boundaries[feat], treatments),
                               control_idx, config.min_leaf_size)
 
+    def result(k: int) -> SplitSearchResult:
+        found = [w[k] for w in winners if w[k] is not None]
+        if found:
+            return SplitSearchResult(STATUS_OK, _make_best(
+                min(found, key=candidate_order_key), control), cand_rows, control)
+        reason = "no valid candidate on any feature shard" if scored is None else \
+            _no_valid_summary(sum((s.reason_counts(k) for s in scored), Counter()))
+        return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control, reason=reason)
+
     if config.execution_path == PATH_PARTITIONED:
         # feature-sharded workers, winner-only reduce
         pool_size = config.pool_size or min(8, max(len(features), 1))
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            winners = list(pool.map(lambda f: scores(f, build_prefix_sums).winner(),
+            winners = list(pool.map(lambda f: scores(f, build_prefix_sums).winners(),
                                     features))
         scored = None
+    elif config.execution_path == PATH_REFERENCE \
+            and cand_rows > config.safety_skip_threshold:
+        skipped = [SplitSearchResult(
+            STATUS_SKIPPED_TOO_LARGE, None, cand_rows, control,
+            reason=f"candidate rows {cand_rows} exceed safety threshold "
+                   f"{config.safety_skip_threshold}") for _ in range(n_nodes or 1)]
+        return skipped if n_nodes is not None else skipped[0]
     else:
-        if config.execution_path == PATH_REFERENCE:
-            if cand_rows > config.safety_skip_threshold:
-                return SplitSearchResult(
-                    STATUS_SKIPPED_TOO_LARGE, None, cand_rows, control,
-                    reason=f"candidate rows {cand_rows} exceed safety threshold "
-                           f"{config.safety_skip_threshold}")
-            scored = [scores(f, build_prefix_sums) for f in features]
-        else:
-            scored = [scores(f, windowed_prefix_table) for f in features]
-        winners = [s.winner() for s in scored]
-    winners = [w for w in winners if w is not None]
-    if not winners:
-        reason = "no valid candidate on any feature shard" if scored is None else \
-            _no_valid_summary(sum((s.reason_counts() for s in scored), Counter()))
-        return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control, reason=reason)
-    return SplitSearchResult(STATUS_OK, _make_best(min(winners, key=candidate_order_key),
-                                                   control), cand_rows, control)
+        prefix_table = build_prefix_sums if config.execution_path == PATH_REFERENCE \
+            else windowed_prefix_table
+        scored = [scores(f, prefix_table) for f in features]
+        winners = [s.winners() for s in scored]
+    results = [result(k) for k in range(n_nodes or 1)]
+    return results if n_nodes is not None else results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +734,7 @@ def _row_order_digest(data: Union[ColumnFrame, PartitionedFrame]) -> int:
 def _naive_score_sparse(table: PrefixTable, c: int, direction: str, control_idx: int,
                         min_leaf_size: int) -> CandidateScore:
     """sparse_omit: drop zero-support cells, skip the positive-support check."""
-    left_o, left_a, right_o, right_a = _route_branches(table, c, direction)
+    left_o, left_a, right_o, right_a = _route_branches(table, direction, c)
     cand = CandidateScore(table.feature_name, c, table.cuts[c], direction,
                           math.nan, False, left_opps=left_o, right_opps=right_o,
                           left_accepts=left_a, right_accepts=right_a)

@@ -1,16 +1,20 @@
 """Greedy policy-tree trainer with a locked-manifest contract and a canonical
 serialized tree signature used as the end-to-end equality witness.
 
-Node expansion is breadth-first in node-path order (root "", then "L", "R",
-"LL", ...), each node's split chosen by the shared split search, so the
-learned tree is a pure function of (locked manifest, frame content) and never
-of row order, partitioning, or execution path.
+Node expansion is level-wise in node-path order (root "", then "L", "R",
+"LL", ...): each partition is bucketized once, every row carries the slot of
+its node on the current level, and one node-batched split search per depth
+chooses every node's split.  Each node's split is the one the shared split
+search picks on that node's rows alone, so the learned tree is a pure
+function of (locked manifest, frame content) and never of row order,
+partitioning, or execution path.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import count
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -20,7 +24,7 @@ from .errors import (AlignmentError, ContractViolationError, InvalidArgumentErro
 from .forest import (ForestArrays, TreeArrays, _leaf_nodes, INTERNAL_CONTINUOUS,
                      LEAF)
 from .frame import ColumnFrame, PartitionedFrame
-from .splitsearch import (Boundaries, SplitConfig, best_split, bin_rows,
+from .splitsearch import (Boundaries, BinnedRows, SplitConfig, best_split, bin_rows,
                           select_control, treatment_codes, PATH_REFERENCE,
                           STATUS_OK, STATUS_SKIPPED_TOO_LARGE)
 
@@ -36,6 +40,28 @@ def _digest_bytes(*chunks: bytes) -> str:
 
 def row_id_set_digest(row_ids: np.ndarray) -> str:
     return _digest_bytes(np.sort(np.asarray(row_ids, dtype=np.int64)).astype("<i8").tobytes())
+
+
+def _partitions(data: Union[ColumnFrame, PartitionedFrame]) -> tuple[ColumnFrame, ...]:
+    """The frames of ``data`` in partition order; they must agree on their
+    feature columns."""
+    if not isinstance(data, PartitionedFrame):
+        return (data,)
+    parts = data.partitions
+    if not parts:
+        raise InvalidArgumentError("cannot train on zero partitions")
+    if any(p.feature_names != parts[0].feature_names for p in parts[1:]):
+        raise SchemaError("frames disagree on feature columns")
+    return parts
+
+
+def _unique_row_id_digest(parts: Sequence[ColumnFrame]) -> str:
+    """``row_id_set_digest`` of all partitions' ids, from the same single
+    sort that rejects an id held twice."""
+    ids = np.sort(np.concatenate([p.row_ids for p in parts]))
+    if (ids[1:] == ids[:-1]).any():
+        raise SchemaError("row_ids must be unique")
+    return _digest_bytes(ids.astype("<i8").tobytes())
 
 
 @dataclass(frozen=True)
@@ -230,79 +256,104 @@ class PolicyTree:
         return [self.nodes[p] for p in self.ordered_paths() if self.nodes[p].is_leaf]
 
 
-def _leaf_stats(codes: np.ndarray, outcomes: np.ndarray, T: int):
-    opps = np.bincount(codes, minlength=T).astype(np.int64)
-    accepts = np.bincount(codes[outcomes == 1], minlength=T).astype(np.int64)
-    vector = np.zeros(T, dtype=np.float64)
-    nonzero = opps > 0
-    vector[nonzero] = accepts[nonzero] / opps[nonzero]
-    zero = tuple(int(t) for t in np.flatnonzero(~nonzero))
-    return vector, opps, accepts, zero
+def _bin_partitions(parts: Sequence[ColumnFrame], manifest: Manifest) -> BinnedRows:
+    """Each partition bucketized once, concatenated in partition order."""
+    labels = manifest.treatment_labels
+    views = [bin_rows(p, manifest.feature_names, manifest.boundary_map(), labels,
+                      treatment_codes(p, labels)) for p in parts]
+    first = views[0]
+    return BinnedRows(first.features, first.boundaries, labels,
+                      np.concatenate([v.bins for v in views], axis=1),
+                      np.concatenate([v.codes for v in views]),
+                      np.concatenate([v.positives for v in views]))
 
 
-def _train_loop(frame: ColumnFrame, manifest: Manifest, execution_path: str,
+def _train_loop(parts: Sequence[ColumnFrame], manifest: Manifest, execution_path: str,
                 control_override: Optional[str]) -> PolicyTree:
-    """Every feature is bucketized once; each node searches its rows of the
-    binned view and routes them on bins: with left-inclusive bins,
-    ``value <= cuts[c]`` iff ``bin <= c``, and the missing bin B > c follows
-    the NaN direction."""
+    """Level-wise expansion over rows binned once.  ``level`` holds the rows
+    of the current level's nodes, each row's slot naming its node in
+    ``frontier``; one ``best_split`` answers for every node.  Rows route on
+    bins: with left-inclusive bins, ``value <= cuts[c]`` iff ``bin <= c``,
+    and the missing bin B > c follows the NaN direction.  Rows of new leaves
+    leave the level."""
     T = len(manifest.treatment_labels)
-    codes = treatment_codes(frame, manifest.treatment_labels)
-    bmap = manifest.boundary_map()
-    binned = bin_rows(frame, manifest.feature_names, bmap, manifest.treatment_labels,
-                      codes)
+    features = manifest.feature_names
+    binned = _bin_partitions(parts, manifest)
+    missing_bin = np.array([b.missing_bin for b in binned.boundaries], dtype=np.int64)
+    bin_axis = np.arange(missing_bin.max(initial=0) + 1)
     config = SplitConfig(min_leaf_size=manifest.min_leaf_size,
                          control_label_override=control_override,
                          execution_path=execution_path)
 
     nodes: dict[str, PolicyNode] = {}
-    queue: list[tuple[str, np.ndarray]] = [("", np.arange(frame.n_rows))]
-    while queue:
-        path, rows = queue.pop(0)
-
-        def make_leaf():
-            vec, opps, accepts, zero = _leaf_stats(codes[rows], frame.outcomes[rows], T)
-            nodes[path] = PolicyNode(path, True, len(rows), vector=vec, opps=opps,
-                                     accepts=accepts, zero_opportunity=zero)
-
-        if len(path) >= manifest.max_depth:
-            make_leaf()
-            continue
-        result = best_split(binned.take(rows), manifest.feature_names, bmap,
-                            manifest.treatment_labels, config)
-        if result.status == STATUS_SKIPPED_TOO_LARGE:
+    frontier = [""]
+    level = binned.with_slots(np.zeros(binned.n_rows, dtype=np.int64), 1)
+    for depth in count():
+        K = len(frontier)
+        results = best_split(level, features, manifest.boundary_map(),
+                             manifest.treatment_labels, config) \
+            if depth < manifest.max_depth else [None] * K
+        if any(r is not None and r.status == STATUS_SKIPPED_TOO_LARGE for r in results):
             raise ContractViolationError(
                 "split search safety-skipped during training; raise the threshold "
                 "or shrink the candidate grid")
-        if result.status != STATUS_OK:
-            make_leaf()
-            continue
-        best = result.best
-        nodes[path] = PolicyNode(path, False, len(rows), feature=best.feature_name,
-                                 threshold=best.threshold_boundary,
-                                 candidate_bin=best.candidate_bin,
-                                 nan_direction=best.nan_direction)
-        bins = binned.bins[manifest.feature_names.index(best.feature_name), rows]
-        go_left = bins <= best.candidate_bin
-        if best.nan_direction == "left":
-            go_left |= bins == bmap[best.feature_name].missing_bin
-        queue.append((path + "L", rows[go_left]))
-        queue.append((path + "R", rows[~go_left]))
+        split = np.array([r is not None and r.status == STATUS_OK for r in results])
+        # per node and treatment: rows with outcome 0 and 1
+        cells = np.bincount(level.slots * (2 * T) + level.cell_tails,
+                            minlength=K * T * 2).reshape(K, T, 2)
+        opps, accepts = cells.sum(axis=2), cells[..., 1]
+        vectors = np.divide(accepts, opps, out=np.zeros((K, T)), where=opps > 0)
+        feature = np.zeros(K, dtype=np.int64)
+        candidate_bin = np.zeros(K, dtype=np.int64)
+        nan_left = np.zeros(K, dtype=bool)
+        for k, (path, r) in enumerate(zip(frontier, results)):
+            n_rows = int(opps[k].sum())
+            if not split[k]:
+                nodes[path] = PolicyNode(path, True, n_rows, vector=vectors[k],
+                                         opps=opps[k], accepts=accepts[k],
+                                         zero_opportunity=tuple(
+                                             np.flatnonzero(opps[k] == 0).tolist()))
+                continue
+            best = r.best
+            nodes[path] = PolicyNode(path, False, n_rows, feature=best.feature_name,
+                                     threshold=best.threshold_boundary,
+                                     candidate_bin=best.candidate_bin,
+                                     nan_direction=best.nan_direction)
+            feature[k] = features.index(best.feature_name)
+            candidate_bin[k] = best.candidate_bin
+            nan_left[k] = best.nan_direction == "left"
+        if not split.any():
+            break
+        # children of the i-th splitting node take slots 2i (L) and 2i+1 (R);
+        # goes_right[k, b]: a row of node k whose split feature has bin b
+        first_child = 2 * np.cumsum(split) - 2
+        goes_right = (bin_axis > candidate_bin[:, None]) \
+            & ~(nan_left[:, None] & (bin_axis == missing_bin[feature][:, None]))
+        bins = np.take(level.bins, feature[level.slots] * level.n_rows
+                       + np.arange(level.n_rows))
+        slots = first_child[level.slots] \
+            + np.take(goes_right, level.slots * len(bin_axis) + bins)
+        if not split.all():
+            rows = np.flatnonzero(split[level.slots])
+            level, slots = level.take(rows), slots[rows]
+        level = level.with_slots(slots, 2 * int(split.sum()))
+        frontier = [path + side for path, ok in zip(frontier, split) if ok
+                    for side in "LR"]
     return PolicyTree(nodes, manifest.feature_names, manifest.treatment_labels,
                       manifest.max_depth, manifest.min_leaf_size)
 
 
 def train(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
           execution_path: str = PATH_REFERENCE) -> PolicyTree:
-    """Deterministic BFS training under a locked manifest."""
+    """Deterministic level-wise training under a locked manifest."""
     if not manifest.locked:
         raise ContractViolationError("manifest must be locked before training")
-    frame = data.concat() if isinstance(data, PartitionedFrame) else data
-    if row_id_set_digest(frame.row_ids) != manifest.row_id_digest:
+    parts = _partitions(data)
+    if _unique_row_id_digest(parts) != manifest.row_id_digest:
         raise ContractViolationError("frame row_id set does not match the manifest digest")
     for name in manifest.feature_names:
-        frame.column_index(name)
-    return _train_loop(frame, manifest, execution_path, None)
+        parts[0].column_index(name)
+    return _train_loop(parts, manifest, execution_path, None)
 
 
 def train_unlocked_naive(data: Union[ColumnFrame, PartitionedFrame],
@@ -311,18 +362,20 @@ def train_unlocked_naive(data: Union[ColumnFrame, PartitionedFrame],
                          execution_path: str = PATH_REFERENCE) -> PolicyTree:
     """The before-lock pipeline: treatment vocabulary inferred from row order,
     control taken as the first label seen.  Exists to demonstrate drift."""
-    frame = data.concat() if isinstance(data, PartitionedFrame) else data
-    if frame.n_rows == 0:
-        raise InvalidArgumentError("cannot infer a vocabulary from an empty frame")
+    parts = _partitions(data)
+    digest = _unique_row_id_digest(parts)
     seen: dict[str, None] = {}
-    for label in frame.treatments:
-        seen.setdefault(str(label))
+    for part in parts:
+        for label in part.treatments:
+            seen.setdefault(str(label))
+    if not seen:
+        raise InvalidArgumentError("cannot infer a vocabulary from an empty frame")
     labels = tuple(seen)
     features = tuple(boundaries)
-    manifest = Manifest(row_id_set_digest(frame.row_ids), features, labels,
+    manifest = Manifest(digest, features, labels,
                         tuple((n, boundaries[n]) for n in features), 0,
                         max_depth, min_leaf_size, "unlocked", locked=True)
-    return _train_loop(frame, manifest, execution_path, labels[0])
+    return _train_loop(parts, manifest, execution_path, labels[0])
 
 
 @dataclass(frozen=True)
@@ -444,6 +497,17 @@ def uplift_proxy(assignments: Assignments, control_label: str) -> np.ndarray:
     return assignments.vectors[:, noncontrol].max(axis=1) - assignments.vectors[:, ctrl]
 
 
+def _treated_mask(treatments, control_label: str) -> np.ndarray:
+    """``str(t) != control_label`` per row, with ``str()`` applied once per
+    distinct label; labels that are exactly ``str`` compare as they are."""
+    values = np.asarray(treatments, dtype=object)
+    treated = {label: str(label) != control_label for label in set(values.tolist())}
+    if all(type(label) is str for label in treated):
+        return np.not_equal(values, control_label)
+    return np.fromiter(map(treated.__getitem__, values.tolist()), dtype=bool,
+                       count=len(values))
+
+
 def auuc_qini(proxy: np.ndarray, treatments: np.ndarray, outcomes: np.ndarray,
               control_label: str, row_ids: np.ndarray) -> dict:
     """Cumulative incremental-gain metrics under the deterministic tie order.
@@ -460,7 +524,7 @@ def auuc_qini(proxy: np.ndarray, treatments: np.ndarray, outcomes: np.ndarray,
     proxy = np.asarray(proxy, dtype=np.float64)
     outcomes = np.asarray(outcomes)
     n = len(proxy)
-    treated = np.asarray([str(t) != control_label for t in treatments])
+    treated = _treated_mask(treatments, control_label)
     if n == 0 or not treated.any() or treated.all():
         raise InvalidArgumentError("need at least one control and one treated row")
     order = np.lexsort((np.asarray(row_ids), -proxy))

@@ -1,12 +1,20 @@
 """Independent reference implementations used as test oracles.
 
 Everything here works from raw rows with plain Python loops and stays
-deliberately independent of the engine's vectorized / prefix-sum code paths.
+deliberately independent of the engine's vectorized / prefix-sum code paths,
+except ``pernode_train``: it keeps the engine's per-node split search and
+checks only how the level-wise trainer batches nodes and routes rows.
 """
 
 import math
 
+import numpy as np
+
 from policylock.forest import LEAF, INTERNAL_CATEGORICAL
+from policylock.frame import PartitionedFrame
+from policylock.splitsearch import (SplitConfig, best_split, bin_rows,
+                                    treatment_codes, STATUS_OK)
+from policylock.trainer import PolicyNode, PolicyTree
 
 
 def scalar_leaf(tree, row_values):
@@ -130,3 +138,51 @@ def oracle_auuc_qini(proxy, treatments, outcomes, control, row_ids):
     for k in range(1, n + 1):
         auuc += (gains[k] + gains[k - 1]) / 2.0 * (1.0 / n)
     return auuc, auuc - gains[n] / 2.0
+
+
+def pernode_train(data, manifest, execution_path, control_override=None):
+    """The breadth-first per-node trainer: one queue entry per node holding
+    its row indices, one ``best_split`` on that node's rows of the binned
+    view, leaf statistics from a per-leaf count.  Slow, and the reference
+    the level-wise ``train`` must match."""
+    frame = data.concat() if isinstance(data, PartitionedFrame) else data
+    labels = manifest.treatment_labels
+    T = len(labels)
+    codes = treatment_codes(frame, labels)
+    bmap = manifest.boundary_map()
+    binned = bin_rows(frame, manifest.feature_names, bmap, labels, codes)
+    config = SplitConfig(min_leaf_size=manifest.min_leaf_size,
+                         control_label_override=control_override,
+                         execution_path=execution_path)
+    nodes = {}
+    queue = [("", np.arange(frame.n_rows))]
+    while queue:
+        path, rows = queue.pop(0)
+        result = None
+        if len(path) < manifest.max_depth:
+            result = best_split(binned.take(rows), manifest.feature_names, bmap,
+                                labels, config)
+        if result is None or result.status != STATUS_OK:
+            opps = np.bincount(codes[rows], minlength=T).astype(np.int64)
+            accepts = np.bincount(codes[rows][frame.outcomes[rows] == 1],
+                                  minlength=T).astype(np.int64)
+            vector = np.zeros(T)
+            nonzero = opps > 0
+            vector[nonzero] = accepts[nonzero] / opps[nonzero]
+            nodes[path] = PolicyNode(path, True, len(rows), vector=vector, opps=opps,
+                                     accepts=accepts, zero_opportunity=tuple(
+                                         int(t) for t in np.flatnonzero(~nonzero)))
+            continue
+        best = result.best
+        nodes[path] = PolicyNode(path, False, len(rows), feature=best.feature_name,
+                                 threshold=best.threshold_boundary,
+                                 candidate_bin=best.candidate_bin,
+                                 nan_direction=best.nan_direction)
+        bins = binned.bins[manifest.feature_names.index(best.feature_name), rows]
+        go_left = bins <= best.candidate_bin
+        if best.nan_direction == "left":
+            go_left |= bins == bmap[best.feature_name].missing_bin
+        queue.append((path + "L", rows[go_left]))
+        queue.append((path + "R", rows[~go_left]))
+    return PolicyTree(nodes, manifest.feature_names, labels, manifest.max_depth,
+                      manifest.min_leaf_size)

@@ -2,13 +2,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import policylock as pl
+from policylock.harness import _s1_variants
 from policylock.trainer import tree_to_arrays
-from policylock import rng, splitsearch
+from policylock import frame as frame_module, rng, splitsearch, trainer
 
 from conftest import build_frame
-from _oracles import oracle_best, oracle_auuc_qini, scalar_leaf
+from _oracles import oracle_best, oracle_auuc_qini, pernode_train, scalar_leaf
 
 
 def _witness_frame(n_rows=8000, p_miss=0.1, seed=7, n_treatments=4):
@@ -79,6 +82,7 @@ class TestTrain:
     def test_bins_each_feature_once_and_takes_no_frames(self, path, monkeypatch):
         frame, labels = _witness_frame(n_rows=4000)
         man, _ = _manifest(frame, labels, max_depth=3)
+        parts = pl.partition(frame, 4)
         calls = Counter()
         take, bucketize = pl.ColumnFrame.take, splitsearch.bucketize
 
@@ -97,6 +101,28 @@ class TestTrain:
         assert calls["take"] == 0
         assert 0 < calls["bucketize"] <= len(man.feature_names)
 
+        # four partitions: each is binned once, none is concatenated, and one
+        # split search serves every node of a level
+        concat_frames, best_split = frame_module.concat_frames, trainer.best_split
+
+        def counting_concat(frames):
+            calls["concat"] += 1
+            return concat_frames(frames)
+
+        def counting_best_split(*args):
+            calls["best_split"] += 1
+            return best_split(*args)
+
+        monkeypatch.setattr(frame_module, "concat_frames", counting_concat)
+        monkeypatch.setattr(trainer, "best_split", counting_best_split)
+        calls.clear()
+        parted = pl.train(parts, man, path)
+        assert pl.signature(parted).text == pl.signature(tree).text
+        assert calls["concat"] == 0
+        assert calls["take"] == 0
+        assert 0 < calls["bucketize"] <= parts.partition_count * len(man.feature_names)
+        assert 0 < calls["best_split"] <= man.max_depth
+
     def test_depth_monotonic_prefix_extension(self):
         frame, labels = _witness_frame()
         man2, _ = _manifest(frame, labels, max_depth=2)
@@ -110,6 +136,137 @@ class TestTrain:
                         other.nan_direction) == (node.feature, node.threshold,
                                                  node.candidate_bin,
                                                  node.nan_direction)
+
+
+@st.composite
+def _locked_instances(draw):
+    """(frame, locked manifest, partition count): N <= 400 rows, T from 1 to 4
+    with some arms possibly empty, 1-3 features of 2-8 bins whose values
+    land on the cuts, on a 1/16 grid or in NULL and NaN cells, outcomes all
+    0, all 1 or mixed, min_leaf_size at its edges and depth 0-4."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # Hypothesis favours small integers, where no split is valid; sampled
+    # lists start at the values that grow deep trees
+    n = draw(st.integers(1, 400)) if draw(st.integers(0, 3)) == 0 else \
+        int(gen.integers(100, 401))
+    T = draw(st.sampled_from([4, 3, 2, 1]))
+    labels = ("control", "t1", "t2", "t3")[:T]
+    arms = draw(st.lists(st.integers(0, T - 1), min_size=1, max_size=T, unique=True)) \
+        if draw(st.integers(0, 3)) == 0 else list(range(T))
+    names, values, valid, bmap = [], [], [], {}
+    for i in range(draw(st.sampled_from([3, 2, 1]))):
+        name = f"f{i}"
+        n_bins = draw(st.sampled_from([8, 5, 3, 2]))
+        cuts = np.sort(gen.choice(np.arange(1, 16), n_bins - 1, replace=False)) / 16.0
+        pool = np.concatenate([cuts, np.arange(17) / 16.0, [np.nan]])
+        names.append(name)
+        values.append(gen.choice(pool, n))
+        valid.append(gen.random(n) >= draw(st.sampled_from([0.0, 0.1, 0.5])))
+        bmap[name] = pl.Boundaries(name, tuple(cuts))
+    outcomes = (gen.random(n) < draw(st.sampled_from([0.0, 0.4, 1.0]))).astype(np.int64)
+    frame = pl.ColumnFrame(np.arange(n) * 3 + 5, names, values, valid,
+                           np.array(labels, dtype=object)[gen.choice(arms, n)], outcomes)
+    min_leaf = max(1, draw(st.one_of(st.sampled_from([1, 2, n // 16, n // 8]),
+                                     st.sampled_from([n // 4, n // 2, n // 2 + 1, n,
+                                                      n + 1]))))
+    manifest = pl.build_manifest(frame, names, labels, bmap, 0,
+                                 draw(st.sampled_from([4, 3, 2, 1, 0])), min_leaf).lock()
+    return frame, manifest, draw(st.integers(2, 4))
+
+
+class TestLevelWise:
+    """The level-wise trainer against the per-node reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_locked_instances())
+    def test_signature_equals_pernode_oracle_on_every_path_and_layout(self, case):
+        frame, man, n_parts = case
+        base = pl.partition(frame, n_parts)
+        layouts = [frame, base] + [pl.apply_perturbation(base, pert)
+                                   for _, pert in _s1_variants(11) if pert]
+        for path in pl.EXECUTION_PATHS:
+            want = pl.signature(pernode_train(frame, man, path)).text
+            for data in layouts:
+                assert pl.signature(pl.train(data, man, path)).text == want
+
+    @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
+    def test_every_level_matches_per_node_searches_and_tables(self, path, monkeypatch):
+        """Each node's result of a level's one search, no-valid reason
+        included, and each node's slice of the node-axis tables equal the
+        search and the tables on that node's rows alone."""
+        frame, labels = _witness_frame(n_rows=3000)
+        man, bmap = _manifest(frame, labels, max_depth=4, min_leaf=150)
+        search, levels = trainer.best_split, []
+
+        def recording(view, *args):
+            results = search(view, *args)
+            levels.append((view, args, results))
+            return results
+
+        monkeypatch.setattr(trainer, "best_split", recording)
+        pl.train(pl.partition(frame, 4), man, path)
+        assert len(levels) == man.max_depth
+        statuses = Counter()
+        for view, args, results in levels:
+            assert len(results) == view.n_slots
+            tables = {(build, name): build(view, name, bmap[name], labels)
+                      for build in (pl.build_prefix_sums, pl.windowed_prefix_table)
+                      for name in man.feature_names}
+            whole = view.with_slots(None)
+            for k, got in enumerate(results):
+                node = whole.take(np.flatnonzero(view.slots == k))
+                assert got.to_record() == search(node, *args).to_record()
+                statuses[got.status] += 1
+                for (build, name), table in tables.items():
+                    assert table.node(k).to_record() == \
+                        build(node, name, bmap[name], labels).to_record()
+        assert statuses[pl.STATUS_OK] and statuses[pl.STATUS_NO_VALID]
+
+
+def _two_partitions():
+    a = build_frame({"x": [0.1, 0.7, 0.3]}, treatments=["b", "b", "a"],
+                    outcomes=[1, 0, 1], row_ids=[0, 1, 2])
+    b = build_frame({"x": [0.9, 0.2]}, treatments=["c", "a"], outcomes=[0, 1],
+                    row_ids=[3, 4])
+    return a, b
+
+
+class TestPartitionedInput:
+    """What ``train`` checks and infers on partitions, which it no longer
+    concatenates."""
+
+    @pytest.fixture
+    def manifest(self):
+        return _manifest(pl.concat_frames(_two_partitions()), ("a", "b", "c"),
+                         max_depth=1, min_leaf=1)[0]
+
+    def test_row_id_repeated_across_partitions(self, manifest):
+        a, b = _two_partitions()
+        again = build_frame({"x": [0.5]}, treatments=["a"], outcomes=[1], row_ids=[2])
+        with pytest.raises(pl.SchemaError):
+            pl.train(pl.PartitionedFrame((a, b, again)), manifest)
+        with pytest.raises(pl.SchemaError):
+            pl.train_unlocked_naive(pl.PartitionedFrame((a, again)),
+                                    {"x": pl.Boundaries("x", (0.5,))}, 1, 1)
+
+    def test_partitions_disagree_on_feature_columns(self, manifest):
+        a, _ = _two_partitions()
+        other = build_frame({"y": [0.9, 0.2]}, treatments=["c", "a"], outcomes=[0, 1],
+                            row_ids=[3, 4])
+        with pytest.raises(pl.SchemaError):
+            pl.train(pl.PartitionedFrame((a, other)), manifest)
+
+    def test_zero_partitions(self, manifest):
+        with pytest.raises(pl.InvalidArgumentError):
+            pl.train(pl.PartitionedFrame(()), manifest)
+
+    def test_unlocked_naive_infers_first_seen_labels_in_partition_order(self):
+        a, b = _two_partitions()
+        bmap = {"x": pl.Boundaries("x", (0.5,))}
+        forward = pl.train_unlocked_naive(pl.PartitionedFrame((a, b)), bmap, 1, 1)
+        backward = pl.train_unlocked_naive(pl.PartitionedFrame((b, a)), bmap, 1, 1)
+        assert forward.treatment_labels == ("b", "a", "c")
+        assert backward.treatment_labels == ("c", "a", "b")
 
 
 class TestSignature:
@@ -263,6 +420,17 @@ class TestAuucQini:
         a = pl.auuc_qini(proxy, treatments, outcomes, "c", np.array([0, 1, 2]))
         b = pl.auuc_qini(proxy, treatments, outcomes, "c", np.array([2, 1, 0]))
         assert a != b
+
+    def test_non_str_labels_compare_by_their_str(self):
+        labels = np.array([0, 1, np.str_("0"), "0", 2, np.str_("1")], dtype=object)
+        as_text = np.array([str(t) for t in labels], dtype=object)
+        want = [str(t) != "0" for t in labels]
+        assert trainer._treated_mask(labels, "0").tolist() == want
+        assert trainer._treated_mask(as_text, "0").tolist() == want
+        proxy = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
+        outcomes = np.array([1, 0, 1, 1, 0, 1])
+        assert pl.auuc_qini(proxy, labels, outcomes, "0", np.arange(6)) == \
+            pl.auuc_qini(proxy, as_text, outcomes, "0", np.arange(6))
 
 
 class TestManifestFile:
