@@ -153,128 +153,200 @@ def _steps_to_leaf(is_leaf: np.ndarray, left: np.ndarray, right: np.ndarray) -> 
     return steps
 
 
-class _PreparedTree:
-    """Per-tree tables tuned for the fixed-depth batch walk: leaves self-loop
-    (left == right == self) so the level update needs no masking, and the
-    feature index is pre-scaled by the partition width for columnar
-    addressing.  Tables are a few hundred entries, so every per-level gather
-    stays cache-resident."""
-
-    def __init__(self, tree: TreeArrays, n_part: int):
-        is_leaf = tree.node_type == LEAF
-        self_idx = np.arange(tree.n_nodes, dtype=np.int64)
-        self.left = np.where(is_leaf, self_idx, tree.left_child)
-        self.right = np.where(is_leaf, self_idx, tree.right_child)
-        self.left_minus_right = self.left - self.right
-        self.feature = np.where(is_leaf, 0, tree.feature_index).astype(np.int64)
-        self.feature_scaled = self.feature * n_part
-        # leaf thresholds never route; keep compares clean
-        self.split_value = np.where(is_leaf, 0.0, tree.split_value)
-        self.is_cat = tree.node_type == INTERNAL_CATEGORICAL
-        self.has_cat = bool(self.is_cat.any())
-        self.nan_left = np.asarray(tree.nan_goes_left, dtype=bool)
-        self.payload = tree.leaf_payload
-        self.is_leaf = is_leaf
-        # exact worst-case depth from the root
-        steps = _steps_to_leaf(is_leaf, self.left, self.right)
-        if not np.isfinite(steps[0]):
-            raise MalformedTreeError("prepared scorer given a cyclic tree")
-        self.depth = int(steps[0])
+_PASS_WIDTH = 2 ** 16
 
 
 class _PreparedForest:
     """The vectorized traversal kernel, shared by both vectorized backends,
     ``traverse_batch``, ``score_forest`` and the trainer's assignment.
 
-    One scratch buffer set per batch width is reused across trees and levels
-    (fresh allocations at this size cause mmap churn that dominates runtime).
-    Categorical and NaN handling are skipped when the tree / batch provably
+    Every tree's tables are stacked into one node table: tree ``t``'s nodes
+    sit at ``roots[t] + local index`` and its children are shifted by the same
+    offset.  Leaves self-loop (left == right == self), feature indices are
+    pre-scaled by the partition width for columnar addressing, and leaf
+    thresholds are 0.0, so a level update needs no masking.
+
+    A batch of ``n`` rows walks the forest in passes over consecutive trees.
+    The fixed rule: ``k = max(1, 2**16 // n)`` trees per pass, rebalanced to
+    ``ceil(n_trees / ceil(n_trees / k))`` so every pass holds the same number
+    of trees except possibly the last.  A pass routes its ``k * n`` node slots
+    together for the greatest depth among its trees; rows of shallower trees
+    idle on their self-looping leaves.  One scratch set, sized for the widest
+    pass seen, is reused by every pass and level (fresh allocations at this
+    size cause mmap churn that dominates runtime); narrower passes use slices.
+    Categorical and NaN handling are skipped when the pass / batch provably
     has none; the result is identical because those masks would be all-False.
     Each level routes branch-free: the categorical and NaN overrides are
     bitwise and the child is picked arithmetically, since a masked copy with
     a data-dependent mask costs many times an element-wise add at batch width.
-    Payloads accumulate in tree order, keeping the float operation sequence
+
+    Every gather uses ``mode="clip"``, which lets numpy write ``out`` without
+    an intermediate buffer.  Clipping never changes an index: construction
+    proves every stacked child lies inside its own tree and every feature
+    index below the forest's feature count (``MalformedTreeError``
+    otherwise), and the scoring entry points check the batch shape and row
+    addresses.  Payloads are gathered and added one tree at a time in tree
+    order with one divide at the end, keeping the float operation sequence
     identical to the scalar walk.
     """
 
     def __init__(self, forest: ForestArrays, n_part: int):
-        self.n_treatments = forest.n_treatments
-        self.n_trees = len(forest.trees)
-        self.trees = [_PreparedTree(t, n_part) for t in forest.trees]
-        self._scratch_cache: dict[int, dict] = {}
+        trees = forest.trees
+        T, F = forest.n_treatments, forest.n_features
+        for ti, tree in enumerate(trees):
+            n = tree.n_nodes
+            if n == 0 or tree.leaf_payload.shape != (n, T) or any(
+                    len(getattr(tree, f.name)) != n for f in fields(tree)):
+                raise MalformedTreeError(
+                    f"tree {ti}: prepared scorer needs {T}-column tables of one "
+                    f"non-zero node count")
+        self.n_treatments = T
+        self.n_trees = len(trees)
+        self.n_features = F
+        self.n_part = n_part
+        sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
+        self.roots = np.cumsum(sizes) - sizes
 
-    def _scratch(self, n: int) -> dict:
-        buf = self._scratch_cache.get(n)
-        if buf is None:
-            buf = {"node": np.empty(n, dtype=np.int64),
-                   "alt": np.empty(n, dtype=np.int64),
-                   "idx": np.empty(n, dtype=np.int64),
-                   "vals": np.empty(n, dtype=np.float64),
-                   "thr": np.empty(n, dtype=np.float64),
-                   "go": np.empty(n, dtype=bool),
-                   "flag": np.empty(n, dtype=bool),
-                   "flag2": np.empty(n, dtype=bool),
-                   "acc": np.empty((n, self.n_treatments), dtype=np.float64),
-                   "payload": np.empty((n, self.n_treatments), dtype=np.float64)}
-            self._scratch_cache[n] = buf
+        def stack(name, dtype):
+            return np.concatenate([np.empty(0, dtype)]
+                                  + [getattr(t, name).astype(dtype, copy=False) for t in trees])
+
+        start = np.repeat(self.roots, sizes)
+        local = np.arange(int(sizes.sum()), dtype=np.int64) - start
+        node_type = stack("node_type", np.int8)
+        is_leaf = node_type == LEAF
+        left = np.where(is_leaf, local, stack("left_child", np.int64))
+        right = np.where(is_leaf, local, stack("right_child", np.int64))
+        feature = np.where(is_leaf, 0, stack("feature_index", np.int64))
+        size = np.repeat(sizes, sizes)
+        if not ((0 <= left) & (left < size) & (0 <= right) & (right < size)).all():
+            raise MalformedTreeError("prepared scorer given a child out of range")
+        if not ((0 <= feature) & (feature < F)).all():
+            raise MalformedTreeError(
+                f"prepared scorer given a feature index out of range [0, {F})")
+        left = left + start
+        self.right = right + start
+        self.left_minus_right = left - self.right
+        self.feature = feature
+        self.feature_scaled = feature * n_part
+        # leaf thresholds never route; keep compares clean
+        self.split_value = np.where(is_leaf, 0.0, stack("split_value", np.float64))
+        self.is_cat = node_type == INTERNAL_CATEGORICAL
+        self.nan_left = stack("nan_goes_left", bool)
+        self.payload = np.concatenate([np.empty((0, T))] + [t.leaf_payload for t in trees])
+        self.is_leaf = is_leaf
+        # exact worst-case depth from each root
+        steps = _steps_to_leaf(is_leaf, left, self.right)[self.roots]
+        if not np.isfinite(steps).all():
+            raise MalformedTreeError("prepared scorer given a cyclic tree")
+        self.depths = steps.astype(np.int64)
+        self.tree_has_cat = np.array([(t.node_type == INTERNAL_CATEGORICAL).any()
+                                      for t in trees], dtype=bool)
+        self._buf: dict = {}
+
+    def _passes(self, n: int) -> tuple[int, list[tuple[int, int]]]:
+        """Trees per pass and the ``[t0, t1)`` tree range of every pass."""
+        k = max(1, _PASS_WIDTH // max(n, 1))
+        n_passes = -(-self.n_trees // k)
+        k = -(-self.n_trees // n_passes) if n_passes else 1
+        return k, [(t0, min(t0 + k, self.n_trees)) for t0 in range(0, self.n_trees, k)]
+
+    def _scratch(self, width: int, n: int) -> dict:
+        """The model's one scratch set, grown to hold ``width`` pass slots
+        and ``n`` accumulator rows."""
+        buf = self._buf
+        if buf.get("width", -1) < width or buf.get("rows", -1) < n:
+            width = max(width, buf.get("width", 0))
+            n = max(n, buf.get("rows", 0))
+            buf = self._buf = {
+                "width": width, "rows": n,
+                "node": np.empty(width, dtype=np.int64),
+                "alt": np.empty(width, dtype=np.int64),
+                "idx": np.empty(width, dtype=np.int64),
+                "base": np.empty(width, dtype=np.int64),
+                "vals": np.empty(width, dtype=np.float64),
+                "thr": np.empty(width, dtype=np.float64),
+                "go": np.empty(width, dtype=bool),
+                "flag": np.empty(width, dtype=bool),
+                "flag2": np.empty(width, dtype=bool),
+                "acc": np.empty((n, self.n_treatments), dtype=np.float64),
+                "payload": np.empty((n, self.n_treatments), dtype=np.float64)}
         return buf
 
-    def _walk(self, tree: _PreparedTree, feature_table: np.ndarray,
-              addr_base: np.ndarray, flat: np.ndarray, buf: dict,
-              check_nan: bool) -> np.ndarray:
-        node, alt, idx = buf["node"], buf["alt"], buf["idx"]
-        vals, thr = buf["vals"], buf["thr"]
-        go, flag, flag2 = buf["go"], buf["flag"], buf["flag2"]
-        node.fill(0)
-        for _ in range(tree.depth):
-            np.take(feature_table, node, out=idx)
-            np.add(idx, addr_base, out=idx)
-            np.take(flat, idx, out=vals)
-            np.take(tree.split_value, node, out=thr)
+    def _walk(self, t0: int, t1: int, feature_table: np.ndarray,
+              addr_base: np.ndarray, flat: np.ndarray, check_nan: bool) -> np.ndarray:
+        """Stacked leaf index for every slot of the pass over trees
+        ``[t0, t1)``: slot ``j*n + r`` is row ``r`` (address ``addr_base[r]``)
+        in tree ``t0 + j``.  The result is a view into the scratch set."""
+        n = len(addr_base)
+        w = (t1 - t0) * n
+        buf = self._scratch(w, 0)
+        node, alt, idx = buf["node"][:w], buf["alt"][:w], buf["idx"][:w]
+        base, vals, thr = buf["base"][:w], buf["vals"][:w], buf["thr"][:w]
+        go, flag, flag2 = buf["go"][:w], buf["flag"][:w], buf["flag2"][:w]
+        base.reshape(t1 - t0, n)[:] = addr_base
+        node.reshape(t1 - t0, n)[:] = self.roots[t0:t1, None]
+        has_cat = bool(self.tree_has_cat[t0:t1].any())
+        for _ in range(int(self.depths[t0:t1].max())):
+            np.take(feature_table, node, out=idx, mode="clip")
+            np.add(idx, base, out=idx)
+            np.take(flat, idx, out=vals, mode="clip")
+            np.take(self.split_value, node, out=thr, mode="clip")
             np.less_equal(vals, thr, out=go)
-            if tree.has_cat:
+            if has_cat:
                 # go ^= is_cat & (go ^ eq): equality where the node is categorical
                 np.equal(vals, thr, out=flag)
                 np.logical_xor(go, flag, out=flag)
-                np.take(tree.is_cat, node, out=flag2)
+                np.take(self.is_cat, node, out=flag2, mode="clip")
                 np.logical_and(flag, flag2, out=flag)
                 np.logical_xor(go, flag, out=go)
             if check_nan:
                 # NaN compares false, so go is False on missing cells and
                 # go |= isnan & nan_left gives them the node's flag
                 np.isnan(vals, out=flag)
-                np.take(tree.nan_left, node, out=flag2)
+                np.take(self.nan_left, node, out=flag2, mode="clip")
                 np.logical_and(flag, flag2, out=flag)
                 np.logical_or(go, flag, out=go)
             # child = right + go * (left - right), without a masked copy
-            np.take(tree.right, node, out=alt)
-            np.take(tree.left_minus_right, node, out=idx)
+            np.take(self.right, node, out=alt, mode="clip")
+            np.take(self.left_minus_right, node, out=idx, mode="clip")
             np.multiply(idx, go, out=idx)
             np.add(alt, idx, out=alt)
-            buf["node"], buf["alt"] = alt, node
             node, alt = alt, node
-        if not tree.is_leaf[node].all():
+        np.take(self.is_leaf, node, out=flag, mode="clip")
+        if not flag.all():
             raise MalformedTreeError("traversal did not reach leaves in depth steps")
         return node
 
     def _score(self, flat: np.ndarray, addr_base: np.ndarray, n: int,
                check_nan: bool, columnar: bool) -> np.ndarray:
-        buf = self._scratch(n)
-        acc, pbuf = buf["acc"], buf["payload"]
+        k, passes = self._passes(n)
+        buf = self._scratch(k * n, n)
+        acc, pbuf = buf["acc"][:n], buf["payload"][:n]
         acc.fill(0.0)
-        for tree in self.trees:
-            table = tree.feature_scaled if columnar else tree.feature
-            node = self._walk(tree, table, addr_base, flat, buf, check_nan)
-            np.take(tree.payload, node, axis=0, out=pbuf)
-            acc += pbuf
+        table = self.feature_scaled if columnar else self.feature
+        for t0, t1 in passes:
+            node = self._walk(t0, t1, table, addr_base, flat, check_nan)
+            for j in range(t1 - t0):
+                np.take(self.payload, node[j * n:(j + 1) * n], axis=0, out=pbuf,
+                        mode="clip")
+                acc += pbuf
         return acc / float(self.n_trees)
 
     def score_columnar(self, flat: np.ndarray, rows: np.ndarray,
                        check_nan: bool = True) -> np.ndarray:
+        if flat.size != self.n_features * self.n_part or (
+                len(rows) and (rows.min() < 0 or rows.max() >= self.n_part)):
+            raise InvalidArgumentError(
+                f"columnar batch must hold {self.n_features} features of "
+                f"{self.n_part} rows and address rows inside it")
         return self._score(flat, rows, len(rows), check_nan, columnar=True)
 
     def score_rowmajor(self, rm: np.ndarray, check_nan: bool = True) -> np.ndarray:
         n, F = rm.shape
+        if F != self.n_features:
+            raise InvalidArgumentError(
+                f"row-major batch holds {F} features, not {self.n_features}")
         base = np.arange(n, dtype=np.int64)
         np.multiply(base, F, out=base)
         return self._score(rm.ravel(), base, n, check_nan, columnar=False)
@@ -299,9 +371,8 @@ def _leaf_nodes(forest: ForestArrays, columns: np.ndarray) -> np.ndarray:
     float64 [F, n] batch whose missing cells are NaN."""
     n = columns.shape[1]
     prepared = _PreparedForest(forest, n)
-    tree = prepared.trees[0]
-    return prepared._walk(tree, tree.feature_scaled, np.arange(n, dtype=np.int64),
-                          columns.reshape(-1), prepared._scratch(n), check_nan=True)
+    return prepared._walk(0, 1, prepared.feature_scaled, np.arange(n, dtype=np.int64),
+                          columns.reshape(-1), check_nan=True).copy()
 
 
 def traverse_batch(tree: TreeArrays, columns: np.ndarray, row_major: bool = False) -> np.ndarray:

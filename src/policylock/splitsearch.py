@@ -199,14 +199,23 @@ class BinnedRows:
         return self.codes * 2 + self.positives
 
     def take(self, rows: np.ndarray) -> "BinnedRows":
-        return BinnedRows(self.features, self.boundaries, self.treatments,
-                          np.take(self.bins, rows, axis=1), self.codes[rows],
-                          self.positives[rows],
-                          None if self.slots is None else self.slots[rows],
-                          self.n_slots)
+        return self._carry_tails(
+            BinnedRows(self.features, self.boundaries, self.treatments,
+                       np.take(self.bins, rows, axis=1), self.codes[rows],
+                       self.positives[rows],
+                       None if self.slots is None else self.slots[rows],
+                       self.n_slots), rows)
 
     def with_slots(self, slots: Optional[np.ndarray], n_slots: int = 1) -> "BinnedRows":
-        return replace(self, slots=slots, n_slots=n_slots)
+        return self._carry_tails(replace(self, slots=slots, n_slots=n_slots))
+
+    def _carry_tails(self, view: "BinnedRows", rows: Optional[np.ndarray] = None) -> "BinnedRows":
+        """``view`` holding this view's cached ``cell_tails`` (at ``rows``),
+        so a derived view does not recompute them."""
+        tails = self.__dict__.get("cell_tails")
+        if tails is not None:
+            view.__dict__["cell_tails"] = tails if rows is None else tails[rows]
+        return view
 
     def feature_bins(self, feature: str, boundaries: Boundaries,
                      treatments: tuple[str, ...]) -> np.ndarray:

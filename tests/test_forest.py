@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import policylock as pl
 from policylock.forest import (INTERNAL_CATEGORICAL, INTERNAL_CONTINUOUS, LEAF,
-                               TreeArrays)
+                               TreeArrays, _PreparedForest)
 from policylock import rng
 
 from _oracles import scalar_leaf, scalar_scores
@@ -134,6 +134,25 @@ class TestTraversal:
         with pytest.raises(pl.MalformedTreeError, match="feature index 3"):
             pl.score_forest(forest, np.array([[0.9]]))
 
+    @pytest.mark.parametrize("tree", [
+        pytest.param(TreeArrays([INTERNAL_CONTINUOUS, LEAF], [0, -1], [0.5, 0.0],
+                                [1, -1], [2, -1], [False, False], [[0.0], [1.0]]),
+                     id="child-on-next-tree-root"),
+        pytest.param(TreeArrays([INTERNAL_CONTINUOUS, LEAF], [0, -1], [0.5, 0.0],
+                                [-1, -1], [1, -1], [False, False], [[0.0], [1.0]]),
+                     id="negative-child"),
+        pytest.param(TreeArrays([INTERNAL_CONTINUOUS, LEAF, LEAF], [1, -1, -1],
+                                [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                                [False] * 3, [[0.0], [1.0], [2.0]]),
+                     id="feature-out-of-range"),
+    ])
+    def test_prepared_kernel_proves_its_gathers_in_range(self, tree):
+        # unvalidated forest: the stacked table holds a second tree right
+        # after the first, so node 2 exists there but not in the first tree
+        forest = pl.ForestArrays([tree, single_leaf_tree([5.0])], ("f0",), ("a",))
+        with pytest.raises(pl.MalformedTreeError, match="out of range"):
+            _PreparedForest(forest, 1)
+
 
 class TestScoreForest:
     def test_one_tree_equals_traverse(self):
@@ -244,6 +263,62 @@ class TestOneKernel:
             want = tree.leaf_payload[[scalar_leaf(tree, row) for row in rows]].tobytes()
             assert pl.traverse_batch(tree, cols).tobytes() == want
             assert pl.traverse_batch(tree, rm, row_major=True).tobytes() == want
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 7, 13])
+    def test_pass_boundaries_match_scalar_oracle(self, n_trees):
+        """Batch widths that put every tree in one pass (n = 1), leave a short
+        last pass (n = 13108: passes of 4 trees) and give each tree its own
+        pass (n > 2**16), on mixed-depth trees with a single-leaf tree next to
+        depth-8 trees.  Batches draw their rows from a pool of 500, whose
+        oracle results are computed once."""
+        names = [f"f{i}" for i in range(6)]
+        labels = ("a", "b", "c")
+        categorical = (1, 4)
+        trees = []
+        for i, depth in enumerate([8, 0, 8, 3, 5, 1, 8, 2, 6, 4, 7, 8, 2][:n_trees]):
+            trees += [single_leaf_tree([0.25, 0.5, 0.125])] if depth == 0 else \
+                pl.random_forest(1, depth, names, labels, seed=200 + i,
+                                 categorical_features=categorical,
+                                 categorical_cardinality=5, full=i % 3 == 0).trees
+        forest = pl.ForestArrays(trees, names, labels)
+        pool = _kernel_batch(len(names), categorical, 500, seed=n_trees)
+        pool_rows = pool.T.tolist()
+        scores = np.array(scalar_scores(forest, pool_rows))
+        leaves = [np.array([scalar_leaf(tree, row) for row in pool_rows]) for tree in trees]
+        gen = np.random.default_rng(n_trees)
+        widths = (1, 13108, 2 ** 16 + 1)
+        passes = [_PreparedForest(forest, n)._passes(n)[1] for n in widths]
+        assert len(passes[0]) == 1 and len(passes[2]) == n_trees
+        if n_trees == 13:
+            assert [t1 - t0 for t0, t1 in passes[1]] == [4, 4, 4, 1]
+
+        for n in widths:
+            pick = gen.integers(0, len(pool_rows), n)
+            cols = np.ascontiguousarray(pool[:, pick])
+            rm = np.ascontiguousarray(cols.T)
+            want = scores[pick].tobytes()
+            assert pl.score_forest(forest, cols).tobytes() == want
+            assert pl.score_forest(forest, rm, row_major=True).tobytes() == want
+            for tree, leaf in zip(trees, leaves):
+                want = tree.leaf_payload[leaf[pick]].tobytes()
+                assert pl.traverse_batch(tree, cols).tobytes() == want
+                assert pl.traverse_batch(tree, rm, row_major=True).tobytes() == want
+
+        pick = gen.integers(0, len(pool_rows), 2 ** 16 + 2)
+        big = pl.ColumnFrame(np.arange(len(pick)), names, list(pool[:, pick]),
+                             [np.ones(len(pick), dtype=bool)] * len(names),
+                             np.array(["control"] * len(pick), dtype=object),
+                             np.zeros(len(pick), dtype=np.int64))
+        small = np.arange(37)
+        for rows, partitions, batch_sizes in ((small, 2, (1, 5)),
+                                              (np.arange(len(pick)), 3, (13108,)),
+                                              (np.arange(len(pick)), 1, (2 ** 16,))):
+            pf = pl.partition(big.take(rows), partitions)
+            for kind in ("vectorized_columnar", "vectorized_rowmajor"):
+                for batch_size in batch_sizes:
+                    col = pl.score(pf, forest, pl.InferenceBackend(kind, batch_size))
+                    assert col.vectors[np.argsort(col.row_ids)].tobytes() == \
+                        scores[pick[rows]].tobytes()
 
     def test_zero_rows(self):
         forest = pl.random_forest(2, 4, ["f0", "f1"], ("a", "b"), seed=5,

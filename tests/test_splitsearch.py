@@ -500,6 +500,19 @@ class TestBinnedRows:
                             for r in want)
         assert compared >= 12
 
+    def test_cached_cell_tails_carried_through_with_slots_and_take(self):
+        frame, names, bmap, labels, _ = random_small_instance(5200)
+        view = _binned(frame, names, bmap, labels)
+        tails = view.cell_tails
+        slotted = view.with_slots(np.arange(view.n_rows) % 3, 3)
+        assert slotted.__dict__["cell_tails"] is tails
+        rows = np.random.RandomState(0).permutation(view.n_rows)[:view.n_rows // 2]
+        for derived in (slotted, slotted.take(rows), view.take(rows)):
+            assert "cell_tails" in derived.__dict__
+            assert np.array_equal(derived.cell_tails,
+                                  derived.codes * 2 + derived.positives)
+        assert "cell_tails" not in _binned(frame, names, bmap, labels).take(rows).__dict__
+
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
     def test_view_under_other_boundaries_or_vocabulary_rejected(self, path):
         frame, names, bmap, labels, config = random_small_instance(5300)
