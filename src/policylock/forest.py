@@ -9,6 +9,7 @@ tree order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -162,9 +163,23 @@ class _PreparedForest:
 
     Every tree's tables are stacked into one node table: tree ``t``'s nodes
     sit at ``roots[t] + local index`` and its children are shifted by the same
-    offset.  Leaves self-loop (left == right == self), feature indices are
-    pre-scaled by the partition width for columnar addressing, and leaf
-    thresholds are 0.0, so a level update needs no masking.
+    offset.  Feature indices are pre-scaled by the partition width for
+    columnar addressing, and leaf thresholds are 0.0.
+
+    Routing goes through one child table, ``child8[8 * node + code]``, with
+    ``code = 4 * (v == s) + 2 * isnan(v) + (v <= s)`` for the row's value
+    ``v`` and the node's threshold ``s``.  A continuous node maps every code
+    on its ``<=`` bit, a categorical node on its ``==`` bit, and every code
+    with the NaN bit set goes to the node's ``nan_goes_left`` child; a leaf
+    maps all eight codes to itself.  A level is therefore four gathers
+    (feature, value, threshold, child) and a few element-wise ops, with no
+    masked copy.  The table is indexed by node id, so it assumes no node
+    order or sibling adjacency: any tree that passes ``validate_forest``,
+    DAG-shaped ones included, walks unchanged.  The ``==`` bit is set only
+    when the pass holds a categorical tree and the NaN bit only when the
+    batch holds NaN; the child is the same either way, since a bit left unset
+    is one that no node of the pass reads (``==`` implies ``<=``) or that no
+    cell has.
 
     A batch of ``n`` rows walks the forest in passes over consecutive trees.
     The fixed rule: ``k = max(1, 2**16 // n)`` trees per pass, rebalanced to
@@ -174,20 +189,15 @@ class _PreparedForest:
     idle on their self-looping leaves.  One scratch set, sized for the widest
     pass seen, is reused by every pass and level (fresh allocations at this
     size cause mmap churn that dominates runtime); narrower passes use slices.
-    Categorical and NaN handling are skipped when the pass / batch provably
-    has none; the result is identical because those masks would be all-False.
-    Each level routes branch-free: the categorical and NaN overrides are
-    bitwise and the child is picked arithmetically, since a masked copy with
-    a data-dependent mask costs many times an element-wise add at batch width.
 
     Every gather uses ``mode="clip"``, which lets numpy write ``out`` without
     an intermediate buffer.  Clipping never changes an index: construction
     proves every stacked child lies inside its own tree and every feature
     index below the forest's feature count (``MalformedTreeError``
-    otherwise), and the scoring entry points check the batch shape and row
-    addresses.  Payloads are gathered and added one tree at a time in tree
-    order with one divide at the end, keeping the float operation sequence
-    identical to the scalar walk.
+    otherwise), codes stay below 8, and the scoring entry points check the
+    batch shape and row addresses.  Payloads are gathered and added one tree
+    at a time in tree order with one divide at the end, keeping the float
+    operation sequence identical to the scalar walk.
     """
 
     def __init__(self, forest: ForestArrays, n_part: int):
@@ -224,19 +234,21 @@ class _PreparedForest:
         if not ((0 <= feature) & (feature < F)).all():
             raise MalformedTreeError(
                 f"prepared scorer given a feature index out of range [0, {F})")
-        left = left + start
-        self.right = right + start
-        self.left_minus_right = left - self.right
+        left += start
+        right += start
+        code = np.arange(8)
+        go_left = np.where(code & 2, stack("nan_goes_left", bool)[:, None],
+                           np.where((node_type == INTERNAL_CATEGORICAL)[:, None],
+                                    code & 4, code & 1) != 0)
+        self.child8 = np.where(go_left, left[:, None], right[:, None]).ravel()
         self.feature = feature
         self.feature_scaled = feature * n_part
         # leaf thresholds never route; keep compares clean
         self.split_value = np.where(is_leaf, 0.0, stack("split_value", np.float64))
-        self.is_cat = node_type == INTERNAL_CATEGORICAL
-        self.nan_left = stack("nan_goes_left", bool)
         self.payload = np.concatenate([np.empty((0, T))] + [t.leaf_payload for t in trees])
         self.is_leaf = is_leaf
         # exact worst-case depth from each root
-        steps = _steps_to_leaf(is_leaf, left, self.right)[self.roots]
+        steps = _steps_to_leaf(is_leaf, left, right)[self.roots]
         if not np.isfinite(steps).all():
             raise MalformedTreeError("prepared scorer given a cyclic tree")
         self.depths = steps.astype(np.int64)
@@ -261,14 +273,12 @@ class _PreparedForest:
             buf = self._buf = {
                 "width": width, "rows": n,
                 "node": np.empty(width, dtype=np.int64),
-                "alt": np.empty(width, dtype=np.int64),
                 "idx": np.empty(width, dtype=np.int64),
                 "base": np.empty(width, dtype=np.int64),
                 "vals": np.empty(width, dtype=np.float64),
                 "thr": np.empty(width, dtype=np.float64),
-                "go": np.empty(width, dtype=bool),
-                "flag": np.empty(width, dtype=bool),
-                "flag2": np.empty(width, dtype=bool),
+                "code": np.empty(width, dtype=np.uint8),
+                "bit": np.empty(width, dtype=np.uint8),
                 "acc": np.empty((n, self.n_treatments), dtype=np.float64),
                 "payload": np.empty((n, self.n_treatments), dtype=np.float64)}
         return buf
@@ -281,9 +291,12 @@ class _PreparedForest:
         n = len(addr_base)
         w = (t1 - t0) * n
         buf = self._scratch(w, 0)
-        node, alt, idx = buf["node"][:w], buf["alt"][:w], buf["idx"][:w]
-        base, vals, thr = buf["base"][:w], buf["vals"][:w], buf["thr"][:w]
-        go, flag, flag2 = buf["go"][:w], buf["flag"][:w], buf["flag2"][:w]
+        node, idx, base = buf["node"][:w], buf["idx"][:w], buf["base"][:w]
+        vals, thr, code, bit = buf["vals"][:w], buf["thr"][:w], buf["code"][:w], buf["bit"][:w]
+        # comparisons write their 0/1 bytes straight into the uint8 codes;
+        # bits are placed by multiplying, since numpy's uint8 multiply is
+        # vectorized and its uint8 shift is about 8x slower
+        code_b, bit_b = code.view(bool), bit.view(bool)
         base.reshape(t1 - t0, n)[:] = addr_base
         node.reshape(t1 - t0, n)[:] = self.roots[t0:t1, None]
         has_cat = bool(self.tree_has_cat[t0:t1].any())
@@ -292,29 +305,20 @@ class _PreparedForest:
             np.add(idx, base, out=idx)
             np.take(flat, idx, out=vals, mode="clip")
             np.take(self.split_value, node, out=thr, mode="clip")
-            np.less_equal(vals, thr, out=go)
+            np.less_equal(vals, thr, out=code_b)
             if has_cat:
-                # go ^= is_cat & (go ^ eq): equality where the node is categorical
-                np.equal(vals, thr, out=flag)
-                np.logical_xor(go, flag, out=flag)
-                np.take(self.is_cat, node, out=flag2, mode="clip")
-                np.logical_and(flag, flag2, out=flag)
-                np.logical_xor(go, flag, out=go)
+                np.equal(vals, thr, out=bit_b)
+                np.multiply(bit, 4, out=bit)
+                np.bitwise_or(code, bit, out=code)
             if check_nan:
-                # NaN compares false, so go is False on missing cells and
-                # go |= isnan & nan_left gives them the node's flag
-                np.isnan(vals, out=flag)
-                np.take(self.nan_left, node, out=flag2, mode="clip")
-                np.logical_and(flag, flag2, out=flag)
-                np.logical_or(go, flag, out=go)
-            # child = right + go * (left - right), without a masked copy
-            np.take(self.right, node, out=alt, mode="clip")
-            np.take(self.left_minus_right, node, out=idx, mode="clip")
-            np.multiply(idx, go, out=idx)
-            np.add(alt, idx, out=alt)
-            node, alt = alt, node
-        np.take(self.is_leaf, node, out=flag, mode="clip")
-        if not flag.all():
+                np.isnan(vals, out=bit_b)
+                np.multiply(bit, 2, out=bit)
+                np.bitwise_or(code, bit, out=code)
+            np.left_shift(node, 3, out=idx)
+            np.add(idx, code, out=idx)
+            np.take(self.child8, idx, out=node, mode="clip")
+        np.take(self.is_leaf, node, out=code_b, mode="clip")
+        if not code_b.all():
             raise MalformedTreeError("traversal did not reach leaves in depth steps")
         return node
 
@@ -456,23 +460,29 @@ def forest_from_text(text: str) -> ForestArrays:
     names = [next_line() for _ in range(f_count)]
     n_trees = count("trees")
     trees = []
+    width = 6 + t_count
     for _ in range(n_trees):
         n_nodes = count("tree")
         first = pos + 1
-        rows = [next_line().split() for _ in range(n_nodes)]
-        if any(len(parts) != 6 + t_count for parts in rows):
+        if pos + n_nodes > len(lines):
+            raise SchemaError("forest text truncated")
+        rows = list(map(str.split, lines[pos:pos + n_nodes]))
+        pos += n_nodes
+        if any(len(parts) != width for parts in rows):
             raise SchemaError(f"forest lines {first}-{pos}: a node line does not "
-                              f"hold {6 + t_count} fields")
+                              f"hold {width} fields")
+        cols = list(zip(*rows)) or [()] * width
         try:
+            payload = np.fromiter(map(float, itertools.chain.from_iterable(cols[6:])),
+                                  np.float64, n_nodes * t_count)
             trees.append(TreeArrays(
-                np.array([_NODE_TYPE_CODES[p[0]] for p in rows], dtype=np.int8),
-                np.array([int(p[1]) for p in rows], dtype=np.int32),
-                np.array([float(p[2]) for p in rows], dtype=np.float64),
-                np.array([int(p[3]) for p in rows], dtype=np.int32),
-                np.array([int(p[4]) for p in rows], dtype=np.int32),
-                np.array([_NAN_FLAGS[p[5]] for p in rows], dtype=bool),
-                np.array([[float(v) for v in p[6:]] for p in rows],
-                         dtype=np.float64).reshape(n_nodes, t_count)))
+                np.fromiter(map(_NODE_TYPE_CODES.__getitem__, cols[0]), np.int8, n_nodes),
+                np.fromiter(map(int, cols[1]), np.int32, n_nodes),
+                np.fromiter(map(float, cols[2]), np.float64, n_nodes),
+                np.fromiter(map(int, cols[3]), np.int32, n_nodes),
+                np.fromiter(map(int, cols[4]), np.int32, n_nodes),
+                np.fromiter(map(_NAN_FLAGS.__getitem__, cols[5]), bool, n_nodes),
+                payload.reshape(t_count, n_nodes).T.copy()))
         except (KeyError, ValueError, OverflowError):
             raise SchemaError(f"forest lines {first}-{pos} hold an unknown node type, a "
                               f"NaN flag other than 0/1, or a bad number") from None

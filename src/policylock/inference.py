@@ -34,6 +34,7 @@ from .frame import ColumnFrame, PartitionedFrame, partition
 
 BACKEND_KINDS = ("anti_pattern", "broadcast_rowwise", "vectorized_columnar",
                  "vectorized_rowmajor")
+_ROWWISE_KINDS = ("anti_pattern", "broadcast_rowwise")
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def _score_partition(part: ColumnFrame, forest: ForestArrays, forest_text: str,
 
     # rowwise backends materialize each row inside the loop; a bulk transpose
     # up front would already be the vectorized_rowmajor batch strategy
-    if backend.kind in ("anti_pattern", "broadcast_rowwise"):
+    if backend.kind in _ROWWISE_KINDS:
         reparse = backend.kind == "anti_pattern"   # the model travels with every row
         col_lists = [c.tolist() for c in columns]
         model: Optional[_ScalarForest] = None
@@ -156,7 +157,14 @@ def _score_partition(part: ColumnFrame, forest: ForestArrays, forest_text: str,
 def score(pf: PartitionedFrame, forest: ForestArrays, backend: InferenceBackend,
           stats: Optional[InitStats] = None, pool_size: Optional[int] = None) -> ScoreColumn:
     """Per-row treatment-score vectors, aligned to row ids in partition-index
-    order; independent of partition count, backend, and batch size."""
+    order; independent of partition count, backend, and batch size.
+
+    The vectorized backends score partitions on ``pool_size`` threads
+    (default: the CPU count), since their kernels spend most of their time in
+    numpy calls that release the interpreter lock.  ``anti_pattern`` and
+    ``broadcast_rowwise`` are pure-Python row loops that hold the lock, so
+    more threads would only contend for it: they score every partition on
+    one worker, whatever ``pool_size`` says."""
     report = validate_forest(forest)
     if not report.passed:
         first = report.violations[0]
@@ -164,7 +172,7 @@ def score(pf: PartitionedFrame, forest: ForestArrays, backend: InferenceBackend,
     for part in pf.partitions:
         _feature_order_check(part, forest)
     forest_text = forest_to_text(forest)
-    workers = pool_size or os.cpu_count() or 1
+    workers = 1 if backend.kind in _ROWWISE_KINDS else pool_size or os.cpu_count() or 1
 
     if pf.partition_count == 0:
         return ScoreColumn(np.empty(0, dtype=np.int64),

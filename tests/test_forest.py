@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import policylock as pl
 from policylock.forest import (INTERNAL_CATEGORICAL, INTERNAL_CONTINUOUS, LEAF,
-                               TreeArrays, _PreparedForest)
+                               TreeArrays, _leaf_nodes, _PreparedForest)
 from policylock import rng
 
 from _oracles import scalar_leaf, scalar_scores
@@ -152,6 +152,47 @@ class TestTraversal:
         forest = pl.ForestArrays([tree, single_leaf_tree([5.0])], ("f0",), ("a",))
         with pytest.raises(pl.MalformedTreeError, match="out of range"):
             _PreparedForest(forest, 1)
+
+
+_INF, _NAN = float("inf"), float("nan")
+# (threshold, value): below, equal and above the threshold, NaN, +-inf, and
+# signed zeros against each other
+_ROUTING_CASES = [(0.5, 0.25), (0.5, 0.5), (0.5, 0.75), (0.5, _NAN), (0.5, _INF),
+                  (0.5, -_INF), (0.0, -0.0), (-0.0, 0.0), (_INF, _INF), (-_INF, -_INF)]
+
+
+class TestRoutingCodes:
+    """Every routing code the child table can see, against the scalar walk."""
+
+    @pytest.mark.parametrize("nan_left", [False, True])
+    @pytest.mark.parametrize("categorical", [False, True])
+    def test_every_code_matches_scalar_walk(self, categorical, nan_left):
+        values = np.array([[v for _, v in _ROUTING_CASES]])
+        rows = values.T.tolist()
+        finite_rows = np.flatnonzero(~np.isnan(values[0]))
+        trees = [depth1_tree(threshold=t, nan_left=nan_left, categorical=categorical)
+                 for t in dict.fromkeys(t for t, _ in _ROUTING_CASES)]
+        for tree in trees:
+            want = tree.leaf_payload[[scalar_leaf(tree, row) for row in rows]].tobytes()
+            assert pl.traverse_batch(tree, values).tobytes() == want
+            assert pl.traverse_batch(tree, values.T, row_major=True).tobytes() == want
+        # alone (the == bit set only for categorical trees), then next to a
+        # tree of the other kind (the == bit set for every tree of the pass)
+        other = depth1_tree(threshold=0.5, nan_left=not nan_left,
+                            categorical=not categorical)
+        for group in (trees, trees + [other]):
+            forest = pl.ForestArrays(group, ("f0",), ("a", "b"))
+            want = np.array(scalar_scores(forest, rows))
+            assert pl.score_forest(forest, values).tobytes() == want.tobytes()
+            assert pl.score_forest(forest, values.T, row_major=True).tobytes() == \
+                want.tobytes()
+            # NaN-free batches skip the NaN bit
+            prepared = _PreparedForest(forest, values.shape[1])
+            got = prepared.score_columnar(values.reshape(-1), finite_rows, check_nan=False)
+            assert got.tobytes() == want[finite_rows].tobytes()
+            got = prepared.score_rowmajor(np.ascontiguousarray(values.T[finite_rows]),
+                                          check_nan=False)
+            assert got.tobytes() == want[finite_rows].tobytes()
 
 
 class TestScoreForest:
@@ -320,6 +361,47 @@ class TestOneKernel:
                     assert col.vectors[np.argsort(col.row_ids)].tobytes() == \
                         scores[pick[rows]].tobytes()
 
+    def test_node_layout_is_free(self):
+        """A DAG-shaped tree (two parents share a child), right children
+        numbered before left ones and unreachable nodes, stacked after
+        another tree, through every entry point of the kernel."""
+        cont, cat = INTERNAL_CONTINUOUS, INTERNAL_CATEGORICAL
+        dag = TreeArrays(
+            [cont, cat, LEAF, cont, LEAF, cont, LEAF, LEAF, cont],
+            [0, 1, -1, 2, -1, 1, -1, -1, 0],
+            [0.5, 2.0, _NAN, 0.25, _NAN, 0.7, _NAN, _NAN, 0.1],
+            [5, 6, -1, 7, -1, 7, -1, -1, 4],
+            [1, 3, -1, 4, -1, 6, -1, -1, 6],
+            [True, False, False, True, False, False, False, False, True],
+            [[0.0, 0.0], [0.0, 0.0], [9.0, 9.0], [0.0, 0.0], [0.25, 0.5],
+             [0.0, 0.0], [0.75, 0.125], [0.5, 0.0625], [0.0, 0.0]])
+        names = ["f0", "f1", "f2"]
+        first = pl.random_forest(1, 3, names, ("a", "b"), seed=5,
+                                 categorical_features=(1,)).trees[0]
+        forest = pl.ForestArrays([first, dag], names, ("a", "b"))
+        assert pl.validate_forest(forest).passed
+        cols = _kernel_batch(len(names), (1,), 400, seed=8)
+        cols[0, ::9], cols[2, 1::11], cols[1, 2::4] = 0.5, 0.25, 2.0
+        rows = cols.T.tolist()
+        rm = np.ascontiguousarray(cols.T)
+        expected = np.array(scalar_scores(forest, rows)).tobytes()
+        assert pl.score_forest(forest, cols).tobytes() == expected
+        assert pl.score_forest(forest, rm, row_major=True).tobytes() == expected
+        for tree in forest.trees:
+            leaves = [scalar_leaf(tree, row) for row in rows]
+            assert pl.traverse_batch(tree, cols).tobytes() == tree.leaf_payload[leaves].tobytes()
+            assert pl.traverse_batch(tree, rm, row_major=True).tobytes() == \
+                tree.leaf_payload[leaves].tobytes()
+        leaves = [scalar_leaf(dag, row) for row in rows]
+        assert set(leaves) == {4, 6, 7}
+        # the trainer's assignment reads original node ids
+        one = pl.ForestArrays([dag], names, ("a", "b"))
+        assert _leaf_nodes(one, cols).tolist() == leaves
+        frame = build_frame({name: cols[i].tolist() for i, name in enumerate(names)})
+        for kind in ("vectorized_columnar", "vectorized_rowmajor"):
+            col = pl.score(pl.partition(frame, 3), forest, pl.InferenceBackend(kind, 64))
+            assert col.vectors[np.argsort(col.row_ids)].tobytes() == expected
+
     def test_zero_rows(self):
         forest = pl.random_forest(2, 4, ["f0", "f1"], ("a", "b"), seed=5,
                                   categorical_features=(1,), full=False)
@@ -371,6 +453,12 @@ class TestSerialization:
         pytest.param(lambda ls: _replace_node_field(ls, 5, "2"), id="nan-flag-not-0-or-1"),
         pytest.param(lambda ls: _replace_node_field(ls, 6, "abc"), id="non-numeric-payload"),
         pytest.param(lambda ls: ls + ["leaf -1 nan -1 -1 0 0.5 0.5"], id="line-after-last-tree"),
+        pytest.param(lambda ls: _insert_after_first_node_line(ls, ""), id="blank-line-in-tree"),
+        pytest.param(lambda ls: _join_first_node_lines(ls), id="two-node-lines-on-one"),
+        pytest.param(lambda ls: _replace_node_field(ls, 1, str(2 ** 31)),
+                     id="feature-out-of-int32"),
+        pytest.param(lambda ls: _replace_node_field(ls, 1, str(-2 ** 31 - 1)),
+                     id="feature-below-int32"),
     ])
     def test_malformed_text_is_schema_error(self, mutate):
         forest = pl.random_forest(2, 2, ["f0", "f1"], ("a", "b"), seed=3)
@@ -378,6 +466,27 @@ class TestSerialization:
         text = "\n".join(mutate(lines)) + "\n"
         with pytest.raises(pl.SchemaError):
             pl.forest_from_text(text)
+
+    def test_round_trip_of_special_floats_bit_exact(self):
+        special = [_INF, -_INF, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+                   _NAN, 1e308, -1e308, 0.1]
+        n = len(special)
+        tree = TreeArrays([INTERNAL_CONTINUOUS] * (n - 1) + [LEAF],
+                          list(range(n - 1)) + [-1], special,
+                          list(range(1, n)) + [-1], [n - 1] * (n - 1) + [-1],
+                          [i % 2 == 0 for i in range(n)],
+                          [special[i:] + special[:i] for i in range(n)])
+        forest = pl.ForestArrays([tree, tree], [f"f{i}" for i in range(n)],
+                                 [f"t{i}" for i in range(n)])
+        text = pl.forest_to_text(forest)
+        back = pl.forest_from_text(text)
+        for a, b in zip(forest.trees, back.trees):
+            for field in ("node_type", "feature_index", "split_value", "left_child",
+                          "right_child", "nan_goes_left", "leaf_payload"):
+                got, want = getattr(b, field), getattr(a, field)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), field
+        assert pl.forest_to_text(back) == text
 
     def test_unknown_version_rejected(self):
         forest = pl.ForestArrays([single_leaf_tree([0.5])], ("f0",), ("a",))
@@ -402,3 +511,13 @@ def _replace_node_field(lines, k, value):
 def _replace_count(lines, keyword, line):
     i = next(i for i, text in enumerate(lines) if text.split()[:1] == [keyword])
     return lines[:i] + [line] + lines[i + 1:]
+
+
+def _insert_after_first_node_line(lines, line):
+    i = _first_node_line(lines) + 1
+    return lines[:i] + [line] + lines[i:]
+
+
+def _join_first_node_lines(lines):
+    i = _first_node_line(lines)
+    return lines[:i] + [lines[i] + " " + lines[i + 1]] + lines[i + 2:]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import policylock as pl
+from policylock import inference
 from policylock.harness import inference_fixture
 from policylock.inference import parity_from_columns
 
@@ -90,6 +91,30 @@ class TestLazyInit:
         stats = pl.InitStats()
         pl.score(pf, forest, pl.InferenceBackend("anti_pattern"), stats=stats)
         assert stats.model_inits == 40
+
+
+class TestWorkers:
+    def test_rowwise_backends_score_on_one_worker(self, fixture, monkeypatch):
+        """Row loops hold the interpreter lock, so only the vectorized
+        backends get the requested pool; scores and order do not change."""
+        frame, forest = fixture
+        pf = pl.partition(frame.take(np.arange(300)), 4)
+        want = pl.score(pf, forest, pl.InferenceBackend("vectorized_columnar", 64),
+                        pool_size=1).vectors.tobytes()
+        real = inference.ThreadPoolExecutor
+        pools = []
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(inference, "ThreadPoolExecutor", recording_pool)
+        for kind in pl.BACKEND_KINDS:
+            col = pl.score(pf, forest, pl.InferenceBackend(kind, 64), pool_size=3)
+            assert col.row_ids.tolist() == np.concatenate(
+                [p.row_ids for p in pf.partitions]).tolist()
+            assert col.vectors.tobytes() == want
+        assert pools == [1, 1, 3, 3]
 
 
 class TestParity:
