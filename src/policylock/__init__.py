@@ -10,7 +10,7 @@ from .frame import (ColumnFrame, PartitionedFrame, AssignmentRule, PerturbationK
 from .synth import SynthSpec, generate, split_train_holdout
 from .forest import (TreeArrays, ForestArrays, validate_forest, traverse_batch,
                      score_forest, forest_to_text, forest_from_text, random_forest)
-from .inference import (InferenceBackend, InitStats, ScoreColumn, ParityReport,
+from .inference import (InferenceBackend, ScoreColumn, ParityReport,
                         score, check_parity, measure_throughput, BACKEND_KINDS)
 from .splitsearch import (Boundaries, uniform_boundaries, bucketize,
                           candidate_row_count, select_control, treatment_codes,

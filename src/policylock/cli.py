@@ -165,7 +165,7 @@ def _cmd_harness_run(args) -> int:
     for item in args.knob or []:
         key, _, val = item.partition("=")
         knobs[key] = _parse_knob_value(val)
-    spec = ExperimentSpec(args.block, seed=args.seed, out_dir=args.out, knobs=knobs)
+    spec = ExperimentSpec(args.block, seed=args.seed, knobs=knobs)
     bundle = run_block(spec)
     os.makedirs(args.out, exist_ok=True)
     bundle_path = os.path.join(args.out, f"{args.block.lower()}_bundle.json")

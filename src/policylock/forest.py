@@ -89,7 +89,7 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_forest(forest: ForestArrays, step_budget: Optional[int] = None) -> ValidationReport:
+def validate_forest(forest: ForestArrays) -> ValidationReport:
     """Structural validation; violations are report entries, never exceptions."""
     report = ValidationReport()
     T = forest.n_treatments
@@ -97,7 +97,7 @@ def validate_forest(forest: ForestArrays, step_budget: Optional[int] = None) -> 
     for ti, tree in enumerate(forest.trees):
         n = tree.n_nodes
         # any acyclic traversal is bounded by depth <= n_nodes; factor 4 is slack
-        budget = step_budget if step_budget is not None else 4 * max(n, 1)
+        budget = 4 * max(n, 1)
         lengths = {f.name: len(getattr(tree, f.name)) for f in fields(tree)}
         bad = {k: v for k, v in lengths.items() if v != n}
         if bad:
@@ -173,13 +173,10 @@ class _PreparedForest:
     with the NaN bit set goes to the node's ``nan_goes_left`` child; a leaf
     maps all eight codes to itself.  A level is therefore four gathers
     (feature, value, threshold, child) and a few element-wise ops, with no
-    masked copy.  The table is indexed by node id, so it assumes no node
-    order or sibling adjacency: any tree that passes ``validate_forest``,
-    DAG-shaped ones included, walks unchanged.  The ``==`` bit is set only
-    when the pass holds a categorical tree and the NaN bit only when the
-    batch holds NaN; the child is the same either way, since a bit left unset
-    is one that no node of the pass reads (``==`` implies ``<=``) or that no
-    cell has.
+    masked copy.  Every level places all three bits, whatever the trees of
+    the pass and the cells of the batch hold.  The table is indexed by node
+    id, so it assumes no node order or sibling adjacency: any tree that
+    passes ``validate_forest``, DAG-shaped ones included, walks unchanged.
 
     A batch of ``n`` rows walks the forest in passes over consecutive trees.
     The fixed rule: ``k = max(1, 2**16 // n)`` trees per pass, rebalanced to
@@ -252,8 +249,6 @@ class _PreparedForest:
         if not np.isfinite(steps).all():
             raise MalformedTreeError("prepared scorer given a cyclic tree")
         self.depths = steps.astype(np.int64)
-        self.tree_has_cat = np.array([(t.node_type == INTERNAL_CATEGORICAL).any()
-                                      for t in trees], dtype=bool)
         self._buf: dict = {}
 
     def _passes(self, n: int) -> tuple[int, list[tuple[int, int]]]:
@@ -284,7 +279,7 @@ class _PreparedForest:
         return buf
 
     def _walk(self, t0: int, t1: int, feature_table: np.ndarray,
-              addr_base: np.ndarray, flat: np.ndarray, check_nan: bool) -> np.ndarray:
+              addr_base: np.ndarray, flat: np.ndarray) -> np.ndarray:
         """Stacked leaf index for every slot of the pass over trees
         ``[t0, t1)``: slot ``j*n + r`` is row ``r`` (address ``addr_base[r]``)
         in tree ``t0 + j``.  The result is a view into the scratch set."""
@@ -299,21 +294,18 @@ class _PreparedForest:
         code_b, bit_b = code.view(bool), bit.view(bool)
         base.reshape(t1 - t0, n)[:] = addr_base
         node.reshape(t1 - t0, n)[:] = self.roots[t0:t1, None]
-        has_cat = bool(self.tree_has_cat[t0:t1].any())
         for _ in range(int(self.depths[t0:t1].max())):
             np.take(feature_table, node, out=idx, mode="clip")
             np.add(idx, base, out=idx)
             np.take(flat, idx, out=vals, mode="clip")
             np.take(self.split_value, node, out=thr, mode="clip")
             np.less_equal(vals, thr, out=code_b)
-            if has_cat:
-                np.equal(vals, thr, out=bit_b)
-                np.multiply(bit, 4, out=bit)
-                np.bitwise_or(code, bit, out=code)
-            if check_nan:
-                np.isnan(vals, out=bit_b)
-                np.multiply(bit, 2, out=bit)
-                np.bitwise_or(code, bit, out=code)
+            np.equal(vals, thr, out=bit_b)
+            np.multiply(bit, 4, out=bit)
+            np.bitwise_or(code, bit, out=code)
+            np.isnan(vals, out=bit_b)
+            np.multiply(bit, 2, out=bit)
+            np.bitwise_or(code, bit, out=code)
             np.left_shift(node, 3, out=idx)
             np.add(idx, code, out=idx)
             np.take(self.child8, idx, out=node, mode="clip")
@@ -323,37 +315,36 @@ class _PreparedForest:
         return node
 
     def _score(self, flat: np.ndarray, addr_base: np.ndarray, n: int,
-               check_nan: bool, columnar: bool) -> np.ndarray:
+               columnar: bool) -> np.ndarray:
         k, passes = self._passes(n)
         buf = self._scratch(k * n, n)
         acc, pbuf = buf["acc"][:n], buf["payload"][:n]
         acc.fill(0.0)
         table = self.feature_scaled if columnar else self.feature
         for t0, t1 in passes:
-            node = self._walk(t0, t1, table, addr_base, flat, check_nan)
+            node = self._walk(t0, t1, table, addr_base, flat)
             for j in range(t1 - t0):
                 np.take(self.payload, node[j * n:(j + 1) * n], axis=0, out=pbuf,
                         mode="clip")
                 acc += pbuf
         return acc / float(self.n_trees)
 
-    def score_columnar(self, flat: np.ndarray, rows: np.ndarray,
-                       check_nan: bool = True) -> np.ndarray:
+    def score_columnar(self, flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if flat.size != self.n_features * self.n_part or (
                 len(rows) and (rows.min() < 0 or rows.max() >= self.n_part)):
             raise InvalidArgumentError(
                 f"columnar batch must hold {self.n_features} features of "
                 f"{self.n_part} rows and address rows inside it")
-        return self._score(flat, rows, len(rows), check_nan, columnar=True)
+        return self._score(flat, rows, len(rows), columnar=True)
 
-    def score_rowmajor(self, rm: np.ndarray, check_nan: bool = True) -> np.ndarray:
+    def score_rowmajor(self, rm: np.ndarray) -> np.ndarray:
         n, F = rm.shape
         if F != self.n_features:
             raise InvalidArgumentError(
                 f"row-major batch holds {F} features, not {self.n_features}")
         base = np.arange(n, dtype=np.int64)
         np.multiply(base, F, out=base)
-        return self._score(rm.ravel(), base, n, check_nan, columnar=False)
+        return self._score(rm.ravel(), base, n, columnar=False)
 
 
 def _checked_batch(forest: ForestArrays, columns: np.ndarray, row_major: bool) -> np.ndarray:
@@ -376,7 +367,7 @@ def _leaf_nodes(forest: ForestArrays, columns: np.ndarray) -> np.ndarray:
     n = columns.shape[1]
     prepared = _PreparedForest(forest, n)
     return prepared._walk(0, 1, prepared.feature_scaled, np.arange(n, dtype=np.int64),
-                          columns.reshape(-1), check_nan=True).copy()
+                          columns.reshape(-1)).copy()
 
 
 def traverse_batch(tree: TreeArrays, columns: np.ndarray, row_major: bool = False) -> np.ndarray:

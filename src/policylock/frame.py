@@ -30,6 +30,24 @@ def _as_float_column(values) -> np.ndarray:
     return arr
 
 
+def plant_missing(values: np.ndarray, mask: np.ndarray,
+                  null: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Payloads and validity of a feature column whose ``mask`` cells are
+    missing: NULL (validity unset, payload 0.0) when ``null``, else a NaN
+    payload.  ``values`` itself is never written, and a column with no
+    ``mask`` cell is returned uncopied (wide synth frames stay one copy)."""
+    valid = np.ones(len(values), dtype=bool)
+    if not mask.any():
+        return values, valid
+    values = values.copy()
+    if null:
+        valid = ~mask
+        values[mask] = 0.0
+    else:
+        values[mask] = np.nan
+    return values, valid
+
+
 class ColumnFrame:
     """Immutable columnar dataset: row ids, ordered float features with
     validity bitmaps, a string treatment column, and a binary outcome column.
@@ -201,7 +219,6 @@ class PerturbationSpec:
     seed: Optional[int] = None                # shuffle_rows
     key: str = "row_id"                       # sort_within_partition
     ascending: bool = True
-    applied_before_lock: bool = False
 
 
 def apply_perturbation(pf: PartitionedFrame, spec: PerturbationSpec) -> PartitionedFrame:
@@ -250,19 +267,14 @@ def _digest_update_frame(h, frame: ColumnFrame) -> None:
     h.update(np.int64(frame.n_rows).tobytes())
     h.update(np.int32(len(frame.feature_names)).tobytes())
     h.update(frame.row_ids.astype("<i8").tobytes())
-    for i, name in enumerate(frame.feature_names):
+    for vals, name in zip(frame.feature_values, frame.feature_names):
         nb = name.encode("utf-8")
         h.update(np.int32(len(nb)).tobytes())
         h.update(nb)
-        vals = frame.feature_values[i]
-        valid = frame.feature_valid[i]
-        tags = np.full(frame.n_rows, PRESENT, dtype=np.uint8)
-        isnan = np.isnan(vals)
-        tags[isnan] = NAN
-        tags[~valid] = NULL
+        tags = frame.missing_kinds(name)
         canon = vals.copy()
-        canon[isnan] = _CANONICAL_NAN   # collapse NaN payload bit patterns
-        canon[~valid] = 0.0             # NULL payloads are not data
+        canon[tags == NAN] = _CANONICAL_NAN   # collapse NaN payload bit patterns
+        canon[tags == NULL] = 0.0             # NULL payloads are not data
         h.update(tags.tobytes())
         h.update(canon.astype("<f8").tobytes())
     for label in frame.treatments:

@@ -19,7 +19,6 @@ import hashlib
 import math
 import os
 import statistics
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -47,18 +46,6 @@ class InferenceBackend:
             raise InvalidArgumentError(f"unknown backend kind {self.kind!r}")
         if self.batch_size < 1:
             raise InvalidArgumentError("batch_size must be >= 1")
-
-
-class InitStats:
-    """Thread-safe model-initialization counter (test observability only)."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.model_inits = 0
-
-    def record(self, n: int = 1) -> None:
-        with self._lock:
-            self.model_inits += n
 
 
 @dataclass
@@ -113,7 +100,7 @@ def _feature_order_check(frame: ColumnFrame, forest: ForestArrays) -> None:
 
 
 def _score_partition(part: ColumnFrame, forest: ForestArrays, forest_text: str,
-                     backend: InferenceBackend, stats: Optional[InitStats]) -> np.ndarray:
+                     backend: InferenceBackend) -> np.ndarray:
     n = part.n_rows
     T = forest.n_treatments
     out = np.empty((n, T), dtype=np.float64)
@@ -130,32 +117,27 @@ def _score_partition(part: ColumnFrame, forest: ForestArrays, forest_text: str,
         for r in range(n):
             if model is None or reparse:
                 model = _ScalarForest(forest_from_text(forest_text))
-                if stats:
-                    stats.record()
             out[r] = model.score_row([col[r] for col in col_lists])
         return out
 
     # vectorized backends: lazy init on the first batch of the partition
     model_prepared: Optional[_PreparedForest] = None
     flat = columns.reshape(-1)  # contiguous [F, n] buffer viewed flat
-    has_nan = bool(np.isnan(columns).any())
     for lo in range(0, n, backend.batch_size):
         hi = min(lo + backend.batch_size, n)
         if model_prepared is None:
             model_prepared = _PreparedForest(forest_from_text(forest_text), n)
-            if stats:
-                stats.record()
         if backend.kind == "vectorized_columnar":
             rows = np.arange(lo, hi, dtype=np.int64)
-            out[lo:hi] = model_prepared.score_columnar(flat, rows, has_nan)
+            out[lo:hi] = model_prepared.score_columnar(flat, rows)
         else:
             batch = np.ascontiguousarray(columns[:, lo:hi].T)  # interchange cost
-            out[lo:hi] = model_prepared.score_rowmajor(batch, has_nan)
+            out[lo:hi] = model_prepared.score_rowmajor(batch)
     return out
 
 
 def score(pf: PartitionedFrame, forest: ForestArrays, backend: InferenceBackend,
-          stats: Optional[InitStats] = None, pool_size: Optional[int] = None) -> ScoreColumn:
+          pool_size: Optional[int] = None) -> ScoreColumn:
     """Per-row treatment-score vectors, aligned to row ids in partition-index
     order; independent of partition count, backend, and batch size.
 
@@ -165,6 +147,8 @@ def score(pf: PartitionedFrame, forest: ForestArrays, backend: InferenceBackend,
     ``broadcast_rowwise`` are pure-Python row loops that hold the lock, so
     more threads would only contend for it: they score every partition on
     one worker, whatever ``pool_size`` says."""
+    if pool_size is not None and pool_size < 1:
+        raise InvalidArgumentError("pool_size must be >= 1")
     report = validate_forest(forest)
     if not report.passed:
         first = report.violations[0]
@@ -179,7 +163,7 @@ def score(pf: PartitionedFrame, forest: ForestArrays, backend: InferenceBackend,
                            np.empty((0, forest.n_treatments)))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_score_partition, part, forest, forest_text, backend, stats)
+        futures = [pool.submit(_score_partition, part, forest, forest_text, backend)
                    for part in pf.partitions]
         blocks = [f.result() for f in futures]   # merged strictly in partition order
     row_ids = np.concatenate([p.row_ids for p in pf.partitions])
@@ -253,11 +237,11 @@ class ThroughputReport:
 
 def measure_throughput(pf: PartitionedFrame, forest: ForestArrays,
                        backend: InferenceBackend, repeats: int = 3,
-                       max_rows: Optional[int] = None,
-                       warmup: bool = True) -> ThroughputReport:
-    """Median-of-repeats throughput.  ``max_rows`` caps the scored rows for
-    backends whose per-row cost makes the full frame impractical; the cap is
-    recorded and rows/s stays comparable because per-row work is constant."""
+                       max_rows: Optional[int] = None) -> ThroughputReport:
+    """Median-of-repeats throughput after one warm-up call.  ``max_rows``
+    caps the scored rows for backends whose per-row cost makes the full frame
+    impractical; the cap is recorded and rows/s stays comparable because
+    per-row work is constant."""
     if repeats < 1:
         raise InvalidArgumentError("repeats must be >= 1")
     capped = False
@@ -267,8 +251,7 @@ def measure_throughput(pf: PartitionedFrame, forest: ForestArrays,
         pf = partition(subset, pf.partition_count)
         capped = True
     n = pf.n_rows
-    if warmup:
-        score(pf, forest, backend)
+    score(pf, forest, backend)
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()

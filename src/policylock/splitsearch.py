@@ -450,6 +450,8 @@ class SplitConfig:
             raise InvalidArgumentError("min_leaf_size must be >= 1")
         if self.execution_path not in EXECUTION_PATHS:
             raise InvalidArgumentError(f"unknown execution path {self.execution_path!r}")
+        if self.pool_size is not None and self.pool_size < 1:
+            raise InvalidArgumentError("pool_size must be >= 1")
 
     def with_path(self, path: str) -> "SplitConfig":
         return SplitConfig(self.min_leaf_size, self.control_label_override,

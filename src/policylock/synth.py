@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedConfigurationError
-from .frame import ColumnFrame
+from .frame import ColumnFrame, plant_missing
 from .splitsearch import select_control
 from . import rng
 
@@ -194,18 +194,11 @@ def generate(spec: SynthSpec) -> ColumnFrame:
         rate = min(1.0, spec.p_miss * n / count) if count else 0.0
         masks["x_miss"] = focus & (draw < rate)
 
+    no_mask = np.zeros(n, dtype=bool)
     feature_values, feature_valid = [], []
     for name in names:
-        vals = values[name]
-        valid = np.ones(n, dtype=bool)
-        mask = masks.get(name)
-        if mask is not None and mask.any():
-            vals = vals.copy()
-            if spec.missing_encoding == "null":
-                valid = ~mask
-                vals[mask] = 0.0
-            else:
-                vals[mask] = np.nan
+        vals, valid = plant_missing(values[name], masks.get(name, no_mask),
+                                    spec.missing_encoding == "null")
         feature_values.append(vals)
         feature_valid.append(valid)
 

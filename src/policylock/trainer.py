@@ -552,10 +552,8 @@ class Witness:
     metrics: dict
 
 
-def make_witness(tree: PolicyTree, holdout: ColumnFrame,
-                 control_label: Optional[str] = None) -> Witness:
-    control = control_label if control_label is not None else \
-        select_control(tree.treatment_labels)
+def make_witness(tree: PolicyTree, holdout: ColumnFrame) -> Witness:
+    control = select_control(tree.treatment_labels)
     assignments = assign(tree, holdout)
     pv = policy_value(assignments, holdout)
     metrics = {"policy_value": pv.value, "policy_value_matched_rows": pv.matched_rows,

@@ -169,15 +169,13 @@ class TestRoutingCodes:
     def test_every_code_matches_scalar_walk(self, categorical, nan_left):
         values = np.array([[v for _, v in _ROUTING_CASES]])
         rows = values.T.tolist()
-        finite_rows = np.flatnonzero(~np.isnan(values[0]))
         trees = [depth1_tree(threshold=t, nan_left=nan_left, categorical=categorical)
                  for t in dict.fromkeys(t for t, _ in _ROUTING_CASES)]
         for tree in trees:
             want = tree.leaf_payload[[scalar_leaf(tree, row) for row in rows]].tobytes()
             assert pl.traverse_batch(tree, values).tobytes() == want
             assert pl.traverse_batch(tree, values.T, row_major=True).tobytes() == want
-        # alone (the == bit set only for categorical trees), then next to a
-        # tree of the other kind (the == bit set for every tree of the pass)
+        # alone, then next to a tree of the other kind
         other = depth1_tree(threshold=0.5, nan_left=not nan_left,
                             categorical=not categorical)
         for group in (trees, trees + [other]):
@@ -186,13 +184,6 @@ class TestRoutingCodes:
             assert pl.score_forest(forest, values).tobytes() == want.tobytes()
             assert pl.score_forest(forest, values.T, row_major=True).tobytes() == \
                 want.tobytes()
-            # NaN-free batches skip the NaN bit
-            prepared = _PreparedForest(forest, values.shape[1])
-            got = prepared.score_columnar(values.reshape(-1), finite_rows, check_nan=False)
-            assert got.tobytes() == want[finite_rows].tobytes()
-            got = prepared.score_rowmajor(np.ascontiguousarray(values.T[finite_rows]),
-                                          check_nan=False)
-            assert got.tobytes() == want[finite_rows].tobytes()
 
 
 class TestScoreForest:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policylock as pl
-from policylock.frame import NULL, NAN, PRESENT
+from policylock.frame import NULL, NAN, PRESENT, plant_missing
+from policylock.harness import inference_fixture, random_small_instance
 
 from conftest import build_frame
 
@@ -130,6 +131,47 @@ class TestMissingKinds:
             build_frame({"x": [1.0, 2.0]}, row_ids=[5, 5])
         with pytest.raises(pl.SchemaError):
             build_frame({"x": [1.0]}, outcomes=[2])
+
+
+_FAMILIES = ("x_boundary", "x_miss", "x_tie", "generic(2)")
+
+
+class TestPlantMissing:
+    def test_null_and_nan_encodings(self):
+        values = np.array([1.0, 2.0, 3.0])
+        mask = np.array([True, False, True])
+        vals, valid = plant_missing(values, mask, null=True)
+        assert vals.tolist() == [0.0, 2.0, 0.0] and valid.tolist() == [False, True, False]
+        vals, valid = plant_missing(values, mask, null=False)
+        assert np.isnan(vals).tolist() == mask.tolist() and valid.all()
+        assert values.tolist() == [1.0, 2.0, 3.0]
+
+    # digests of the generators that plant missing cells, pinned at their seeds
+    @pytest.mark.parametrize("make,digest", [
+        pytest.param(lambda: pl.generate(pl.SynthSpec(
+            n_rows=3000, n_treatments=4, seed=1, p_miss=0.1, families=_FAMILIES)),
+            "b99c27dfa60dedb182d53b91a8a332bc", id="synth-null"),
+        pytest.param(lambda: pl.generate(pl.SynthSpec(
+            n_rows=3000, n_treatments=4, seed=2, p_miss=0.2, missing_encoding="nan",
+            families=_FAMILIES)),
+            "fee1a85b4f0b9cffdfba6d2add77952b", id="synth-nan"),
+        pytest.param(lambda: pl.generate(pl.SynthSpec(
+            n_rows=3000, n_treatments=4, seed=5, p_miss=0.25,
+            missing_focus="positive_outcome", families=_FAMILIES)),
+            "ed951bd08e5d8635808d1ba3c3172ed2", id="synth-positive-outcome"),
+        pytest.param(lambda: inference_fixture(500, 6, 3, 2, 3, 7, 0.1)[0],
+                     "a303e07265846129fd821d089a220aa6", id="fixture"),
+        pytest.param(lambda: inference_fixture(500, 6, 3, 2, 3, 8, 0.0)[0],
+                     "d8d4eb78cdf27f90983f507793266e02", id="fixture-no-missing"),
+        pytest.param(lambda: random_small_instance(0)[0],
+                     "b54df80206d7fc4353937d8dc9c989ca", id="small-instance"),
+        pytest.param(lambda: random_small_instance(10)[0],
+                     "672c35bffbdf251c107e0b6087bbe72c", id="small-instance-p0.4"),
+        pytest.param(lambda: random_small_instance(1)[0],
+                     "f535f8be8ccaca4bd832e520d8abc1fe", id="small-instance-no-missing"),
+    ])
+    def test_generated_frame_digests_pinned(self, make, digest):
+        assert pl.frame_checksum(make()) == digest
 
 
 class TestCsv:

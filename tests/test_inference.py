@@ -74,23 +74,36 @@ class TestScore:
                      pl.InferenceBackend("broadcast_rowwise"))
 
 
+@pytest.fixture
+def model_inits(monkeypatch):
+    """Counts model inits: every one parses the forest text through
+    ``inference.forest_from_text``."""
+    calls = []
+    real = inference.forest_from_text
+
+    def counting(text):
+        calls.append(1)
+        return real(text)
+
+    monkeypatch.setattr(inference, "forest_from_text", counting)
+    return calls
+
+
 class TestLazyInit:
     @pytest.mark.parametrize("kind,expected", [
         ("broadcast_rowwise", 5), ("vectorized_columnar", 5),
         ("vectorized_rowmajor", 5)])
-    def test_once_per_partition(self, fixture, kind, expected):
+    def test_once_per_partition(self, fixture, model_inits, kind, expected):
         frame, forest = fixture
         pf = pl.partition(frame.take(np.arange(500)), 5)
-        stats = pl.InitStats()
-        pl.score(pf, forest, pl.InferenceBackend(kind, batch_size=50), stats=stats)
-        assert stats.model_inits == expected
+        pl.score(pf, forest, pl.InferenceBackend(kind, batch_size=50))
+        assert len(model_inits) == expected
 
-    def test_anti_pattern_inits_per_row(self, fixture):
+    def test_anti_pattern_inits_per_row(self, fixture, model_inits):
         frame, forest = fixture
         pf = pl.partition(frame.take(np.arange(40)), 4)
-        stats = pl.InitStats()
-        pl.score(pf, forest, pl.InferenceBackend("anti_pattern"), stats=stats)
-        assert stats.model_inits == 40
+        pl.score(pf, forest, pl.InferenceBackend("anti_pattern"))
+        assert len(model_inits) == 40
 
 
 class TestWorkers:
@@ -115,6 +128,14 @@ class TestWorkers:
                 [p.row_ids for p in pf.partitions]).tolist()
             assert col.vectors.tobytes() == want
         assert pools == [1, 1, 3, 3]
+
+    @pytest.mark.parametrize("pool_size", [-1, 0])
+    def test_pool_size_below_one_rejected(self, fixture, pool_size):
+        frame, forest = fixture
+        pf = pl.partition(frame.take(np.arange(20)), 2)
+        for kind in pl.BACKEND_KINDS:
+            with pytest.raises(pl.InvalidArgumentError, match="pool_size"):
+                pl.score(pf, forest, pl.InferenceBackend(kind), pool_size=pool_size)
 
 
 class TestParity:

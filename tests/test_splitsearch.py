@@ -375,6 +375,17 @@ class TestBestSplit:
                             tight.with_path(pl.PATH_RELATIONAL))
         assert rel.status in (pl.STATUS_OK, pl.STATUS_NO_VALID)
 
+    @pytest.mark.parametrize("pool_size", [-1, 0])
+    def test_pool_size_below_one_rejected(self, pool_size):
+        frame, names, bmap, labels, config = random_small_instance(13)
+        one = pl.SplitConfig(min_leaf_size=config.min_leaf_size,
+                             execution_path=pl.PATH_PARTITIONED, pool_size=1)
+        assert pl.best_split(pl.partition(frame, 3), names, bmap, labels, one).best == \
+            pl.best_split(frame, names, bmap, labels, config).best
+        with pytest.raises(pl.InvalidArgumentError, match="pool_size"):
+            pl.SplitConfig(min_leaf_size=config.min_leaf_size,
+                           execution_path=pl.PATH_PARTITIONED, pool_size=pool_size)
+
     def test_all_below_min_leaf_returns_none(self, six_row_frame):
         cfg = pl.SplitConfig(min_leaf_size=100)
         res = pl.best_split(six_row_frame, ["x"], {"x": pl.Boundaries("x", (0.5,))},
