@@ -4,7 +4,7 @@ by an explicit fixed-input semantic contract."""
 from .errors import (EngineError, InvalidArgumentError, UnsupportedConfigurationError,
                      SchemaError, ContractViolationError, AlignmentError,
                      MalformedTreeError)
-from .frame import (ColumnFrame, PartitionedFrame, AssignmentRule, PerturbationKind,
+from .frame import (ColumnFrame, PartitionedFrame, PerturbationKind,
                     PerturbationSpec, partition, apply_perturbation, frame_checksum,
                     concat_frames, read_csv, write_csv, CsvRoles)
 from .synth import SynthSpec, generate, split_train_holdout

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import EngineError
+from .errors import EngineError, InvalidArgumentError, SchemaError
 from .frame import CsvRoles, frame_checksum, partition, read_csv, write_csv
 from .forest import forest_from_text, forest_to_text, random_forest
 from .harness import (BLOCKS, ExperimentSpec, ResultBundle, emit_report, run_block,
@@ -36,6 +36,14 @@ def _load_config(path: str) -> dict:
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
     return values
+
+
+def _config_value(parse, key: str, text: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"config {key}={text!r} is not a valid {parse.__name__}") from None
 
 
 def _parse_knob_value(text: str):
@@ -76,9 +84,8 @@ def _cmd_synth(args) -> int:
     if args.config:
         for key, val in _load_config(args.config).items():
             if key not in _SYNTH_CONFIG_KEYS:
-                print(f"error: unknown synth config key {key!r}", file=sys.stderr)
-                return 2
-            setattr(args, key, _SYNTH_CONFIG_KEYS[key](val))
+                raise InvalidArgumentError(f"unknown synth config key {key!r}")
+            setattr(args, key, _config_value(_SYNTH_CONFIG_KEYS[key], key, val))
     spec = _spec_from_args(args)
     frame = generate(spec)
     write_csv(frame, args.out)
@@ -157,7 +164,7 @@ def _cmd_harness_run(args) -> int:
             if key == "block":
                 args.block = val
             elif key == "seed":
-                args.seed = int(val)
+                args.seed = _config_value(int, key, val)
             elif key == "out":
                 args.out = val
             else:
@@ -180,6 +187,25 @@ def _cmd_harness_run(args) -> int:
     return 0 if bundle.passed else 1
 
 
+_BUNDLE_FIELDS = ("block", "seed", "knobs", "cases", "environment")
+
+
+def _load_bundle(path: str) -> ResultBundle:
+    """A bundle file written by ``harness run``."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except ValueError as exc:
+        raise SchemaError(f"bundle {path} is not JSON: {exc}") from None
+    missing = [k for k in _BUNDLE_FIELDS if not isinstance(record, dict) or k not in record]
+    if missing:
+        raise SchemaError(f"bundle {path} lacks the fields {missing}")
+    if not isinstance(record["block"], str) or not isinstance(record["cases"], list) \
+            or not all(isinstance(case, dict) for case in record["cases"]):
+        raise SchemaError(f"bundle {path} needs a string block and a list of case objects")
+    return ResultBundle(*(record[k] for k in _BUNDLE_FIELDS))
+
+
 def _cmd_harness_report(args) -> int:
     names = [f for f in os.listdir(args.in_dir) if f.endswith("_bundle.json")]
     if args.block:
@@ -188,10 +214,7 @@ def _cmd_harness_report(args) -> int:
         print("error: no bundle files found", file=sys.stderr)
         return 2
     for name in sorted(names):
-        with open(os.path.join(args.in_dir, name)) as fh:
-            record = json.load(fh)
-        bundle = ResultBundle(record["block"], record["seed"], record["knobs"],
-                              record["cases"], record["environment"])
+        bundle = _load_bundle(os.path.join(args.in_dir, name))
         for path in emit_report(bundle, args.format, args.in_dir):
             print(path)
     return 0

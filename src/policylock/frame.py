@@ -157,15 +157,9 @@ def concat_frames(frames: Sequence[ColumnFrame]) -> ColumnFrame:
     )
 
 
-class AssignmentRule(str, Enum):
-    BY_ROW_INDEX_BLOCK = "by_row_index_block"
-    BY_ROW_ID_HASH = "by_row_id_hash"
-
-
 @dataclass(frozen=True)
 class PartitionedFrame:
     partitions: tuple[ColumnFrame, ...]
-    assignment_rule: AssignmentRule = AssignmentRule.BY_ROW_INDEX_BLOCK
 
     @property
     def partition_count(self) -> int:
@@ -179,30 +173,12 @@ class PartitionedFrame:
         return concat_frames(list(self.partitions))
 
 
-def _block_bounds(n: int, p: int) -> list[tuple[int, int]]:
-    # first n % p partitions receive one extra row (balanced block split)
-    base, extra = divmod(n, p)
-    bounds, start = [], 0
-    for i in range(p):
-        size = base + (1 if i < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
-
-
-def partition(frame: ColumnFrame, p: int,
-              rule: AssignmentRule = AssignmentRule.BY_ROW_INDEX_BLOCK) -> PartitionedFrame:
+def partition(frame: ColumnFrame, p: int) -> PartitionedFrame:
+    """``p`` consecutive row blocks; the first ``n % p`` get one extra row."""
     if p < 1:
         raise InvalidArgumentError("partition count must be >= 1")
-    rule = AssignmentRule(rule)
-    if rule is AssignmentRule.BY_ROW_INDEX_BLOCK:
-        parts = [frame.take(np.arange(lo, hi)) for lo, hi in _block_bounds(frame.n_rows, p)]
-    else:
-        with np.errstate(over="ignore"):
-            keys = rng._splitmix64_array(frame.row_ids.astype(np.uint64))
-        assign = (keys % np.uint64(p)).astype(np.int64)
-        parts = [frame.take(np.flatnonzero(assign == i)) for i in range(p)]
-    return PartitionedFrame(tuple(parts), rule)
+    return PartitionedFrame(tuple(frame.take(rows)
+                                  for rows in np.array_split(np.arange(frame.n_rows), p)))
 
 
 class PerturbationKind(str, Enum):
@@ -230,23 +206,20 @@ def apply_perturbation(pf: PartitionedFrame, spec: PerturbationSpec) -> Partitio
         p = spec.target_partitions
         # round-robin over the concatenated order, like a shuffle repartition
         parts = [whole.take(np.arange(i, whole.n_rows, p)) for i in range(p)]
-        return PartitionedFrame(tuple(parts), pf.assignment_rule)
+        return PartitionedFrame(tuple(parts))
     if kind is PerturbationKind.COALESCE:
         p = spec.target_partitions or 0
         if p < 1 or p > pf.partition_count:
             raise InvalidArgumentError("coalesce target must be in [1, current partition count]")
         groups = np.array_split(np.arange(pf.partition_count), p)
         parts = [concat_frames([pf.partitions[i] for i in g]) for g in groups]
-        return PartitionedFrame(tuple(parts), pf.assignment_rule)
+        return PartitionedFrame(tuple(parts))
     if kind is PerturbationKind.SHUFFLE_ROWS:
         if spec.seed is None:
             raise InvalidArgumentError("shuffle_rows needs a seed")
         whole = pf.concat()
         perm = rng.permutation(spec.seed, "shuffle_rows", whole.n_rows)
-        shuffled = whole.take(perm)
-        p = max(pf.partition_count, 1)
-        parts = [shuffled.take(np.arange(lo, hi)) for lo, hi in _block_bounds(shuffled.n_rows, p)]
-        return PartitionedFrame(tuple(parts), pf.assignment_rule)
+        return partition(whole.take(perm), max(pf.partition_count, 1))
     if kind is PerturbationKind.SORT_WITHIN_PARTITION:
         parts = []
         for part in pf.partitions:
@@ -258,7 +231,7 @@ def apply_perturbation(pf: PartitionedFrame, spec: PerturbationSpec) -> Partitio
             if not spec.ascending:
                 order = order[::-1]
             parts.append(part.take(order))
-        return PartitionedFrame(tuple(parts), pf.assignment_rule)
+        return PartitionedFrame(tuple(parts))
     raise InvalidArgumentError(f"unknown perturbation kind {spec.kind!r}")
 
 

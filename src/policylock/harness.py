@@ -40,10 +40,12 @@ BLOCKS = ("P1", "P2", "C1", "C2", "E1", "F1", "F2", "F3", "S1", "S2")
 
 STATUS_SKIPPED_TOO_SLOW = "skipped_too_slow"
 
-# fields excluded from determinism comparisons (timings, not semantics)
+# fields excluded from determinism comparisons: timings and the values
+# derived from them (P1's ladder ratios, S2's fastest backend per cell)
 TIMING_FIELDS = frozenset({"wall_seconds", "rows_per_second", "samples",
                            "runtime_seconds", "winner_rows_per_second",
-                           "loser_rows_per_second"})
+                           "loser_rows_per_second", "triggering_wall_seconds",
+                           "ratio", "winner", "wins"})
 
 CONTRACT_RULES = {
     "no_total_order": "deterministic total candidate order",

@@ -28,7 +28,6 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import repeat
 from typing import Mapping, Optional, Sequence, Union
 
@@ -78,10 +77,9 @@ class Boundaries:
         return self.n_bins
 
 
-def uniform_boundaries(feature_name: str, n_bins: int, lo: float = 0.0,
-                       hi: float = 1.0) -> Boundaries:
-    cuts = tuple(lo + (hi - lo) * i / n_bins for i in range(1, n_bins))
-    return Boundaries(feature_name, cuts)
+def uniform_boundaries(feature_name: str, n_bins: int) -> Boundaries:
+    """``n_bins`` equal-width bins over [0, 1]."""
+    return Boundaries(feature_name, tuple(i / n_bins for i in range(1, n_bins)))
 
 
 # widest B bucketized by counting cuts (the bin count fits a uint8 counter)
@@ -168,8 +166,9 @@ def treatment_codes(frame: ColumnFrame, treatments: tuple[str, ...]) -> np.ndarr
 @dataclass(frozen=True)
 class BinnedRows:
     """Rows bucketized once under fixed boundaries: ``bins[f]`` is feature
-    ``features[f]``'s bin per row (missing bin B included), ``codes`` the
-    treatment index in ``treatments`` and ``positives`` the outcome-1 mask.
+    ``features[f]``'s bin per row (missing bin B included) and ``tails`` is
+    ``code*2 + positive`` per row, the low digits of every cell key (``code``
+    the treatment index in ``treatments``, ``positive`` the outcome).
     ``slots``, when set, places each row in one of ``n_slots`` nodes.
 
     ``best_split`` accepts a view in place of a frame; the view remembers
@@ -179,8 +178,7 @@ class BinnedRows:
     boundaries: tuple[Boundaries, ...]
     treatments: tuple[str, ...]
     bins: np.ndarray        # uint8 [F, N]; uint16 (or wider) when some B+1 > 256
-    codes: np.ndarray       # int64 [N]
-    positives: np.ndarray   # bool [N]
+    tails: np.ndarray       # int64 [N]
     slots: Optional[np.ndarray] = None   # int64 [N] in [0, n_slots)
     n_slots: int = 1
 
@@ -191,31 +189,16 @@ class BinnedRows:
 
     @property
     def n_rows(self) -> int:
-        return len(self.codes)
-
-    @cached_property
-    def cell_tails(self) -> np.ndarray:
-        """``code*2 + positive`` per row, the low digits of every cell key."""
-        return self.codes * 2 + self.positives
+        return len(self.tails)
 
     def take(self, rows: np.ndarray) -> "BinnedRows":
-        return self._carry_tails(
-            BinnedRows(self.features, self.boundaries, self.treatments,
-                       np.take(self.bins, rows, axis=1), self.codes[rows],
-                       self.positives[rows],
-                       None if self.slots is None else self.slots[rows],
-                       self.n_slots), rows)
+        return BinnedRows(self.features, self.boundaries, self.treatments,
+                          np.take(self.bins, rows, axis=1), self.tails[rows],
+                          None if self.slots is None else self.slots[rows],
+                          self.n_slots)
 
     def with_slots(self, slots: Optional[np.ndarray], n_slots: int = 1) -> "BinnedRows":
-        return self._carry_tails(replace(self, slots=slots, n_slots=n_slots))
-
-    def _carry_tails(self, view: "BinnedRows", rows: Optional[np.ndarray] = None) -> "BinnedRows":
-        """``view`` holding this view's cached ``cell_tails`` (at ``rows``),
-        so a derived view does not recompute them."""
-        tails = self.__dict__.get("cell_tails")
-        if tails is not None:
-            view.__dict__["cell_tails"] = tails if rows is None else tails[rows]
-        return view
+        return replace(self, slots=slots, n_slots=n_slots)
 
     def feature_bins(self, feature: str, boundaries: Boundaries,
                      treatments: tuple[str, ...]) -> np.ndarray:
@@ -244,7 +227,7 @@ def bin_rows(frame: ColumnFrame, features: Sequence[str],
     bins = np.empty((len(features), frame.n_rows), dtype=dtype)
     for f, (name, b) in enumerate(zip(features, bounds)):
         bins[f] = bucketize(frame.effective_values(name), b)
-    return BinnedRows(features, bounds, treatments, bins, codes, frame.outcomes == 1)
+    return BinnedRows(features, bounds, treatments, bins, codes * 2 + (frame.outcomes == 1))
 
 
 SplitInput = Union[ColumnFrame, PartitionedFrame, BinnedRows]
@@ -267,7 +250,7 @@ def _partition_keys(data: SplitInput, feature: str, boundaries: Boundaries,
         if data.slots is not None:
             keys += data.slots * (boundaries.n_bins + 1)
         keys *= 2 * T
-        keys += data.cell_tails
+        keys += data.tails
         yield keys
         return
     frames = data.partitions if isinstance(data, PartitionedFrame) else (data,)
@@ -410,10 +393,6 @@ class CandidateScore:
     score: float
     valid: bool
     invalid_reason: Optional[str] = None
-    left_rates: Optional[np.ndarray] = None
-    right_rates: Optional[np.ndarray] = None
-    left_uplifts: Optional[np.ndarray] = None
-    right_uplifts: Optional[np.ndarray] = None
     left_opps: Optional[np.ndarray] = None
     right_opps: Optional[np.ndarray] = None
     left_accepts: Optional[np.ndarray] = None
@@ -454,8 +433,7 @@ class SplitConfig:
             raise InvalidArgumentError("pool_size must be >= 1")
 
     def with_path(self, path: str) -> "SplitConfig":
-        return SplitConfig(self.min_leaf_size, self.control_label_override,
-                           self.safety_skip_threshold, path, self.pool_size)
+        return replace(self, execution_path=path)
 
 
 _REASON_NO_CONTROL = "needs a control and at least one non-control treatment"
@@ -509,10 +487,7 @@ def _score_candidate(table: PrefixTable, c: int, direction: str, control_idx: in
     noncontrol = [t for t in range(T) if t != control_idx]
     ul = left_rates[noncontrol] - left_rates[control_idx]
     ur = right_rates[noncontrol] - right_rates[control_idx]
-    score = max(ur.max() - ul.min(), ul.max() - ur.min())
-    cand.left_rates, cand.right_rates = left_rates, right_rates
-    cand.left_uplifts, cand.right_uplifts = ul, ur
-    cand.score = float(score)
+    cand.score = float(max(ur.max() - ul.min(), ul.max() - ur.min()))
     if not math.isfinite(cand.score):
         cand.invalid_reason = _REASON_NOT_FINITE
         return cand
@@ -520,19 +495,13 @@ def _score_candidate(table: PrefixTable, c: int, direction: str, control_idx: in
     return cand
 
 
-def expand_and_score(table: PrefixTable, config: SplitConfig,
-                     control_label: Optional[str] = None) -> list[CandidateScore]:
+def expand_and_score(table: PrefixTable, config: SplitConfig) -> list[CandidateScore]:
     """S2: exactly 2*(B-1) candidates per feature, both NaN routes, missing
     tallies added to the routed branch before rate computation."""
-    control = control_label if control_label is not None else \
-        select_control(table.treatments, config.control_label_override)
+    control = select_control(table.treatments, config.control_label_override)
     control_idx = table.treatments.index(control)
-    out = []
-    for c in range(table.n_candidates):
-        for direction in _DIRECTIONS:
-            out.append(_score_candidate(table, c, direction, control_idx,
-                                        config.min_leaf_size))
-    return out
+    return [_score_candidate(table, c, direction, control_idx, config.min_leaf_size)
+            for c in range(table.n_candidates) for direction in _DIRECTIONS]
 
 
 # reason codes, in the order _score_candidate checks them
@@ -582,7 +551,7 @@ class _FeatureScores:
 
     def candidate(self, d: int, c: int, node: int = 0) -> CandidateScore:
         """``_score_candidate``'s result for bin ``c`` on route ``d`` of
-        ``node``, with its branch counts but without rates and uplifts."""
+        ``node``."""
         at = (node, d, c)
         code = int(self.reasons[at])
         return CandidateScore(self.table.feature_name, c, self.table.cuts[c],
@@ -601,10 +570,6 @@ class _FeatureScores:
         best = np.argmax(ranked.reshape(len(ranked), -1), axis=1)
         return [self.candidate(*divmod(int(i), 2)[::-1], node=k) if has else None
                 for k, (i, has) in enumerate(zip(best, valid.any(axis=(1, 2))))]
-
-    def winner(self) -> Optional[CandidateScore]:
-        """The winner of a table without a node axis."""
-        return self.winners()[0]
 
     def reason_counts(self, node: int = 0) -> Counter:
         counts = np.bincount(self.reasons[node].ravel(), minlength=len(self.reason_texts))
@@ -773,10 +738,10 @@ def _naive_score_sparse(table: PrefixTable, c: int, direction: str, control_idx:
 
 
 def approx_quantile_boundaries(data: Union[ColumnFrame, PartitionedFrame], feature: str,
-                               n_bins: int, eps: float = 0.01) -> Optional[Boundaries]:
-    """Epsilon-approximate rank-based boundaries from per-partition summaries.
-    Deliberately depends on partition layout; only its instability relative to
-    shared fixed boundaries matters."""
+                               n_bins: int) -> Optional[Boundaries]:
+    """Epsilon-approximate (eps = 0.01) rank-based boundaries from
+    per-partition summaries.  Deliberately depends on partition layout; only
+    its instability relative to shared fixed boundaries matters."""
     frames = data.partitions if isinstance(data, PartitionedFrame) else (data,)
     points: list[tuple[float, int]] = []
     total = 0
@@ -785,7 +750,7 @@ def approx_quantile_boundaries(data: Union[ColumnFrame, PartitionedFrame], featu
         vals = np.sort(vals[~np.isnan(vals)])
         if vals.size == 0:
             continue
-        step = max(1, int(math.floor(eps * vals.size)))
+        step = max(1, int(math.floor(0.01 * vals.size)))
         idx = np.arange(step - 1, vals.size, step)
         if idx.size == 0 or idx[-1] != vals.size - 1:
             idx = np.append(idx, vals.size - 1)
@@ -813,48 +778,42 @@ def approx_quantile_boundaries(data: Union[ColumnFrame, PartitionedFrame], featu
 def naive_variant_best_split(variant: str, data: Union[ColumnFrame, PartitionedFrame],
                              features: Sequence[str], boundaries: Mapping[str, Boundaries],
                              treatments: Sequence[str], config: SplitConfig) -> SplitSearchResult:
-    """Intentionally broken semantics used by the failure catalog."""
+    """Intentionally broken semantics used by the failure catalog: each
+    variant is the contract search with one rule broken."""
     if variant not in NAIVE_VARIANTS:
         raise InvalidArgumentError(f"unknown naive variant {variant!r}")
     treatments = tuple(treatments)
     features = list(features)
     cand_rows = _total_candidate_rows(features, boundaries, len(treatments))
+    # the contract search on the reference path, never safety-skipped
+    contract_cfg = replace(config, execution_path=PATH_REFERENCE,
+                           safety_skip_threshold=max(config.safety_skip_threshold,
+                                                     cand_rows + 1))
 
     if variant == "recomputed_quantiles":
         recomputed = {}
         for feat in features:
             b = approx_quantile_boundaries(data, feat, boundaries[feat].n_bins)
             recomputed[feat] = b if b is not None else boundaries[feat]
-        contract_cfg = SplitConfig(config.min_leaf_size, config.control_label_override,
-                                   max(config.safety_skip_threshold, cand_rows + 1),
-                                   PATH_REFERENCE)
         return best_split(data, features, recomputed, treatments, contract_cfg)
-
-    control = select_control(treatments, config.control_label_override)
     if variant == "first_seen_control":
         frames = data.partitions if isinstance(data, PartitionedFrame) else (data,)
-        first = None
-        for f in frames:
-            if f.n_rows:
-                first = str(f.treatments[0])
-                break
+        first = next((str(f.treatments[0]) for f in frames if f.n_rows), None)
         if first is None:
             raise InvalidArgumentError("cannot infer first-seen control from an empty frame")
-        control = first
-    control_idx = treatments.index(control) if control in treatments else 0
+        return best_split(data, features, boundaries, treatments,
+                          replace(contract_cfg, control_label_override=first))
 
-    collected: list[CandidateScore] = []
-    for feat in features:
-        table = build_prefix_sums(data, feat, boundaries[feat], treatments)
-        directions = (NAN_LEFT,) if variant == "implicit_missing" else _DIRECTIONS
-        for c in range(table.n_candidates):
-            for direction in directions:
-                if variant == "sparse_omit":
-                    collected.append(_naive_score_sparse(table, c, direction, control_idx,
-                                                         config.min_leaf_size))
-                else:
-                    collected.append(_score_candidate(table, c, direction, control_idx,
-                                                      config.min_leaf_size))
+    control = select_control(treatments, config.control_label_override)
+    tables = [build_prefix_sums(data, feat, boundaries[feat], treatments)
+              for feat in features]
+    if variant == "sparse_omit":
+        control_idx = treatments.index(control)
+        collected = [_naive_score_sparse(t, c, d, control_idx, config.min_leaf_size)
+                     for t in tables for c in range(t.n_candidates) for d in _DIRECTIONS]
+    else:
+        collected = [cand for t in tables for cand in expand_and_score(t, config)
+                     if variant != "implicit_missing" or cand.nan_direction == NAN_LEFT]
     valid = [c for c in collected if c.valid]
     if not valid:
         return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control,

@@ -13,7 +13,7 @@ partitioning, or execution path.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 from typing import Mapping, Optional, Sequence, Union
 
@@ -80,9 +80,7 @@ class Manifest:
         return dict(self.boundaries)
 
     def lock(self) -> "Manifest":
-        return Manifest(self.row_id_digest, self.feature_names, self.treatment_labels,
-                        self.boundaries, self.seed, self.max_depth, self.min_leaf_size,
-                        self.preprocessing_digest, locked=True)
+        return replace(self, locked=True)
 
 
 def _preprocessing_digest(ordered: tuple, treatment_labels: tuple[str, ...],
@@ -264,8 +262,7 @@ def _bin_partitions(parts: Sequence[ColumnFrame], manifest: Manifest) -> BinnedR
     first = views[0]
     return BinnedRows(first.features, first.boundaries, labels,
                       np.concatenate([v.bins for v in views], axis=1),
-                      np.concatenate([v.codes for v in views]),
-                      np.concatenate([v.positives for v in views]))
+                      np.concatenate([v.tails for v in views]))
 
 
 def _train_loop(parts: Sequence[ColumnFrame], manifest: Manifest, execution_path: str,
@@ -299,7 +296,7 @@ def _train_loop(parts: Sequence[ColumnFrame], manifest: Manifest, execution_path
                 "or shrink the candidate grid")
         split = np.array([r is not None and r.status == STATUS_OK for r in results])
         # per node and treatment: rows with outcome 0 and 1
-        cells = np.bincount(level.slots * (2 * T) + level.cell_tails,
+        cells = np.bincount(level.slots * (2 * T) + level.tails,
                             minlength=K * T * 2).reshape(K, T, 2)
         opps, accepts = cells.sum(axis=2), cells[..., 1]
         vectors = np.divide(accepts, opps, out=np.zeros((K, T)), where=opps > 0)

@@ -46,12 +46,6 @@ class TestPartition:
         with pytest.raises(pl.InvalidArgumentError):
             pl.partition(f, 0)
 
-    def test_hash_rule_covers_every_row(self):
-        f = build_frame({"a": list(range(100))})
-        pf = pl.partition(f, 7, pl.AssignmentRule.BY_ROW_ID_HASH)
-        ids = np.sort(np.concatenate([p.row_ids for p in pf.partitions]))
-        assert np.array_equal(ids, f.row_ids)
-
 
 class TestPerturbations:
     def _frame(self, n=50):

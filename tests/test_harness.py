@@ -5,7 +5,7 @@ import pytest
 
 import policylock as pl
 from policylock.cli import main as cli_main
-from policylock.harness import (ExperimentSpec, emit_report, run_block,
+from policylock.harness import (ExperimentSpec, ResultBundle, emit_report, run_block,
                                 random_small_instance, inference_fixture)
 
 
@@ -112,6 +112,22 @@ def test_s1_summaries():
 def test_determinism_of_semantic_fields():
     a = run_block(ExperimentSpec("C2", seed=7, knobs=TINY["C2"]))
     b = run_block(ExperimentSpec("C2", seed=7, knobs=TINY["C2"]))
+    assert a.semantic_view() == b.semantic_view()
+
+
+def test_semantic_view_drops_timing_derived_fields():
+    """P1's ladder ratio and wall-cap trigger time and S2's winners come
+    from timings, so two runs of the same code may differ only there."""
+    def bundle(ratio, wall, winner, wins):
+        return ResultBundle("S2", 7, {}, [
+            {"case": "ladder", "ratio": ratio, "pass": True},
+            {"case": "throughput", "status": "skipped_too_slow",
+             "triggering_wall_seconds": wall},
+            {"case": "backend_cell", "winner": winner, "pass": True},
+            {"case": "crossover_summary", "wins": wins, "cells": 2, "pass": True}])
+    a = bundle(29.7, 130.0, "vectorized_columnar", {"vectorized_columnar": 2})
+    b = bundle(38.0, 125.5, "vectorized_rowmajor", {"vectorized_rowmajor": 2})
+    assert a.to_record() != b.to_record()
     assert a.semantic_view() == b.semantic_view()
 
 
@@ -310,3 +326,29 @@ class TestCli:
         info = json.loads(capsys.readouterr().out)
         assert info["rows"] == 100
         assert info["features"] == ["x_boundary", "x_gen_00"]
+
+    @pytest.mark.parametrize("command,key", [("synth", "n_rows"), ("harness", "seed")])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=abc\n")
+        argv = ["synth", "--out", str(tmp_path / "x.csv")] if command == "synth" else \
+            ["harness", "run", "--block", "C2", "--out", str(tmp_path / "o")]
+        assert cli_main([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config {key}='abc' is not a valid int\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"block": "C2", "knobs": {}, "cases": [], "environment": {}}',
+         "lacks the fields ['seed']"),
+        ("not json", "is not JSON"),
+        ('{"block": "C2", "seed": 7, "knobs": {}, "cases": [1], "environment": {}}',
+         "needs a string block and a list of case objects"),
+    ], ids=["no_seed", "not_json", "case_not_object"])
+    def test_report_on_bad_bundle_exits_2(self, tmp_path, capsys, text, message):
+        (tmp_path / "c2_bundle.json").write_text(text)
+        rc = cli_main(["harness", "report", "--in", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bundle ") and message in captured.err
+        assert captured.out == ""

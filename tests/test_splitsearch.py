@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -459,7 +460,7 @@ class TestArrayScorer:
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 
         valid = [c for c in slow if c.valid]
-        winner = fast.winner()
+        winner = fast.winners()[0]
         if valid:
             best = min(valid, key=candidate_order_key)
             assert winner.identity() == best.identity()
@@ -511,18 +512,18 @@ class TestBinnedRows:
                             for r in want)
         assert compared >= 12
 
-    def test_cached_cell_tails_carried_through_with_slots_and_take(self):
+    def test_tails_match_codes_and_outcomes(self):
+        """``tails`` is ``code*2 + positive`` on a view, on its ``with_slots``
+        result and on its ``take`` result."""
         frame, names, bmap, labels, _ = random_small_instance(5200)
         view = _binned(frame, names, bmap, labels)
-        tails = view.cell_tails
-        slotted = view.with_slots(np.arange(view.n_rows) % 3, 3)
-        assert slotted.__dict__["cell_tails"] is tails
         rows = np.random.RandomState(0).permutation(view.n_rows)[:view.n_rows // 2]
-        for derived in (slotted, slotted.take(rows), view.take(rows)):
-            assert "cell_tails" in derived.__dict__
-            assert np.array_equal(derived.cell_tails,
-                                  derived.codes * 2 + derived.positives)
-        assert "cell_tails" not in _binned(frame, names, bmap, labels).take(rows).__dict__
+        want = pl.treatment_codes(frame, labels) * 2 + frame.outcomes
+        assert view.tails.dtype == np.int64
+        slotted = view.with_slots(np.arange(view.n_rows) % 3, 3)
+        for derived, expect in ((view, want), (slotted, want), (view.take(rows), want[rows]),
+                                (slotted.take(rows), want[rows])):
+            assert np.array_equal(derived.tails, expect)
 
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
     def test_view_under_other_boundaries_or_vocabulary_rejected(self, path):
@@ -612,6 +613,21 @@ class TestNaiveVariants:
                                                    "x_boundary", 8)
         assert recomputed is not None
         assert recomputed.cuts != fixed.cuts
+
+    def test_naive_variant_records_pinned(self):
+        """Every variant's full result on 40 random instances, as one frame
+        and as 3 partitions, under the instance config and one that leaves
+        no valid candidate."""
+        h = hashlib.blake2b(digest_size=16)
+        for seed in range(6400, 6440):
+            frame, names, bmap, labels, config = random_small_instance(seed)
+            for data in (frame, pl.partition(frame, 3)):
+                for cfg in (config, pl.SplitConfig(min_leaf_size=frame.n_rows)):
+                    for variant in pl.NAIVE_VARIANTS:
+                        rec = pl.naive_variant_best_split(variant, data, names, bmap,
+                                                          labels, cfg).to_record()
+                        h.update(repr(rec).encode())
+        assert h.hexdigest() == "ee7a7493457d45e8903aa343c450e614"
 
     def test_unknown_variant_rejected(self, six_row_frame):
         with pytest.raises(pl.InvalidArgumentError):
