@@ -495,6 +495,8 @@ def random_forest(n_trees: int, max_depth: int, feature_names: Sequence[str],
     feature_names = tuple(feature_names)
     treatment_labels = tuple(treatment_labels)
     F, T = len(feature_names), len(treatment_labels)
+    if F < 1:
+        raise InvalidArgumentError("a random forest needs at least one feature")
     cat_set = set(int(c) for c in categorical_features)
     trees = []
     for k in range(n_trees):

@@ -198,7 +198,10 @@ class PerturbationSpec:
 
 
 def apply_perturbation(pf: PartitionedFrame, spec: PerturbationSpec) -> PartitionedFrame:
-    kind = PerturbationKind(spec.kind)
+    try:
+        kind = PerturbationKind(spec.kind)
+    except ValueError:
+        raise InvalidArgumentError(f"unknown perturbation kind {spec.kind!r}") from None
     if kind is PerturbationKind.REPARTITION:
         if not spec.target_partitions or spec.target_partitions < 1:
             raise InvalidArgumentError("repartition needs a target partition count >= 1")

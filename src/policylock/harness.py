@@ -87,6 +87,17 @@ _DEFAULT_KNOBS: dict[str, dict] = {
 }
 
 
+def _knob_type_ok(value, default) -> bool:
+    """``value`` has ``default``'s type: an int for an int (never a bool), an
+    int or a float for a float, a str for a str, and for a list a list whose
+    items pass this rule against the default's first item."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_knob_type_ok(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     block: str
@@ -101,6 +112,11 @@ class ExperimentSpec:
         if unknown:
             raise InvalidArgumentError(
                 f"unknown knobs for block {self.block}: {sorted(unknown)}")
+        for name, value in self.knobs.items():
+            if not _knob_type_ok(value, defaults[name]):
+                raise InvalidArgumentError(
+                    f"knob {name}={value!r} of block {self.block} does not have "
+                    f"the type of its default {defaults[name]!r}")
 
     def knob(self, name: str):
         return self.knobs.get(name, _DEFAULT_KNOBS[self.block][name])

@@ -14,11 +14,12 @@ are one node.
 
 Stage S2 expands every candidate into both missing routes, applies the full
 validity checks, scores with the DDP max-envelope and selects the winner
-under a strict total order.  All execution paths share one array routine
-that scores every candidate of a feature, for every node, at once with the
-same IEEE operations as the scalar ``_score_candidate``, so scores are
-bit-identical to it and cross-path score deltas are exactly zero.  The
-scalar routine stays as the test oracle and serves the naive variants.
+under a strict total order.  Every execution path, ``expand_and_score`` and
+the failure catalog share one array routine that scores every candidate of a
+feature, for every node, at once, so cross-path score deltas are exactly
+zero.  It uses the same IEEE operations as the scalar per-candidate scorer
+``scalar_candidate`` in ``tests/_oracles.py``, the test oracle it matches
+bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ class Boundaries:
     cuts: tuple[float, ...]
 
     def __post_init__(self):
-        cuts = tuple(float(c) for c in self.cuts)
+        try:
+            cuts = tuple(float(c) for c in self.cuts)
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(f"cuts must be numbers, got {self.cuts!r}") from None
         object.__setattr__(self, "cuts", cuts)
         if len(cuts) < 1:
             raise InvalidArgumentError("boundaries need at least one interior cut (B >= 2)")
@@ -75,6 +79,16 @@ class Boundaries:
     @property
     def missing_bin(self) -> int:
         return self.n_bins
+
+
+def feature_boundaries(boundaries: Mapping[str, Boundaries],
+                       features: Sequence[str]) -> tuple[Boundaries, ...]:
+    """Each feature's boundaries, in ``features`` order; a feature without
+    boundaries is an ``InvalidArgumentError``."""
+    for name in features:
+        if name not in boundaries:
+            raise InvalidArgumentError(f"no boundaries for feature {name!r}")
+    return tuple(boundaries[name] for name in features)
 
 
 def uniform_boundaries(feature_name: str, n_bins: int) -> Boundaries:
@@ -222,7 +236,7 @@ def bin_rows(frame: ColumnFrame, features: Sequence[str],
     """Bucketize every feature of ``frame`` once; ``codes`` is
     ``treatment_codes(frame, treatments)``."""
     features, treatments = tuple(features), tuple(treatments)
-    bounds = tuple(boundaries[name] for name in features)
+    bounds = feature_boundaries(boundaries, features)
     dtype = np.min_scalar_type(max((b.missing_bin for b in bounds), default=0))
     bins = np.empty((len(features), frame.n_rows), dtype=dtype)
     for f, (name, b) in enumerate(zip(features, bounds)):
@@ -445,66 +459,23 @@ def _reason_min_leaf(min_leaf_size: int) -> str:
     return f"branch total below min_leaf_size={min_leaf_size}"
 
 
-def _route_branches(table: PrefixTable, direction: str, c: Optional[int] = None):
+def _route_branches(table: PrefixTable, direction: str):
     """Left and right (opps, accepts) of every candidate, shape [..., B-1, T],
-    with the missing tallies added to the ``direction`` branch; with ``c``,
-    the [T] arrays of candidate ``c`` of a table without a node axis."""
-    span = slice(None) if c is None else slice(c, c + 1)
-    left_o = table.left_opps[..., span, :].copy()
-    left_a = table.left_accepts[..., span, :].copy()
-    right_o = table.totals_opps[..., None, :] - table.left_opps[..., span, :]
-    right_a = table.totals_accepts[..., None, :] - table.left_accepts[..., span, :]
+    with the missing tallies added to the ``direction`` branch."""
+    left_o = table.left_opps.copy()
+    left_a = table.left_accepts.copy()
+    right_o = table.totals_opps[..., None, :] - table.left_opps
+    right_a = table.totals_accepts[..., None, :] - table.left_accepts
     if direction == NAN_LEFT:
         left_o += table.missing_opps[..., None, :]
         left_a += table.missing_accepts[..., None, :]
     else:
         right_o += table.missing_opps[..., None, :]
         right_a += table.missing_accepts[..., None, :]
-    routed = left_o, left_a, right_o, right_a
-    return routed if c is None else tuple(a[0] for a in routed)
+    return left_o, left_a, right_o, right_a
 
 
-def _score_candidate(table: PrefixTable, c: int, direction: str, control_idx: int,
-                     min_leaf_size: int) -> CandidateScore:
-    """Scalar S2 of one candidate: the oracle that ``_FeatureScores`` matches
-    bit for bit, and the scorer of the naive variants."""
-    left_o, left_a, right_o, right_a = _route_branches(table, direction, c)
-    cand = CandidateScore(table.feature_name, c, table.cuts[c], direction,
-                          math.nan, False, left_opps=left_o, right_opps=right_o,
-                          left_accepts=left_a, right_accepts=right_a)
-    T = len(table.treatments)
-    if T < 2:
-        cand.invalid_reason = _REASON_NO_CONTROL
-        return cand
-    if (left_o == 0).any() or (right_o == 0).any():
-        cand.invalid_reason = _REASON_ZERO_SUPPORT
-        return cand
-    if left_o.sum() < min_leaf_size or right_o.sum() < min_leaf_size:
-        cand.invalid_reason = _reason_min_leaf(min_leaf_size)
-        return cand
-    left_rates = left_a / left_o
-    right_rates = right_a / right_o
-    noncontrol = [t for t in range(T) if t != control_idx]
-    ul = left_rates[noncontrol] - left_rates[control_idx]
-    ur = right_rates[noncontrol] - right_rates[control_idx]
-    cand.score = float(max(ur.max() - ul.min(), ul.max() - ur.min()))
-    if not math.isfinite(cand.score):
-        cand.invalid_reason = _REASON_NOT_FINITE
-        return cand
-    cand.valid = True
-    return cand
-
-
-def expand_and_score(table: PrefixTable, config: SplitConfig) -> list[CandidateScore]:
-    """S2: exactly 2*(B-1) candidates per feature, both NaN routes, missing
-    tallies added to the routed branch before rate computation."""
-    control = select_control(table.treatments, config.control_label_override)
-    control_idx = table.treatments.index(control)
-    return [_score_candidate(table, c, direction, control_idx, config.min_leaf_size)
-            for c in range(table.n_candidates) for direction in _DIRECTIONS]
-
-
-# reason codes, in the order _score_candidate checks them
+# reason codes, in the order the scalar oracle checks them
 _VALID, _NO_CONTROL, _ZERO_SUPPORT, _MIN_LEAF, _NOT_FINITE = range(5)
 
 
@@ -513,11 +484,11 @@ class _FeatureScores:
 
     Arrays are [K, 2, B-1] (branch counts [K, 2, B-1, T]): axis 0 the node
     (K = 1 for a table without a node axis), axis 1 the NaN route (left,
-    right).  Every element comes from the same IEEE operations as in
-    ``_score_candidate``: element-wise division and subtraction, exact max
-    and min reductions, and ``where(b > a, b, a)``, which is the builtin
-    ``max(a, b)``.  Reasons and scores therefore equal the scalar routine's,
-    score bits included."""
+    right).  Every element comes from the same IEEE operations as in the
+    test oracle ``scalar_candidate`` (``tests/_oracles.py``): element-wise
+    division and subtraction, exact max and min reductions, and
+    ``where(b > a, b, a)``, which is the builtin ``max(a, b)``.  Reasons and
+    scores therefore equal the oracle's, score bits included."""
 
     def __init__(self, table: PrefixTable, control_idx: int, min_leaf_size: int):
         self.table = table
@@ -546,12 +517,11 @@ class _FeatureScores:
         scores = np.where(b > a, b, a)
         self.reasons = np.select([zero, small, ~np.isfinite(scores)],
                                  [_ZERO_SUPPORT, _MIN_LEAF, _NOT_FINITE], _VALID)
-        # the scalar routine returns before scoring these
+        # the scalar oracle returns before scoring these
         self.scores = np.where(zero | small, math.nan, scores)
 
     def candidate(self, d: int, c: int, node: int = 0) -> CandidateScore:
-        """``_score_candidate``'s result for bin ``c`` on route ``d`` of
-        ``node``."""
+        """The scored candidate of bin ``c`` on route ``d`` of ``node``."""
         at = (node, d, c)
         code = int(self.reasons[at])
         return CandidateScore(self.table.feature_name, c, self.table.cuts[c],
@@ -575,6 +545,16 @@ class _FeatureScores:
         counts = np.bincount(self.reasons[node].ravel(), minlength=len(self.reason_texts))
         return Counter({self.reason_texts[code]: int(n)
                         for code, n in enumerate(counts) if code != _VALID and n})
+
+
+def expand_and_score(table: PrefixTable, config: SplitConfig) -> list[CandidateScore]:
+    """S2: exactly 2*(B-1) candidates per feature, both NaN routes, missing
+    tallies added to the routed branch before rate computation; in (bin,
+    route) order."""
+    control = select_control(table.treatments, config.control_label_override)
+    scores = _FeatureScores(table, table.treatments.index(control), config.min_leaf_size)
+    return [scores.candidate(d, c) for c in range(table.n_candidates)
+            for d in (0, 1)]
 
 
 @dataclass
@@ -629,7 +609,8 @@ def _make_best(cand: CandidateScore, control: str) -> BestSplit:
 
 def _total_candidate_rows(features: Sequence[str], boundaries: Mapping[str, Boundaries],
                           n_treatments: int) -> int:
-    return sum(candidate_row_count(1, boundaries[f].n_bins, n_treatments) for f in features)
+    return sum(candidate_row_count(1, b.n_bins, n_treatments)
+               for b in feature_boundaries(boundaries, features))
 
 
 def _no_valid_summary(reasons: Mapping[str, int]) -> str:
@@ -707,34 +688,31 @@ def _row_order_digest(data: Union[ColumnFrame, PartitionedFrame]) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _naive_score_sparse(table: PrefixTable, c: int, direction: str, control_idx: int,
+def _naive_score_sparse(cand: CandidateScore, control_idx: int,
                         min_leaf_size: int) -> CandidateScore:
-    """sparse_omit: drop zero-support cells, skip the positive-support check."""
-    left_o, left_a, right_o, right_a = _route_branches(table, direction, c)
-    cand = CandidateScore(table.feature_name, c, table.cuts[c], direction,
-                          math.nan, False, left_opps=left_o, right_opps=right_o,
-                          left_accepts=left_a, right_accepts=right_a)
-    if left_o.sum() < min_leaf_size or right_o.sum() < min_leaf_size:
-        cand.invalid_reason = _reason_min_leaf(min_leaf_size)
-        return cand
+    """sparse_omit: a contract candidate's routed counts rescored with
+    zero-support cells dropped and no positive-support check."""
+    naive = replace(cand, score=math.nan, valid=False, invalid_reason=None)
+    if cand.left_opps.sum() < min_leaf_size or cand.right_opps.sum() < min_leaf_size:
+        naive.invalid_reason = _reason_min_leaf(min_leaf_size)
+        return naive
 
     def branch_uplifts(opps, accepts):
         ctrl = accepts[control_idx] / opps[control_idx] if opps[control_idx] > 0 else 0.0
         return [accepts[t] / opps[t] - ctrl
-                for t in range(len(table.treatments))
-                if t != control_idx and opps[t] > 0]
+                for t in range(len(opps)) if t != control_idx and opps[t] > 0]
 
-    ul = branch_uplifts(left_o, left_a)
-    ur = branch_uplifts(right_o, right_a)
+    ul = branch_uplifts(cand.left_opps, cand.left_accepts)
+    ur = branch_uplifts(cand.right_opps, cand.right_accepts)
     if not ul or not ur:
-        cand.invalid_reason = "no supported non-control treatment on a branch"
-        return cand
-    cand.score = float(max(max(ur) - min(ul), max(ul) - min(ur)))
-    if math.isfinite(cand.score):
-        cand.valid = True
+        naive.invalid_reason = "no supported non-control treatment on a branch"
+        return naive
+    naive.score = float(max(max(ur) - min(ul), max(ul) - min(ur)))
+    if math.isfinite(naive.score):
+        naive.valid = True
     else:
-        cand.invalid_reason = _REASON_NOT_FINITE
-    return cand
+        naive.invalid_reason = _REASON_NOT_FINITE
+    return naive
 
 
 def approx_quantile_boundaries(data: Union[ColumnFrame, PartitionedFrame], feature: str,
@@ -805,15 +783,14 @@ def naive_variant_best_split(variant: str, data: Union[ColumnFrame, PartitionedF
                           replace(contract_cfg, control_label_override=first))
 
     control = select_control(treatments, config.control_label_override)
-    tables = [build_prefix_sums(data, feat, boundaries[feat], treatments)
-              for feat in features]
+    collected = [cand for feat in features for cand in expand_and_score(
+        build_prefix_sums(data, feat, boundaries[feat], treatments), config)]
     if variant == "sparse_omit":
         control_idx = treatments.index(control)
-        collected = [_naive_score_sparse(t, c, d, control_idx, config.min_leaf_size)
-                     for t in tables for c in range(t.n_candidates) for d in _DIRECTIONS]
-    else:
-        collected = [cand for t in tables for cand in expand_and_score(t, config)
-                     if variant != "implicit_missing" or cand.nan_direction == NAN_LEFT]
+        collected = [_naive_score_sparse(cand, control_idx, config.min_leaf_size)
+                     for cand in collected]
+    elif variant == "implicit_missing":
+        collected = [cand for cand in collected if cand.nan_direction == NAN_LEFT]
     valid = [c for c in collected if c.valid]
     if not valid:
         return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control,

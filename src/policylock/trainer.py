@@ -25,8 +25,8 @@ from .forest import (ForestArrays, TreeArrays, _leaf_nodes, INTERNAL_CONTINUOUS,
                      LEAF)
 from .frame import ColumnFrame, PartitionedFrame
 from .splitsearch import (Boundaries, BinnedRows, SplitConfig, best_split, bin_rows,
-                          select_control, treatment_codes, PATH_REFERENCE,
-                          STATUS_OK, STATUS_SKIPPED_TOO_LARGE)
+                          feature_boundaries, select_control, treatment_codes,
+                          PATH_REFERENCE, STATUS_OK, STATUS_SKIPPED_TOO_LARGE)
 
 SIGNATURE_FORMAT_VERSION = "1"
 
@@ -105,10 +105,7 @@ def build_manifest(frame: ColumnFrame, feature_names: Sequence[str],
                    max_depth: int, min_leaf_size: int) -> Manifest:
     feature_names = tuple(feature_names)
     treatment_labels = tuple(treatment_labels)
-    for name in feature_names:
-        if name not in boundaries:
-            raise InvalidArgumentError(f"no boundaries for feature {name!r}")
-    ordered = tuple((name, boundaries[name]) for name in feature_names)
+    ordered = tuple(zip(feature_names, feature_boundaries(boundaries, feature_names)))
     digest = _preprocessing_digest(ordered, treatment_labels, seed, max_depth,
                                    min_leaf_size)
     return Manifest(row_id_set_digest(frame.row_ids), feature_names, treatment_labels,
@@ -355,10 +352,10 @@ def train(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
 
 def train_unlocked_naive(data: Union[ColumnFrame, PartitionedFrame],
                          boundaries: Mapping[str, Boundaries], max_depth: int,
-                         min_leaf_size: int,
-                         execution_path: str = PATH_REFERENCE) -> PolicyTree:
+                         min_leaf_size: int) -> PolicyTree:
     """The before-lock pipeline: treatment vocabulary inferred from row order,
-    control taken as the first label seen.  Exists to demonstrate drift."""
+    control taken as the first label seen, trained on the reference path.
+    Exists to demonstrate drift."""
     parts = _partitions(data)
     digest = _unique_row_id_digest(parts)
     seen: dict[str, None] = {}
@@ -372,7 +369,7 @@ def train_unlocked_naive(data: Union[ColumnFrame, PartitionedFrame],
     manifest = Manifest(digest, features, labels,
                         tuple((n, boundaries[n]) for n in features), 0,
                         max_depth, min_leaf_size, "unlocked", locked=True)
-    return _train_loop(parts, manifest, execution_path, labels[0])
+    return _train_loop(parts, manifest, PATH_REFERENCE, labels[0])
 
 
 @dataclass(frozen=True)

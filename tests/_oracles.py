@@ -2,8 +2,10 @@
 
 Everything here works from raw rows with plain Python loops and stays
 deliberately independent of the engine's vectorized / prefix-sum code paths,
-except ``pernode_train``: it keeps the engine's per-node split search and
-checks only how the level-wise trainer batches nodes and routes rows.
+with two exceptions.  ``scalar_candidate`` reads the engine's ``PrefixTable``
+and checks only the array scorer's S2 arithmetic, one candidate at a time.
+``pernode_train`` keeps the engine's per-node split search and checks only
+how the level-wise trainer batches nodes and routes rows.
 """
 
 import math
@@ -12,8 +14,10 @@ import numpy as np
 
 from policylock.forest import LEAF, INTERNAL_CATEGORICAL
 from policylock.frame import PartitionedFrame
-from policylock.splitsearch import (SplitConfig, best_split, bin_rows,
-                                    treatment_codes, STATUS_OK)
+from policylock.splitsearch import (CandidateScore, SplitConfig, best_split, bin_rows,
+                                    treatment_codes, STATUS_OK, _REASON_NO_CONTROL,
+                                    _REASON_NOT_FINITE, _REASON_ZERO_SUPPORT,
+                                    _reason_min_leaf)
 from policylock.trainer import PolicyNode, PolicyTree
 
 
@@ -97,6 +101,47 @@ def oracle_candidates(frame, feature, cuts, treatments, control, min_leaf):
             score = max(max(ur) - min(ul), max(ul) - min(ur))
             results[(c, direction)] = (math.isfinite(score), score)
     return results
+
+
+def scalar_candidate(table, c, direction, control_idx, min_leaf_size):
+    """Scalar S2 of candidate ``c`` of a ``PrefixTable`` without a node axis:
+    the missing tallies join the ``direction`` branch, then the validity
+    checks in contract order and the DDP max-envelope score.  The array
+    scorer must equal it candidate by candidate, score bits included."""
+    left_o = table.left_opps[c].copy()
+    left_a = table.left_accepts[c].copy()
+    right_o = table.totals_opps - table.left_opps[c]
+    right_a = table.totals_accepts - table.left_accepts[c]
+    if direction == "left":
+        left_o += table.missing_opps
+        left_a += table.missing_accepts
+    else:
+        right_o += table.missing_opps
+        right_a += table.missing_accepts
+    cand = CandidateScore(table.feature_name, c, table.cuts[c], direction,
+                          math.nan, False, left_opps=left_o, right_opps=right_o,
+                          left_accepts=left_a, right_accepts=right_a)
+    T = len(table.treatments)
+    if T < 2:
+        cand.invalid_reason = _REASON_NO_CONTROL
+        return cand
+    if (left_o == 0).any() or (right_o == 0).any():
+        cand.invalid_reason = _REASON_ZERO_SUPPORT
+        return cand
+    if left_o.sum() < min_leaf_size or right_o.sum() < min_leaf_size:
+        cand.invalid_reason = _reason_min_leaf(min_leaf_size)
+        return cand
+    left_rates = left_a / left_o
+    right_rates = right_a / right_o
+    noncontrol = [t for t in range(T) if t != control_idx]
+    ul = left_rates[noncontrol] - left_rates[control_idx]
+    ur = right_rates[noncontrol] - right_rates[control_idx]
+    cand.score = float(max(ur.max() - ul.min(), ul.max() - ur.min()))
+    if not math.isfinite(cand.score):
+        cand.invalid_reason = _REASON_NOT_FINITE
+        return cand
+    cand.valid = True
+    return cand
 
 
 def oracle_best(frame, features, bmap, treatments, control, min_leaf):

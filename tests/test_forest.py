@@ -59,6 +59,11 @@ class TestValidation:
         assert any("itself" in v.message for v in report.violations)
 
 
+def test_random_forest_without_features_rejected():
+    with pytest.raises(pl.EngineError, match="at least one feature"):
+        pl.random_forest(2, 3, (), ("a", "b"), seed=1)
+
+
 class TestTraversal:
     def test_single_leaf_any_row(self):
         tree = single_leaf_tree([0.3, 0.7])

@@ -81,6 +81,11 @@ class TestPerturbations:
             pl.apply_perturbation(pf, pl.PerturbationSpec(
                 pl.PerturbationKind.COALESCE, target_partitions=5))
 
+    def test_unknown_kind_rejected(self):
+        pf = pl.partition(self._frame(), 2)
+        with pytest.raises(pl.EngineError, match="unknown perturbation kind 'bogus'"):
+            pl.apply_perturbation(pf, pl.PerturbationSpec("bogus"))
+
     def test_sort_within_partition_postcondition(self):
         pf = pl.partition(self._frame(), 4)
         out = pl.apply_perturbation(pf, pl.PerturbationSpec(

@@ -44,6 +44,21 @@ class TestSpecValidation:
         assert spec.knob("n_rows") == 10
         assert spec.knob("tolerance") == 1e-9
 
+    @pytest.mark.parametrize("block,knobs", [
+        ("C1", {"n_rows": True}), ("C1", {"n_rows": 10.0}), ("C1", {"tolerance": "1"}),
+        ("C1", {"tolerance": False}), ("F1", {"skew_grid": "balanced"}),
+        ("F1", {"skew_grid": [1]}), ("F1", {"p_miss_grid": [0.1, None]}),
+        ("E1", {"depth_grid": [1.0]}),
+    ])
+    def test_knob_of_another_type_rejected(self, block, knobs):
+        with pytest.raises(pl.InvalidArgumentError, match="type of its default"):
+            ExperimentSpec(block, knobs=knobs)
+
+    def test_int_accepted_for_float_knob(self):
+        spec = ExperimentSpec("F1", knobs={"p_miss_grid": [0, 0.5]})
+        assert spec.knob("p_miss_grid") == [0, 0.5]
+        assert ExperimentSpec("C1", knobs={"tolerance": 0}).knob("tolerance") == 0
+
 
 @pytest.mark.parametrize("block", ["P2", "C1", "C2", "E1", "F1", "F2", "F3",
                                    "S1", "S2"])
@@ -336,6 +351,23 @@ class TestCli:
         assert cli_main([*argv, "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: config {key}='abc' is not a valid int\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,config", [
+        (["--block", "P2", "--knob", "n_rows=abc"], None),
+        (["--block", "P2", "--knob", "feature_grid=5"], None),
+        (["--block", "E1", "--knob", "depth_grid=1"], None),
+        (["--block", "C1"], "n_rows\n"),
+    ], ids=["str_for_int", "int_for_list", "int_for_int_list", "bare_config_key"])
+    def test_knob_of_another_type_exits_2(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        rc = cli_main(["harness", "run", *argv, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: knob ")
+        assert "type of its default" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("text,message", [

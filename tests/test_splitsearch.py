@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 import policylock as pl
 from policylock.harness import random_small_instance
 from policylock.splitsearch import (CandidateScore, PrefixTable, _FeatureScores,
-                                    _make_best, _no_valid_summary, _score_candidate,
-                                    candidate_order_key)
+                                    _make_best, _no_valid_summary, candidate_order_key)
 
 from conftest import build_frame
-from _oracles import oracle_best, oracle_candidates
+from _oracles import oracle_best, oracle_candidates, scalar_candidate
 
 
 @st.composite
@@ -81,6 +80,11 @@ class TestBucketize:
             pl.Boundaries("x", (0.5, 0.5))
         with pytest.raises(pl.InvalidArgumentError):
             pl.Boundaries("x", ())
+
+    @pytest.mark.parametrize("cuts", [("a",), (0.5, None), 0.5])
+    def test_non_numeric_cuts_rejected(self, cuts):
+        with pytest.raises(pl.EngineError, match="cuts must be numbers"):
+            pl.Boundaries("x", cuts)
 
     @pytest.mark.parametrize("cuts", [(float("nan"),), (float("nan"), 0.5),
                                       (0.5, float("nan")), (0.1, float("nan"), 0.9)])
@@ -387,6 +391,21 @@ class TestBestSplit:
             pl.SplitConfig(min_leaf_size=config.min_leaf_size,
                            execution_path=pl.PATH_PARTITIONED, pool_size=pool_size)
 
+    @pytest.mark.parametrize("call", [
+        lambda frame, bmap: pl.best_split(frame, ["x", "y"], bmap, ("control", "treat"),
+                                          pl.SplitConfig()),
+        lambda frame, bmap: pl.naive_variant_best_split(
+            "no_total_order", frame, ["x", "y"], bmap, ("control", "treat"),
+            pl.SplitConfig()),
+        lambda frame, bmap: _binned(frame, ["x", "y"], bmap, ("control", "treat")),
+        lambda frame, bmap: pl.build_manifest(frame, ["x", "y"], ("control", "treat"),
+                                              bmap, 1, 1, 1),
+    ], ids=["best_split", "naive_variant_best_split", "bin_rows", "build_manifest"])
+    def test_feature_without_boundaries_rejected(self, six_row_frame, call):
+        bmap = {"x": pl.Boundaries("x", (0.5,))}
+        with pytest.raises(pl.EngineError, match="no boundaries for feature 'y'"):
+            call(six_row_frame, bmap)
+
     def test_all_below_min_leaf_returns_none(self, six_row_frame):
         cfg = pl.SplitConfig(min_leaf_size=100)
         res = pl.best_split(six_row_frame, ["x"], {"x": pl.Boundaries("x", (0.5,))},
@@ -430,7 +449,8 @@ def _byte_equal(a: float, b: float) -> bool:
 
 
 class TestArrayScorer:
-    """The one-pass array scorer of best_split against the scalar oracle."""
+    """The one-pass array scorer of best_split and expand_and_score against the
+    scalar oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(_scored_tables())
@@ -447,17 +467,21 @@ class TestArrayScorer:
     def test_matches_scalar_candidate_by_candidate(self, case):
         table, control_idx, min_leaf = case
         fast = _FeatureScores(table, control_idx, min_leaf)
-        slow = [_score_candidate(table, c, direction, control_idx, min_leaf)
+        slow = [scalar_candidate(table, c, direction, control_idx, min_leaf)
                 for c in range(table.n_candidates) for direction in ("left", "right")]
-        for want in slow:
+        listed = pl.expand_and_score(table, pl.SplitConfig(
+            min_leaf_size=min_leaf, control_label_override=table.treatments[control_idx]))
+        assert len(listed) == len(slow)
+        for want, in_list in zip(slow, listed):
             got = fast.candidate(("left", "right").index(want.nan_direction),
                                  want.candidate_bin)
-            assert got.identity() == want.identity()
-            assert got.threshold_boundary == want.threshold_boundary
-            assert (got.valid, got.invalid_reason) == (want.valid, want.invalid_reason)
-            assert _byte_equal(got.score, want.score)
-            for name in ("left_opps", "right_opps", "left_accepts", "right_accepts"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+            for cand in (got, in_list):
+                assert cand.identity() == want.identity()
+                assert cand.threshold_boundary == want.threshold_boundary
+                assert (cand.valid, cand.invalid_reason) == (want.valid, want.invalid_reason)
+                assert _byte_equal(cand.score, want.score)
+                for name in ("left_opps", "right_opps", "left_accepts", "right_accepts"):
+                    assert np.array_equal(getattr(cand, name), getattr(want, name))
 
         valid = [c for c in slow if c.valid]
         winner = fast.winners()[0]
