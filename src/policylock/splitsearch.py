@@ -1,16 +1,15 @@
 """Collect-less multi-treatment split search.
 
 Stage S1 turns rows into per-candidate-bin, per-treatment prefix sums with an
-explicit missing bin.  Rows arrive either as a frame (``ColumnFrame`` or
-``PartitionedFrame``, bucketized feature by feature) or as a ``BinnedRows``
-view whose features were bucketized once under the same fixed boundaries, so
-a caller that searches many row subsets bins each row once.  Both kinds of
-input reach the three execution paths' distinct aggregations through one
-per-partition reader of cell keys ``((slot*(B+1) + bin)*T + code)*2 +
-positive``.  A view may carry a node slot per row; then every table gains a
-leading node axis and ``best_split`` answers for every node in one pass (the
-trainer searches all nodes of a tree level at once).  Without slots all rows
-are one node.
+explicit missing bin.  Its one input is a ``BinnedRows`` view that keeps each
+partition's row range: ``bin_rows`` bucketizes a frame (``ColumnFrame`` or
+``PartitionedFrame``) once per search, and a caller that searches many row
+subsets bins each row once.  Every execution path counts each partition's
+cell keys ``((slot*(B+1) + bin)*T + code)*2 + positive`` with one
+``bincount``; only the count tables merge.  A view may carry a node slot per
+row; then every table gains a leading node axis and ``best_split`` answers
+for every node in one pass (the trainer searches all nodes of a tree level at
+once).  Without slots all rows are one node.
 
 Stage S2 expands every candidate into both missing routes, applies the full
 validity checks, scores with the DDP max-envelope and selects the winner
@@ -29,7 +28,7 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -182,7 +181,8 @@ class BinnedRows:
     """Rows bucketized once under fixed boundaries: ``bins[f]`` is feature
     ``features[f]``'s bin per row (missing bin B included) and ``tails`` is
     ``code*2 + positive`` per row, the low digits of every cell key (``code``
-    the treatment index in ``treatments``, ``positive`` the outcome).
+    the treatment index in ``treatments``, ``positive`` the outcome).  Rows
+    ``bounds[p]:bounds[p+1]`` are partition p, which S1 counts on its own;
     ``slots``, when set, places each row in one of ``n_slots`` nodes.
 
     ``best_split`` accepts a view in place of a frame; the view remembers
@@ -193,10 +193,15 @@ class BinnedRows:
     treatments: tuple[str, ...]
     bins: np.ndarray        # uint8 [F, N]; uint16 (or wider) when some B+1 > 256
     tails: np.ndarray       # int64 [N]
+    bounds: tuple[int, ...]  # 0 = bounds[0] <= ... <= bounds[-1] = N
     slots: Optional[np.ndarray] = None   # int64 [N] in [0, n_slots)
     n_slots: int = 1
 
     def __post_init__(self):
+        b = self.bounds
+        if len(b) < 2 or b[0] != 0 or b[-1] != self.n_rows or any(np.diff(b) < 0):
+            raise InvalidArgumentError("partition bounds must run non-decreasing from 0 to "
+                                       f"{self.n_rows} over one partition or more")
         if self.slots is not None and len(self.slots) and (
                 self.slots.min() < 0 or self.slots.max() >= self.n_slots):
             raise InvalidArgumentError(f"node slots must lie in [0, {self.n_slots})")
@@ -206,8 +211,14 @@ class BinnedRows:
         return len(self.tails)
 
     def take(self, rows: np.ndarray) -> "BinnedRows":
+        """``rows`` in their partitions: any order within one, partitions in order."""
+        part = np.searchsorted(self.bounds, rows, side="right") - 1
+        P = len(self.bounds) - 1
+        if (np.diff(part, prepend=0, append=P - 1) < 0).any():
+            raise InvalidArgumentError(f"rows must lie in [0, {self.n_rows}) in partition order")
         return BinnedRows(self.features, self.boundaries, self.treatments,
                           np.take(self.bins, rows, axis=1), self.tails[rows],
+                          tuple(np.searchsorted(part, np.arange(P + 1)).tolist()),
                           None if self.slots is None else self.slots[rows],
                           self.n_slots)
 
@@ -230,52 +241,40 @@ class BinnedRows:
         return self.bins[f]
 
 
-def bin_rows(frame: ColumnFrame, features: Sequence[str],
-             boundaries: Mapping[str, Boundaries], treatments: Sequence[str],
-             codes: np.ndarray) -> BinnedRows:
-    """Bucketize every feature of ``frame`` once; ``codes`` is
-    ``treatment_codes(frame, treatments)``."""
+def bin_rows(data: Union[ColumnFrame, PartitionedFrame], features: Sequence[str],
+             boundaries: Mapping[str, Boundaries],
+             treatments: Sequence[str]) -> BinnedRows:
+    """Bucketize every feature of every partition of ``data`` once and build
+    the cell tails; partition p becomes rows ``bounds[p]:bounds[p+1]``."""
     features, treatments = tuple(features), tuple(treatments)
-    bounds = feature_boundaries(boundaries, features)
-    dtype = np.min_scalar_type(max((b.missing_bin for b in bounds), default=0))
-    bins = np.empty((len(features), frame.n_rows), dtype=dtype)
-    for f, (name, b) in enumerate(zip(features, bounds)):
-        bins[f] = bucketize(frame.effective_values(name), b)
-    return BinnedRows(features, bounds, treatments, bins, codes * 2 + (frame.outcomes == 1))
+    per_feature = feature_boundaries(boundaries, features)
+    parts = data.partitions if isinstance(data, PartitionedFrame) else (data,)
+    bounds = tuple(accumulate((p.n_rows for p in parts), initial=0))
+    dtype = np.min_scalar_type(max((b.missing_bin for b in per_feature), default=0))
+    bins = np.empty((len(features), bounds[-1]), dtype=dtype)
+    tails = np.empty(bounds[-1], dtype=np.int64)
+    for part, lo, hi in zip(parts, bounds, bounds[1:]):
+        for f, (name, b) in enumerate(zip(features, per_feature)):
+            bins[f, lo:hi] = bucketize(part.effective_values(name), b)
+        tails[lo:hi] = treatment_codes(part, treatments) * 2 + (part.outcomes == 1)
+    return BinnedRows(features, per_feature, treatments, bins, tails, bounds)
 
 
 SplitInput = Union[ColumnFrame, PartitionedFrame, BinnedRows]
 
 
-def _node_count(data: SplitInput) -> Optional[int]:
-    """K for a view with node slots, None for input that is one node."""
-    return data.n_slots if isinstance(data, BinnedRows) and data.slots is not None \
-        else None
-
-
-def _partition_keys(data: SplitInput, feature: str, boundaries: Boundaries,
+def _partition_keys(view: BinnedRows, feature: str, boundaries: Boundaries,
                     treatments: tuple[str, ...]):
     """S1's one counting input: per partition, each row's int64 cell key
     ``((slot*(B+1) + bin)*T + code)*2 + positive`` (slot 0 without slots)."""
-    T = len(treatments)
-    if isinstance(data, BinnedRows):
-        # widened: narrow bins times T would wrap
-        keys = data.feature_bins(feature, boundaries, treatments).astype(np.int64)
-        if data.slots is not None:
-            keys += data.slots * (boundaries.n_bins + 1)
-        keys *= 2 * T
-        keys += data.tails
-        yield keys
-        return
-    frames = data.partitions if isinstance(data, PartitionedFrame) else (data,)
-    if not frames:
-        raise InvalidArgumentError("partitioned frame has no partitions")
-    for part in frames:
-        keys = bucketize(part.effective_values(feature), boundaries) * T
-        keys += treatment_codes(part, treatments)
-        keys *= 2
-        keys += part.outcomes == 1
-        yield keys
+    # widened: narrow bins times T would wrap
+    keys = view.feature_bins(feature, boundaries, treatments).astype(np.int64)
+    if view.slots is not None:
+        keys += view.slots * (boundaries.n_bins + 1)
+    keys *= 2 * len(treatments)
+    keys += view.tails
+    for lo, hi in zip(view.bounds, view.bounds[1:]):
+        yield keys[lo:hi]
 
 
 @dataclass
@@ -347,45 +346,47 @@ class PrefixTable:
         }
 
 
-def _cell_shape(data: SplitInput, boundaries: Boundaries, T: int) -> tuple[int, ...]:
-    K = _node_count(data)
-    return ((K,) if K is not None else ()) + (boundaries.n_bins + 1, T, 2)
+def _partition_counts(data: SplitInput, feature: str, boundaries: Boundaries,
+                      treatments: tuple[str, ...]):
+    """Both S1 plans' one aggregation: the cell shape ``[K,] B+1, T, 2`` and
+    per partition the ``bincount`` of its cell keys, flat over that shape."""
+    view = data if isinstance(data, BinnedRows) else \
+        bin_rows(data, [feature], {feature: boundaries}, treatments)
+    shape = ((view.n_slots,) if view.slots is not None else ()) \
+        + (boundaries.n_bins + 1, len(treatments), 2)
+    return shape, [np.bincount(keys, minlength=math.prod(shape))
+                   for keys in _partition_keys(view, feature, boundaries, treatments)]
 
 
 def build_prefix_sums(data: SplitInput, feature: str,
                       boundaries: Boundaries, treatments: Sequence[str]) -> PrefixTable:
     """S1: exact group-by counts with explicit zero-fill over the fixed
-    treatment vocabulary; independent of row order and partitioning.  One
-    ``bincount`` of the cell keys per partition, merged in partition order."""
+    treatment vocabulary; independent of row order and partitioning.  The
+    partitions' dense count tables are summed in partition order."""
     treatments = tuple(treatments)
-    shape = _cell_shape(data, boundaries, len(treatments))
-    size = math.prod(shape)
-    counts = np.zeros(size, dtype=np.int64)
-    for keys in _partition_keys(data, feature, boundaries, treatments):
-        counts += np.bincount(keys, minlength=size)
+    shape, counts = _partition_counts(data, feature, boundaries, treatments)
     return PrefixTable.from_cells(feature, treatments, boundaries.cuts,
-                                  counts.reshape(shape))
+                                  np.sum(counts, axis=0).reshape(shape))
 
 
 def windowed_prefix_table(data: SplitInput, feature: str,
                           boundaries: Boundaries, treatments: Sequence[str]) -> PrefixTable:
-    """Same counts via a grouped-then-cumulative plan: sparse cell groups per
-    partition, merged across partitions by a sort on the cell key, then
-    per-(node, treatment) running window sums over the bins.  Integer
-    arithmetic makes it exactly equal to the dense path."""
+    """Same counts via a grouped-then-cumulative plan: each partition's
+    non-empty cells as sparse (key, count) groups, merged by a sort on the
+    cell key, then per-(node, treatment) running window sums over the bins.
+    Integer arithmetic makes it exactly equal to the dense path."""
     treatments = tuple(treatments)
-    shape = _cell_shape(data, boundaries, len(treatments))
-    groups = [np.unique(keys, return_counts=True)
-              for keys in _partition_keys(data, feature, boundaries, treatments)]
-    keys = np.concatenate([k for k, _ in groups])
-    sizes = np.concatenate([n for _, n in groups])
+    shape, counts = _partition_counts(data, feature, boundaries, treatments)
+    groups = [np.flatnonzero(c) for c in counts]
+    keys = np.concatenate(groups)
+    sizes = np.concatenate([c[g] for c, g in zip(counts, groups)])
     order = np.argsort(keys, kind="stable")
     keys, sizes = keys[order], sizes[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    counts = np.zeros(math.prod(shape), dtype=np.int64)
-    counts[keys[starts]] = np.add.reduceat(sizes, starts) if len(keys) else 0
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    merged = np.zeros(math.prod(shape), dtype=np.int64)
+    merged[keys[starts]] = np.add.reduceat(sizes, starts)
     return PrefixTable.from_cells(feature, treatments, boundaries.cuts,
-                                  counts.reshape(shape))
+                                  merged.reshape(shape))
 
 
 def ddp_max(uplifts_left: Sequence[float], uplifts_right: Sequence[float]) -> float:
@@ -459,6 +460,19 @@ def _reason_min_leaf(min_leaf_size: int) -> str:
     return f"branch total below min_leaf_size={min_leaf_size}"
 
 
+def _reason_texts(min_leaf_size: int) -> tuple[Optional[str], ...]:
+    """The invalid reason of each reason code (None for a valid candidate)."""
+    return (None, _REASON_NO_CONTROL, _REASON_ZERO_SUPPORT,
+            _reason_min_leaf(min_leaf_size), _REASON_NOT_FINITE)
+
+
+def _reason_counts(reasons: np.ndarray, texts: Sequence[Optional[str]]) -> Counter:
+    """Rejected candidates per reason text, tallied from reason codes."""
+    counts = np.bincount(reasons.ravel(), minlength=len(texts))
+    return Counter({texts[code]: int(n) for code, n in enumerate(counts)
+                    if code != _VALID and n})
+
+
 def _route_branches(table: PrefixTable, direction: str):
     """Left and right (opps, accepts) of every candidate, shape [..., B-1, T],
     with the missing tallies added to the ``direction`` branch."""
@@ -492,8 +506,7 @@ class _FeatureScores:
 
     def __init__(self, table: PrefixTable, control_idx: int, min_leaf_size: int):
         self.table = table
-        self.reason_texts = (None, _REASON_NO_CONTROL, _REASON_ZERO_SUPPORT,
-                             _reason_min_leaf(min_leaf_size), _REASON_NOT_FINITE)
+        self.reason_texts = _reason_texts(min_leaf_size)
         T = len(table.treatments)
         routes = [_route_branches(table, d) for d in _DIRECTIONS]
         self.left_o, self.left_a, self.right_o, self.right_a = (
@@ -540,11 +553,6 @@ class _FeatureScores:
         best = np.argmax(ranked.reshape(len(ranked), -1), axis=1)
         return [self.candidate(*divmod(int(i), 2)[::-1], node=k) if has else None
                 for k, (i, has) in enumerate(zip(best, valid.any(axis=(1, 2))))]
-
-    def reason_counts(self, node: int = 0) -> Counter:
-        counts = np.bincount(self.reasons[node].ravel(), minlength=len(self.reason_texts))
-        return Counter({self.reason_texts[code]: int(n)
-                        for code, n in enumerate(counts) if code != _VALID and n})
 
 
 def expand_and_score(table: PrefixTable, config: SplitConfig) -> list[CandidateScore]:
@@ -633,40 +641,43 @@ def best_split(data: SplitInput, features: Sequence[str],
     control = select_control(treatments, config.control_label_override)
     control_idx = treatments.index(control)
     cand_rows = _total_candidate_rows(features, boundaries, len(treatments))
-    n_nodes = _node_count(data)
+    n_nodes = data.n_slots if isinstance(data, BinnedRows) and data.slots is not None \
+        else None
 
-    def scores(feat: str, prefix_table) -> _FeatureScores:
-        return _FeatureScores(prefix_table(data, feat, boundaries[feat], treatments),
-                              control_idx, config.min_leaf_size)
-
-    def result(k: int) -> SplitSearchResult:
-        found = [w[k] for w in winners if w[k] is not None]
-        if found:
-            return SplitSearchResult(STATUS_OK, _make_best(
-                min(found, key=candidate_order_key), control), cand_rows, control)
-        reason = "no valid candidate on any feature shard" if scored is None else \
-            _no_valid_summary(sum((s.reason_counts(k) for s in scored), Counter()))
-        return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control, reason=reason)
-
-    if config.execution_path == PATH_PARTITIONED:
-        # feature-sharded workers, winner-only reduce
-        pool_size = config.pool_size or min(8, max(len(features), 1))
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            winners = list(pool.map(lambda f: scores(f, build_prefix_sums).winners(),
-                                    features))
-        scored = None
-    elif config.execution_path == PATH_REFERENCE \
+    if config.execution_path == PATH_REFERENCE \
             and cand_rows > config.safety_skip_threshold:
         skipped = [SplitSearchResult(
             STATUS_SKIPPED_TOO_LARGE, None, cand_rows, control,
             reason=f"candidate rows {cand_rows} exceed safety threshold "
                    f"{config.safety_skip_threshold}") for _ in range(n_nodes or 1)]
         return skipped if n_nodes is not None else skipped[0]
+    view = data if isinstance(data, BinnedRows) else \
+        bin_rows(data, features, boundaries, treatments)
+    prefix_table = windowed_prefix_table if config.execution_path == PATH_RELATIONAL \
+        else build_prefix_sums
+
+    def report(feat: str):
+        scores = _FeatureScores(prefix_table(view, feat, boundaries[feat], treatments),
+                                control_idx, config.min_leaf_size)
+        return scores.winners(), scores.reasons
+
+    def result(k: int) -> SplitSearchResult:
+        found = [w[k] for w, _ in reports if w[k] is not None]
+        if found:
+            return SplitSearchResult(STATUS_OK, _make_best(
+                min(found, key=candidate_order_key), control), cand_rows, control)
+        texts = _reason_texts(config.min_leaf_size)
+        rejected = sum((_reason_counts(r[k], texts) for _, r in reports), Counter())
+        return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control,
+                                 reason=_no_valid_summary(rejected))
+
+    if config.execution_path == PATH_PARTITIONED:
+        # feature-sharded workers, each returning its winners and reason codes
+        pool_size = config.pool_size or min(8, max(len(features), 1))
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            reports = list(pool.map(report, features))
     else:
-        prefix_table = build_prefix_sums if config.execution_path == PATH_REFERENCE \
-            else windowed_prefix_table
-        scored = [scores(f, prefix_table) for f in features]
-        winners = [s.winners() for s in scored]
+        reports = [report(f) for f in features]
     results = [result(k) for k in range(n_nodes or 1)]
     return results if n_nodes is not None else results[0]
 

@@ -24,7 +24,8 @@ from .errors import (AlignmentError, ContractViolationError, InvalidArgumentErro
 from .forest import (ForestArrays, TreeArrays, _leaf_nodes, INTERNAL_CONTINUOUS,
                      LEAF)
 from .frame import ColumnFrame, PartitionedFrame
-from .splitsearch import (Boundaries, BinnedRows, SplitConfig, best_split, bin_rows,
+# treatment_codes is unused here; perfbench's traced run wraps it on this module
+from .splitsearch import (Boundaries, SplitConfig, best_split, bin_rows,
                           feature_boundaries, select_control, treatment_codes,
                           PATH_REFERENCE, STATUS_OK, STATUS_SKIPPED_TOO_LARGE)
 
@@ -251,28 +252,17 @@ class PolicyTree:
         return [self.nodes[p] for p in self.ordered_paths() if self.nodes[p].is_leaf]
 
 
-def _bin_partitions(parts: Sequence[ColumnFrame], manifest: Manifest) -> BinnedRows:
-    """Each partition bucketized once, concatenated in partition order."""
-    labels = manifest.treatment_labels
-    views = [bin_rows(p, manifest.feature_names, manifest.boundary_map(), labels,
-                      treatment_codes(p, labels)) for p in parts]
-    first = views[0]
-    return BinnedRows(first.features, first.boundaries, labels,
-                      np.concatenate([v.bins for v in views], axis=1),
-                      np.concatenate([v.tails for v in views]))
-
-
-def _train_loop(parts: Sequence[ColumnFrame], manifest: Manifest, execution_path: str,
-                control_override: Optional[str]) -> PolicyTree:
-    """Level-wise expansion over rows binned once.  ``level`` holds the rows
-    of the current level's nodes, each row's slot naming its node in
-    ``frontier``; one ``best_split`` answers for every node.  Rows route on
-    bins: with left-inclusive bins, ``value <= cuts[c]`` iff ``bin <= c``,
-    and the missing bin B > c follows the NaN direction.  Rows of new leaves
-    leave the level."""
+def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
+                execution_path: str, control_override: Optional[str]) -> PolicyTree:
+    """Level-wise expansion over rows binned once, partition by partition.
+    ``level`` holds the rows of the current level's nodes, each row's slot
+    naming its node in ``frontier``; one ``best_split`` answers for every
+    node.  Rows route on bins: with left-inclusive bins, ``value <= cuts[c]``
+    iff ``bin <= c``, and the missing bin B > c follows the NaN direction.
+    Rows of new leaves leave the level."""
     T = len(manifest.treatment_labels)
     features = manifest.feature_names
-    binned = _bin_partitions(parts, manifest)
+    binned = bin_rows(data, features, manifest.boundary_map(), manifest.treatment_labels)
     missing_bin = np.array([b.missing_bin for b in binned.boundaries], dtype=np.int64)
     bin_axis = np.arange(missing_bin.max(initial=0) + 1)
     config = SplitConfig(min_leaf_size=manifest.min_leaf_size,
@@ -345,9 +335,7 @@ def train(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
     parts = _partitions(data)
     if _unique_row_id_digest(parts) != manifest.row_id_digest:
         raise ContractViolationError("frame row_id set does not match the manifest digest")
-    for name in manifest.feature_names:
-        parts[0].column_index(name)
-    return _train_loop(parts, manifest, execution_path, None)
+    return _train_loop(data, manifest, execution_path, None)
 
 
 def train_unlocked_naive(data: Union[ColumnFrame, PartitionedFrame],
@@ -369,7 +357,7 @@ def train_unlocked_naive(data: Union[ColumnFrame, PartitionedFrame],
     manifest = Manifest(digest, features, labels,
                         tuple((n, boundaries[n]) for n in features), 0,
                         max_depth, min_leaf_size, "unlocked", locked=True)
-    return _train_loop(parts, manifest, PATH_REFERENCE, labels[0])
+    return _train_loop(data, manifest, PATH_REFERENCE, labels[0])
 
 
 @dataclass(frozen=True)

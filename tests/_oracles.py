@@ -195,7 +195,7 @@ def pernode_train(data, manifest, execution_path, control_override=None):
     T = len(labels)
     codes = treatment_codes(frame, labels)
     bmap = manifest.boundary_map()
-    binned = bin_rows(frame, manifest.feature_names, bmap, labels, codes)
+    binned = bin_rows(frame, manifest.feature_names, bmap, labels)
     config = SplitConfig(min_leaf_size=manifest.min_leaf_size,
                          control_label_override=control_override,
                          execution_path=execution_path)

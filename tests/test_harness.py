@@ -297,6 +297,17 @@ class TestCli:
         assert rc == 0
         assert os.path.exists(os.path.join(str(out_dir), "c2_report.csv"))
 
+    def test_harness_run_on_zero_rows_fails_fixture_parity(self, tmp_path, capsys):
+        """No path finds a split on an empty fixture: C2 reports a failed case
+        and exits 1, with no traceback."""
+        rc = cli_main(["harness", "run", "--block", "C2", "--knob", "n_rows=0",
+                       "--knob", "random_instances=2", "--out", str(tmp_path)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+        bundle = json.loads((tmp_path / "c2_bundle.json").read_text())
+        case = next(c for c in bundle["cases"] if c["case"] == "fixture_parity")
+        assert case["pass"] is False and set(case["tuples"].values()) == {None}
+
     def test_harness_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("block=C2\nseed=7\nn_rows=2000\nrandom_instances=4\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 import policylock as pl
 from policylock.harness import random_small_instance
 from policylock.splitsearch import (CandidateScore, PrefixTable, _FeatureScores,
-                                    _make_best, _no_valid_summary, candidate_order_key)
+                                    _make_best, _no_valid_summary, _reason_counts,
+                                    candidate_order_key)
 
 from conftest import build_frame
 from _oracles import oracle_best, oracle_candidates, scalar_candidate
@@ -493,12 +495,13 @@ class TestArrayScorer:
         else:
             assert winner is None
         rejected = Counter(c.invalid_reason for c in slow if not c.valid)
-        assert fast.reason_counts() == rejected
-        assert _no_valid_summary(fast.reason_counts()) == _no_valid_summary(rejected)
+        counted = _reason_counts(fast.reasons[0], fast.reason_texts)
+        assert counted == rejected
+        assert _no_valid_summary(counted) == _no_valid_summary(rejected)
 
 
 def _binned(frame, names, bmap, labels):
-    return pl.bin_rows(frame, names, bmap, labels, pl.treatment_codes(frame, labels))
+    return pl.bin_rows(frame, names, bmap, labels)
 
 
 def _split_records(data, names, bmap, labels, config):
@@ -518,7 +521,8 @@ class TestBinnedRows:
     @pytest.mark.parametrize("no_valid", [False, True])
     def test_best_split_equal_on_view_frame_and_partitions(self, no_valid):
         """status, as_tuple(), reason and diagnostics (all in to_record())
-        agree for every path, also on a row subset of the view."""
+        agree across the paths, and for every path on a frame, its view, its
+        partitions and a row subset of the view."""
         compared = 0
         for i in range(12):
             frame, names, bmap, labels, config = random_small_instance(5100 + i)
@@ -526,6 +530,7 @@ class TestBinnedRows:
                 config = pl.SplitConfig(min_leaf_size=frame.n_rows)
             view = _binned(frame, names, bmap, labels)
             want = _split_records(frame, names, bmap, labels, config)
+            assert want == [want[0]] * len(want)
             assert _split_records(view, names, bmap, labels, config) == want
             assert _split_records(pl.partition(frame, 4), names, bmap, labels,
                                   config) == want
@@ -535,6 +540,70 @@ class TestBinnedRows:
             compared += sum(r["status"] == ("no_valid_candidate" if no_valid else "ok")
                             for r in want)
         assert compared >= 12
+
+    def test_bounds_are_the_cumulative_partition_sizes(self):
+        frame, names, bmap, labels, _ = random_small_instance(5400)
+        parts = pl.partition(frame, 3)
+        sizes = [p.n_rows for p in parts.partitions]
+        assert _binned(parts, names, bmap, labels).bounds == \
+            (0, sizes[0], sizes[0] + sizes[1], frame.n_rows)
+        assert _binned(frame, names, bmap, labels).bounds == (0, frame.n_rows)
+
+    @pytest.mark.parametrize("bounds", [(0,), (1, 10), (0, 9), (0, 6, 4, 10), (0, 11)])
+    def test_bounds_not_running_from_zero_to_n_rejected(self, bounds):
+        view = _binned(build_frame({"x": np.linspace(0, 1, 10).tolist()}), ["x"],
+                       {"x": pl.uniform_boundaries("x", 4)}, ("control",))
+        with pytest.raises(pl.InvalidArgumentError, match="bounds"):
+            dataclasses.replace(view, bounds=bounds)
+
+    def test_take_keeps_rows_in_their_partitions(self):
+        """Rows of partitions 0 and 2, shuffled within each: the subset keeps
+        one range per partition (partition 1's empty) and searches like the
+        same rows of the frame."""
+        frame, names, bmap, labels, config = random_small_instance(5401)
+        view = _binned(pl.partition(frame, 3), names, bmap, labels)
+        b = view.bounds
+        shuffle = np.random.RandomState(0).permutation
+        first, last = shuffle(b[1])[:b[1] // 2], b[2] + shuffle(b[3] - b[2])
+        rows = np.concatenate([first, last])
+        sub = view.take(rows)
+        assert sub.bounds == (0, len(first), len(first), len(rows))
+        assert np.array_equal(sub.bins, view.bins[:, rows])
+        assert np.array_equal(sub.tails, view.tails[rows])
+        assert _split_records(sub, names, bmap, labels, config) == \
+            _split_records(frame.take(rows), names, bmap, labels, config)
+
+    @pytest.mark.parametrize("rows", [[100, 0], [0, 100, 50], [-1], [1000]],
+                             ids=["out_of_order", "back_to_earlier", "negative",
+                                  "past_the_end"])
+    def test_take_out_of_partition_order_rejected(self, rows):
+        frame = build_frame({"x": np.linspace(0, 1, 1000).tolist()})
+        view = _binned(pl.partition(frame, 10), ["x"], {"x": pl.uniform_boundaries("x", 4)},
+                       ("control",))
+        with pytest.raises(pl.InvalidArgumentError, match="partition order"):
+            view.take(np.array(rows))
+
+    def test_empty_partitions_change_no_record_or_table(self):
+        """``partition(frame, n_rows + 3)`` holds three empty partitions."""
+        for i in range(3):
+            frame, names, bmap, labels, config = random_small_instance(5500 + i)
+            parts = pl.partition(frame, frame.n_rows + 3)
+            assert _split_records(parts, names, bmap, labels, config) == \
+                _split_records(frame, names, bmap, labels, config)
+            for build in (pl.build_prefix_sums, pl.windowed_prefix_table):
+                for name in names:
+                    assert build(parts, name, bmap[name], labels).to_record() == \
+                        build(frame, name, bmap[name], labels).to_record()
+
+    def test_zero_rows_give_no_valid_candidate_on_every_path(self):
+        frame, names, bmap, labels, config = random_small_instance(5600)
+        empty = frame.take(np.arange(0))
+        want = _split_records(empty, names, bmap, labels, config)
+        assert want == [want[0]] * 3 and want[0]["status"] == pl.STATUS_NO_VALID
+        view = _binned(frame, names, bmap, labels)
+        for data in (_binned(empty, names, bmap, labels), view.take(np.arange(0))):
+            assert data.n_rows == 0
+            assert _split_records(data, names, bmap, labels, config) == want
 
     def test_tails_match_codes_and_outcomes(self):
         """``tails`` is ``code*2 + positive`` on a view, on its ``with_slots``

@@ -190,6 +190,33 @@ class TestLevelWise:
                 assert pl.signature(pl.train(data, man, path)).text == want
 
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
+    def test_every_level_counts_each_partition_on_its_own(self, path, monkeypatch):
+        """S1 reads one key slice per partition for every feature of every
+        level's search."""
+        frame, labels = _witness_frame(n_rows=3000)
+        man, _ = _manifest(frame, labels, max_depth=4, min_leaf=150)
+        partition_keys, search = splitsearch._partition_keys, trainer.best_split
+        slices, levels = [], []
+
+        def counting_keys(*args):  # the partitioned path calls it from threads
+            n = 0
+            for keys in partition_keys(*args):
+                n += 1
+                yield keys
+            slices.append(n)
+
+        def counting_search(view, *args):
+            levels.append(view.bounds)
+            return search(view, *args)
+
+        monkeypatch.setattr(splitsearch, "_partition_keys", counting_keys)
+        monkeypatch.setattr(trainer, "best_split", counting_search)
+        pl.train(pl.partition(frame, 3), man, path)
+        assert len(levels) == man.max_depth
+        assert all(len(bounds) == 4 for bounds in levels)
+        assert slices == [3] * (len(levels) * len(man.feature_names))
+
+    @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
     def test_every_level_matches_per_node_searches_and_tables(self, path, monkeypatch):
         """Each node's result of a level's one search, no-valid reason
         included, and each node's slice of the node-axis tables equal the
