@@ -1,24 +1,29 @@
-"""Collect-less multi-treatment split search.
+"""Collect-less multi-treatment split search, in two stages that pass count
+tables, not rows.
 
-Stage S1 turns rows into per-candidate-bin, per-treatment prefix sums with an
-explicit missing bin.  Its one input is a ``BinnedRows`` view that keeps each
-partition's row range: ``bin_rows`` bucketizes a frame (``ColumnFrame`` or
-``PartitionedFrame``) once per search, and a caller that searches many row
-subsets bins each row once.  Every execution path counts each partition's
-cell keys ``((slot*(B+1) + bin)*T + code)*2 + positive`` with one
-``bincount``; only the count tables merge.  A view may carry a node slot per
-row; then every table gains a leading node axis and ``best_split`` answers
-for every node in one pass (the trainer searches all nodes of a tree level at
-once).  Without slots all rows are one node.
+Stage S1 (``_count_cells``) turns rows into cell tables: int64
+``[F_u, K, B+1, T, 2]`` per unit of features sharing one B, the rows with
+outcome 0 and 1 per node, bin (the missing bin last) and treatment.  Its one
+input is a ``BinnedRows`` view that keeps each partition's row range:
+``bin_rows`` bucketizes a frame (``ColumnFrame`` or ``PartitionedFrame``)
+once per search, and a caller that searches many row subsets bins each row
+once.  Every execution path counts each partition's cell keys
+``((slot*(B+1) + bin)*T + code)*2 + positive`` with one ``bincount``, one
+feature at a time into one key buffer; only the count tables merge.  A view
+may carry a node slot per row; then every table has K nodes and
+``best_split`` answers for every node in one pass (the trainer searches all
+nodes of a tree level at once).  Without slots all rows are one node.
+``build_prefix_sums`` and ``windowed_prefix_table`` are one feature's slice.
 
-Stage S2 expands every candidate into both missing routes, applies the full
-validity checks, scores with the DDP max-envelope and selects the winner
-under a strict total order.  Every execution path, ``expand_and_score`` and
-the failure catalog share one array routine that scores every candidate of a
-feature, for every node, at once, so cross-path score deltas are exactly
-zero.  It uses the same IEEE operations as the scalar per-candidate scorer
-``scalar_candidate`` in ``tests/_oracles.py``, the test oracle it matches
-bit for bit.
+Stage S2 (``_search_cells``) stacks each B group's tables and scores every
+candidate of every feature and node in one array pass, expanding each
+candidate into both missing routes with the full validity checks and the DDP
+max-envelope score.  Each node's winner is picked from those arrays under a
+strict total order.  Every execution path, ``expand_and_score`` and the
+failure catalog share that array routine, so cross-path score deltas are
+exactly zero.  It uses the same IEEE operations as the scalar per-candidate
+scorer ``scalar_candidate`` in ``tests/_oracles.py``, the test oracle it
+matches bit for bit.
 """
 
 from __future__ import annotations
@@ -225,9 +230,9 @@ class BinnedRows:
     def with_slots(self, slots: Optional[np.ndarray], n_slots: int = 1) -> "BinnedRows":
         return replace(self, slots=slots, n_slots=n_slots)
 
-    def feature_bins(self, feature: str, boundaries: Boundaries,
-                     treatments: tuple[str, ...]) -> np.ndarray:
-        """One feature's bins, after checking that a search under
+    def feature_index(self, feature: str, boundaries: Boundaries,
+                      treatments: tuple[str, ...]) -> int:
+        """Row of ``feature`` in ``bins``, after checking that a search under
         ``boundaries`` and ``treatments`` sees the same bins as the view."""
         if feature not in self.features:
             raise SchemaError(f"no binned feature named {feature!r}")
@@ -238,7 +243,7 @@ class BinnedRows:
         if self.treatments != treatments:
             raise InvalidArgumentError(
                 "binned rows were built with another treatment vocabulary")
-        return self.bins[f]
+        return f
 
 
 def bin_rows(data: Union[ColumnFrame, PartitionedFrame], features: Sequence[str],
@@ -263,18 +268,70 @@ def bin_rows(data: Union[ColumnFrame, PartitionedFrame], features: Sequence[str]
 SplitInput = Union[ColumnFrame, PartitionedFrame, BinnedRows]
 
 
-def _partition_keys(view: BinnedRows, feature: str, boundaries: Boundaries,
-                    treatments: tuple[str, ...]):
-    """S1's one counting input: per partition, each row's int64 cell key
-    ``((slot*(B+1) + bin)*T + code)*2 + positive`` (slot 0 without slots)."""
-    # widened: narrow bins times T would wrap
-    keys = view.feature_bins(feature, boundaries, treatments).astype(np.int64)
-    if view.slots is not None:
-        keys += view.slots * (boundaries.n_bins + 1)
-    keys *= 2 * len(treatments)
-    keys += view.tails
-    for lo, hi in zip(view.bounds, view.bounds[1:]):
-        yield keys[lo:hi]
+def _units(view: BinnedRows, features: Sequence[str], boundaries: Mapping[str, Boundaries],
+           config: SplitConfig) -> list[list[int]]:
+    """S1's units of work, each a list of view rows of ``features`` sharing
+    one B (grouped in feature order).  The partitioned path cuts the features
+    into contiguous shards, one per worker, before grouping them."""
+    index = [view.feature_index(name, b, view.treatments)
+             for name, b in zip(features, feature_boundaries(boundaries, features))]
+    shards = config.pool_size or min(8, max(len(index), 1)) \
+        if config.execution_path == PATH_PARTITIONED else 1
+    units = []
+    for shard in np.array_split(np.array(index, dtype=np.int64), shards):
+        groups: dict[int, list[int]] = {}
+        for f in shard.tolist():
+            groups.setdefault(view.boundaries[f].n_bins, []).append(f)
+        units.extend(groups.values())
+    return units
+
+
+def _partition_counts(keys: np.ndarray, bounds, size: int) -> list[np.ndarray]:
+    """S1's one aggregation: per partition (rows ``bounds[p]:bounds[p+1]``)
+    the ``bincount`` of its cell keys."""
+    return [np.bincount(keys[lo:hi], minlength=size) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _count_cells(view: BinnedRows, unit: Sequence[int], relational: bool,
+                 rows: Optional[np.ndarray], slots: Optional[np.ndarray],
+                 n_slots: int) -> np.ndarray:
+    """S1 of one unit (view features sharing a B): int64 cells
+    ``[F_u, n_slots, B+1, T, 2]``, rows with outcome 0 and 1 per node, bin
+    and treatment.  ``rows`` (ascending, all rows when None) picks the view
+    rows to count and ``slots`` places each counted row in a node (node 0
+    when None).  Keys are built one feature at a time into one buffer.  The
+    dense plan sums each partition's table; the relational plan keeps each
+    partition's non-empty cells as sparse (key, count) groups and merges the
+    whole unit's groups with one stable sort on the key."""
+    B1 = view.boundaries[unit[0]].n_bins + 1
+    T2 = 2 * len(view.treatments)
+    size = n_slots * B1 * T2
+    tails, bounds = (view.tails, view.bounds) if rows is None else \
+        (view.tails[rows], np.searchsorted(rows, view.bounds))
+    base = tails if slots is None else slots * (B1 * T2) + tails
+    keys = np.empty(len(base), dtype=np.int64)
+    counts = []
+    for f in unit:
+        bins = view.bins[f] if rows is None else np.take(view.bins[f], rows)
+        np.multiply(bins, T2, out=keys, dtype=np.int64)
+        keys += base
+        counts.append(_partition_counts(keys, bounds, size))
+    if not relational:
+        cells = np.array([np.sum(c, axis=0) for c in counts], dtype=np.int64)
+    else:
+        nonzero = [(i, c, np.flatnonzero(c)) for i, per_part in enumerate(counts)
+                   for c in per_part]
+        # (key, count) packed in one int64, key high (a unit's table has
+        # fewer than 2**31 cells, a cell fewer than 2**32 rows): sorting the
+        # packed groups is a stable sort on the key, since equal packed
+        # groups are indistinguishable
+        packed = np.concatenate([(i * size + g) << 32 | c[g] for i, c, g in nonzero])
+        packed.sort()
+        flat, sizes = packed >> 32, packed & 0xFFFFFFFF
+        starts = np.flatnonzero(np.diff(flat, prepend=-1))
+        cells = np.zeros(len(unit) * size, dtype=np.int64)
+        cells[flat[starts]] = np.add.reduceat(sizes, starts)
+    return cells.reshape(len(unit), n_slots, B1, len(view.treatments), 2)
 
 
 @dataclass
@@ -284,7 +341,7 @@ class PrefixTable:
     Right-branch statistics are always derived as totals minus prefixes;
     missing tallies stay separate until a candidate routes them.  A table
     built from rows with node slots carries a leading node axis [K, ...] on
-    every array; ``node(k)`` is node k's own table.
+    every array.
     """
     feature_name: str
     treatments: tuple[str, ...]
@@ -323,14 +380,10 @@ class PrefixTable:
     def from_cells(cls, feature_name, treatments, cuts, cells) -> "PrefixTable":
         """``cells`` is int64 [..., B+1, T, 2]: rows with outcome 0 and 1 per
         bin (the missing bin last) and treatment."""
-        opps = cells.sum(axis=-1)
         accepts = cells[..., 1]
+        opps = cells[..., 0] + accepts
         return cls.from_counts(feature_name, treatments, cuts, opps[..., :-1, :],
                                accepts[..., :-1, :], opps[..., -1, :], accepts[..., -1, :])
-
-    def node(self, k: int) -> "PrefixTable":
-        return PrefixTable(self.feature_name, self.treatments, self.cuts,
-                           *(getattr(self, name)[k] for name in self._ARRAYS))
 
     def zero_support_cells(self) -> list[tuple[int, int]]:
         bins, ts = np.nonzero(self.opps == 0)
@@ -346,27 +399,25 @@ class PrefixTable:
         }
 
 
-def _partition_counts(data: SplitInput, feature: str, boundaries: Boundaries,
-                      treatments: tuple[str, ...]):
-    """Both S1 plans' one aggregation: the cell shape ``[K,] B+1, T, 2`` and
-    per partition the ``bincount`` of its cell keys, flat over that shape."""
+def _feature_cells(data: SplitInput, feature: str, boundaries: Boundaries,
+                   treatments: tuple[str, ...], relational: bool) -> np.ndarray:
+    """One feature's slice of S1: cells ``[K,] B+1, T, 2`` (no node axis on a
+    view without slots)."""
     view = data if isinstance(data, BinnedRows) else \
         bin_rows(data, [feature], {feature: boundaries}, treatments)
-    shape = ((view.n_slots,) if view.slots is not None else ()) \
-        + (boundaries.n_bins + 1, len(treatments), 2)
-    return shape, [np.bincount(keys, minlength=math.prod(shape))
-                   for keys in _partition_keys(view, feature, boundaries, treatments)]
+    f = view.feature_index(feature, boundaries, treatments)
+    cells = _count_cells(view, [f], relational, None, view.slots, view.n_slots)[0]
+    return cells if view.slots is not None else cells[0]
 
 
 def build_prefix_sums(data: SplitInput, feature: str,
                       boundaries: Boundaries, treatments: Sequence[str]) -> PrefixTable:
     """S1: exact group-by counts with explicit zero-fill over the fixed
     treatment vocabulary; independent of row order and partitioning.  The
-    partitions' dense count tables are summed in partition order."""
+    partitions' dense count tables are summed."""
     treatments = tuple(treatments)
-    shape, counts = _partition_counts(data, feature, boundaries, treatments)
     return PrefixTable.from_cells(feature, treatments, boundaries.cuts,
-                                  np.sum(counts, axis=0).reshape(shape))
+                                  _feature_cells(data, feature, boundaries, treatments, False))
 
 
 def windowed_prefix_table(data: SplitInput, feature: str,
@@ -376,17 +427,8 @@ def windowed_prefix_table(data: SplitInput, feature: str,
     cell key, then per-(node, treatment) running window sums over the bins.
     Integer arithmetic makes it exactly equal to the dense path."""
     treatments = tuple(treatments)
-    shape, counts = _partition_counts(data, feature, boundaries, treatments)
-    groups = [np.flatnonzero(c) for c in counts]
-    keys = np.concatenate(groups)
-    sizes = np.concatenate([c[g] for c, g in zip(counts, groups)])
-    order = np.argsort(keys, kind="stable")
-    keys, sizes = keys[order], sizes[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    merged = np.zeros(math.prod(shape), dtype=np.int64)
-    merged[keys[starts]] = np.add.reduceat(sizes, starts)
     return PrefixTable.from_cells(feature, treatments, boundaries.cuts,
-                                  merged.reshape(shape))
+                                  _feature_cells(data, feature, boundaries, treatments, True))
 
 
 def ddp_max(uplifts_left: Sequence[float], uplifts_right: Sequence[float]) -> float:
@@ -473,20 +515,13 @@ def _reason_counts(reasons: np.ndarray, texts: Sequence[Optional[str]]) -> Count
                     if code != _VALID and n})
 
 
-def _route_branches(table: PrefixTable, direction: str):
-    """Left and right (opps, accepts) of every candidate, shape [..., B-1, T],
-    with the missing tallies added to the ``direction`` branch."""
-    left_o = table.left_opps.copy()
-    left_a = table.left_accepts.copy()
-    right_o = table.totals_opps[..., None, :] - table.left_opps
-    right_a = table.totals_accepts[..., None, :] - table.left_accepts
-    if direction == NAN_LEFT:
-        left_o += table.missing_opps[..., None, :]
-        left_a += table.missing_accepts[..., None, :]
-    else:
-        right_o += table.missing_opps[..., None, :]
-        right_a += table.missing_accepts[..., None, :]
-    return left_o, left_a, right_o, right_a
+def _routes(left: np.ndarray, totals: np.ndarray, missing: np.ndarray):
+    """Left and right branch counts [T, R, 2, B-1] of every candidate on both
+    NaN routes (missing tallies added to the routed branch), from prefix sums
+    [T, R, B-1] and totals and missing tallies [T, R]."""
+    right = totals[..., None] - left
+    missing = missing[..., None]
+    return np.stack([left + missing, left], axis=2), np.stack([right, right + missing], axis=2)
 
 
 # reason codes, in the order the scalar oracle checks them
@@ -494,65 +529,101 @@ _VALID, _NO_CONTROL, _ZERO_SUPPORT, _MIN_LEAF, _NOT_FINITE = range(5)
 
 
 class _FeatureScores:
-    """S2 of every candidate of one feature, for every node, in one array pass.
+    """S2 of every candidate of a table, for every node and feature, in one
+    array pass.
 
-    Arrays are [K, 2, B-1] (branch counts [K, 2, B-1, T]): axis 0 the node
-    (K = 1 for a table without a node axis), axis 1 the NaN route (left,
-    right).  Every element comes from the same IEEE operations as in the
-    test oracle ``scalar_candidate`` (``tests/_oracles.py``): element-wise
-    division and subtraction, exact max and min reductions, and
-    ``where(b > a, b, a)``, which is the builtin ``max(a, b)``.  Reasons and
-    scores therefore equal the oracle's, score bits included."""
+    Arrays are [R, 2, B-1]: axis 0 runs over the table's leading axes (R = 1
+    for one feature without a node axis, K nodes, or F_g features times K
+    nodes of a group's stacked cells), axis 1 the NaN route (left, right).
+    Branch counts put the treatments first, [T, R, 2, B-1], so that every
+    reduction over T combines whole slabs.  Every element comes from the same
+    IEEE operations as in the test oracle ``scalar_candidate``
+    (``tests/_oracles.py``): element-wise division and subtraction, exact max
+    and min reductions, and ``where(b > a, b, a)``, which is the builtin
+    ``max(a, b)``.  Reasons and scores therefore equal the oracle's, score
+    bits included."""
 
-    def __init__(self, table: PrefixTable, control_idx: int, min_leaf_size: int):
+    def __init__(self, opps, accepts, control_idx: int, min_leaf_size: int,
+                 table: Optional[PrefixTable] = None):
+        """``opps`` and ``accepts`` are ``_routes``' (left, right) pairs."""
         self.table = table
         self.reason_texts = _reason_texts(min_leaf_size)
-        T = len(table.treatments)
-        routes = [_route_branches(table, d) for d in _DIRECTIONS]
-        self.left_o, self.left_a, self.right_o, self.right_a = (
-            np.stack(arrays, axis=-3).reshape(-1, 2, table.n_candidates, T)
-            for arrays in zip(*routes))
+        (self.left_o, self.right_o), (self.left_a, self.right_a) = opps, accepts
+        T = len(self.left_o)
         if T < 2:
-            self.reasons = np.full(self.left_o.shape[:-1], _NO_CONTROL)
-            self.scores = np.full(self.left_o.shape[:-1], math.nan)
+            self.reasons = np.full(self.left_o.shape[1:], _NO_CONTROL)
+            self.scores = np.full(self.left_o.shape[1:], math.nan)
             return
-        zero = (self.left_o == 0).any(axis=-1) | (self.right_o == 0).any(axis=-1)
-        small = ((self.left_o.sum(axis=-1) < min_leaf_size)
-                 | (self.right_o.sum(axis=-1) < min_leaf_size))
+        zero = (self.left_o == 0).any(axis=0) | (self.right_o == 0).any(axis=0)
+        small = ((self.left_o.sum(axis=0) < min_leaf_size)
+                 | (self.right_o.sum(axis=0) < min_leaf_size))
         noncontrol = [t for t in range(T) if t != control_idx]
         with np.errstate(divide="ignore", invalid="ignore"):
             left_rates = self.left_a / self.left_o
             right_rates = self.right_a / self.right_o
-            ul = left_rates[..., noncontrol] - left_rates[..., control_idx, None]
-            ur = right_rates[..., noncontrol] - right_rates[..., control_idx, None]
-            a = ur.max(axis=-1) - ul.min(axis=-1)
-            b = ul.max(axis=-1) - ur.min(axis=-1)
+            ul = left_rates[noncontrol] - left_rates[control_idx]
+            ur = right_rates[noncontrol] - right_rates[control_idx]
+            a = ur.max(axis=0) - ul.min(axis=0)
+            b = ul.max(axis=0) - ur.min(axis=0)
         scores = np.where(b > a, b, a)
         self.reasons = np.select([zero, small, ~np.isfinite(scores)],
                                  [_ZERO_SUPPORT, _MIN_LEAF, _NOT_FINITE], _VALID)
         # the scalar oracle returns before scoring these
         self.scores = np.where(zero | small, math.nan, scores)
 
-    def candidate(self, d: int, c: int, node: int = 0) -> CandidateScore:
-        """The scored candidate of bin ``c`` on route ``d`` of ``node``."""
-        at = (node, d, c)
-        code = int(self.reasons[at])
-        return CandidateScore(self.table.feature_name, c, self.table.cuts[c],
-                              _DIRECTIONS[d], float(self.scores[at]), code == _VALID,
-                              self.reason_texts[code],
-                              left_opps=self.left_o[at], right_opps=self.right_o[at],
-                              left_accepts=self.left_a[at], right_accepts=self.right_a[at])
+    @classmethod
+    def of_table(cls, table: PrefixTable, control_idx: int,
+                 min_leaf_size: int) -> "_FeatureScores":
+        """Scores of a ``PrefixTable``, any leading axes included."""
+        C, T = table.left_opps.shape[-2:]
 
-    def winners(self) -> list[Optional[CandidateScore]]:
-        """Per node, the feature's first valid candidate under
-        ``candidate_order_key``.  Within a feature threshold order is bin
-        order, so the key is (score desc, bin, NaN-left first), and argmax's
-        first maximum over each node's (bin, route) order picks it."""
+        def first(x, *inner):  # treatments first, leading axes flattened
+            return np.ascontiguousarray(np.moveaxis(x.reshape(-1, *inner, T), -1, 0))
+
+        return cls(*(_routes(first(left, C), first(totals), first(missing))
+                     for left, totals, missing in (
+                         (table.left_opps, table.totals_opps, table.missing_opps),
+                         (table.left_accepts, table.totals_accepts, table.missing_accepts))),
+                   control_idx, min_leaf_size, table)
+
+    @classmethod
+    def of_cells(cls, cells: np.ndarray, control_idx: int,
+                 min_leaf_size: int) -> "_FeatureScores":
+        """Scores of stacked cells [R, B+1, T, 2] (rows with outcome 0 and 1
+        per bin, the missing bin last, and treatment)."""
+        counts = np.ascontiguousarray(cells.transpose(2, 3, 0, 1))   # [T, 2, R, B+1]
+        accepts = counts[:, 1]
+        # prefix over the regular bins: cumsum(x[:B])[:B-1] is cumsum(x[:B-1])
+        return cls(*(_routes(np.cumsum(x[..., :-2], axis=-1), x[..., :-1].sum(axis=-1),
+                             x[..., -1]) for x in (counts[:, 0] + accepts, accepts)),
+                   control_idx, min_leaf_size)
+
+    def candidate(self, d: int, c: int, node: int = 0) -> CandidateScore:
+        """The scored candidate of bin ``c`` on route ``d`` of ``node``, for a
+        one-feature table."""
+        return self._candidate(node, d, c, self.table.feature_name, self.table.cuts[c])
+
+    def _candidate(self, row: int, d: int, c: int, name: str, cut: float) -> CandidateScore:
+        at = (row, d, c)
+        code = int(self.reasons[at])
+        return CandidateScore(name, c, cut, _DIRECTIONS[d], float(self.scores[at]),
+                              code == _VALID, self.reason_texts[code],
+                              left_opps=self.left_o[(slice(None), *at)],
+                              right_opps=self.right_o[(slice(None), *at)],
+                              left_accepts=self.left_a[(slice(None), *at)],
+                              right_accepts=self.right_a[(slice(None), *at)])
+
+    def best(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per row, the first valid candidate under ``candidate_order_key``:
+        its bin, route and score, and whether the row has a valid candidate.
+        Within a feature threshold order is bin order, so the key is (score
+        desc, bin, NaN-left first), and argmax's first maximum over each
+        row's (bin, route) order picks it."""
         valid = self.reasons == _VALID
-        ranked = np.where(valid, self.scores, -np.inf).swapaxes(1, 2)
-        best = np.argmax(ranked.reshape(len(ranked), -1), axis=1)
-        return [self.candidate(*divmod(int(i), 2)[::-1], node=k) if has else None
-                for k, (i, has) in enumerate(zip(best, valid.any(axis=(1, 2))))]
+        ranked = np.where(valid, self.scores, -np.inf).swapaxes(1, 2).reshape(len(valid), -1)
+        best = np.argmax(ranked, axis=1)
+        return (best // 2, best % 2, ranked[np.arange(len(best)), best],
+                valid.any(axis=(1, 2)))
 
 
 def expand_and_score(table: PrefixTable, config: SplitConfig) -> list[CandidateScore]:
@@ -560,7 +631,8 @@ def expand_and_score(table: PrefixTable, config: SplitConfig) -> list[CandidateS
     tallies added to the routed branch before rate computation; in (bin,
     route) order."""
     control = select_control(table.treatments, config.control_label_override)
-    scores = _FeatureScores(table, table.treatments.index(control), config.min_leaf_size)
+    scores = _FeatureScores.of_table(table, table.treatments.index(control),
+                                     config.min_leaf_size)
     return [scores.candidate(d, c) for c in range(table.n_candidates)
             for d in (0, 1)]
 
@@ -627,6 +699,82 @@ def _no_valid_summary(reasons: Mapping[str, int]) -> str:
     return "no valid candidate: " + ("; ".join(parts) if parts else "no candidates")
 
 
+def _skip_reason(features: Sequence[str], boundaries: Mapping[str, Boundaries],
+                 treatments: tuple[str, ...], config: SplitConfig) -> Optional[str]:
+    """Why the reference path declines to collect this many candidate rows,
+    or None when it does not."""
+    cand_rows = _total_candidate_rows(features, boundaries, len(treatments))
+    if config.execution_path == PATH_REFERENCE and cand_rows > config.safety_skip_threshold:
+        return (f"candidate rows {cand_rows} exceed safety threshold "
+                f"{config.safety_skip_threshold}")
+    return None
+
+
+def _count_level(view: BinnedRows, units: Sequence[Sequence[int]], config: SplitConfig,
+                 rows: Optional[np.ndarray], slots: Optional[np.ndarray],
+                 n_slots: int) -> list[np.ndarray]:
+    """S1 of every unit under the path's plan (see ``_count_cells``); the
+    partitioned path counts each unit in a pool worker."""
+    relational = config.execution_path == PATH_RELATIONAL
+
+    def count(unit):
+        return _count_cells(view, unit, relational, rows, slots, n_slots)
+
+    if config.execution_path == PATH_PARTITIONED and units:
+        with ThreadPoolExecutor(max_workers=config.pool_size or min(8, len(units))) as pool:
+            return list(pool.map(count, units))
+    return [count(unit) for unit in units]
+
+
+def _search_cells(view: BinnedRows, units: Sequence[Sequence[int]],
+                  tables: Sequence[np.ndarray], n_nodes: int,
+                  config: SplitConfig) -> list[SplitSearchResult]:
+    """S2 of every node: the units' cell tables of each B are stacked and
+    scored in one ``_FeatureScores`` pass, and each node's winner is picked
+    from arrays in ``candidate_order_key`` order, feature names ranked by
+    name.  One result per node, each equal to the search on its rows alone."""
+    treatments = view.treatments
+    control = select_control(treatments, config.control_label_override)
+    texts = _reason_texts(config.min_leaf_size)
+    stacks: dict[int, list] = {}
+    for unit, cells in zip(units, tables):
+        stacks.setdefault(view.boundaries[unit[0]].n_bins, []).append((unit, cells))
+    cand_rows = sum(candidate_row_count(1, view.boundaries[f].n_bins, len(treatments))
+                    for unit in units for f in unit)
+    scored, keys, groups = [], [], []
+    for parts in stacks.values():
+        feats = [f for unit, _ in parts for f in unit]
+        stacked = np.concatenate([cells for _, cells in parts])
+        scores = _FeatureScores.of_cells(stacked.reshape(-1, *stacked.shape[2:]),
+                                         treatments.index(control), config.min_leaf_size)
+        c, d, score, has = (a.reshape(len(feats), n_nodes) for a in scores.best())
+        cuts = np.array([view.boundaries[f].cuts for f in feats])
+        keys.append((c, d, score, has, np.take_along_axis(cuts, c, axis=1)))
+        groups.extend((scores, i, f) for i, f in enumerate(feats))
+        scored.append(scores)
+    if groups:
+        c, d, score, has, threshold = (np.concatenate(k) for k in zip(*keys))
+        names = [view.features[f] for _, _, f in groups]
+        rank = np.array(sorted(range(len(names)), key=names.__getitem__)).argsort()
+        # lexsort's last key is its first: valid first, then the total order
+        win = np.lexsort((np.broadcast_to(rank[:, None], c.shape), d, c, threshold,
+                          -score, ~has), axis=0)[0]
+
+    def result(k: int) -> SplitSearchResult:
+        if groups and has[win[k], k]:
+            f = win[k]
+            scores, i, feat = groups[f]
+            cand = scores._candidate(i * n_nodes + k, int(d[f, k]), int(c[f, k]),
+                                     view.features[feat], float(threshold[f, k]))
+            return SplitSearchResult(STATUS_OK, _make_best(cand, control), cand_rows, control)
+        rejected = sum((_reason_counts(s.reasons.reshape(-1, n_nodes, s.reasons[0].size)[:, k],
+                                       texts) for s in scored), Counter())
+        return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control,
+                                 reason=_no_valid_summary(rejected))
+
+    return [result(k) for k in range(n_nodes)]
+
+
 def best_split(data: SplitInput, features: Sequence[str],
                boundaries: Mapping[str, Boundaries], treatments: Sequence[str],
                config: SplitConfig) -> Union[SplitSearchResult, list[SplitSearchResult]]:
@@ -635,50 +783,26 @@ def best_split(data: SplitInput, features: Sequence[str],
     ``data`` may be a ``BinnedRows`` view built under the same boundaries
     and treatment vocabulary.  On a view with node slots the result is a list
     with one ``SplitSearchResult`` per node, each equal to the search on that
-    node's rows alone; otherwise it is one ``SplitSearchResult``."""
+    node's rows alone; otherwise it is one ``SplitSearchResult``.  S1 counts
+    every unit's cells, then S2 searches all of them at once."""
     treatments = tuple(treatments)
     features = list(features)
     control = select_control(treatments, config.control_label_override)
-    control_idx = treatments.index(control)
-    cand_rows = _total_candidate_rows(features, boundaries, len(treatments))
     n_nodes = data.n_slots if isinstance(data, BinnedRows) and data.slots is not None \
         else None
-
-    if config.execution_path == PATH_REFERENCE \
-            and cand_rows > config.safety_skip_threshold:
-        skipped = [SplitSearchResult(
-            STATUS_SKIPPED_TOO_LARGE, None, cand_rows, control,
-            reason=f"candidate rows {cand_rows} exceed safety threshold "
-                   f"{config.safety_skip_threshold}") for _ in range(n_nodes or 1)]
+    skip = _skip_reason(features, boundaries, treatments, config)
+    if skip is not None:
+        cand_rows = _total_candidate_rows(features, boundaries, len(treatments))
+        skipped = [SplitSearchResult(STATUS_SKIPPED_TOO_LARGE, None, cand_rows, control,
+                                     reason=skip) for _ in range(n_nodes or 1)]
         return skipped if n_nodes is not None else skipped[0]
     view = data if isinstance(data, BinnedRows) else \
         bin_rows(data, features, boundaries, treatments)
-    prefix_table = windowed_prefix_table if config.execution_path == PATH_RELATIONAL \
-        else build_prefix_sums
-
-    def report(feat: str):
-        scores = _FeatureScores(prefix_table(view, feat, boundaries[feat], treatments),
-                                control_idx, config.min_leaf_size)
-        return scores.winners(), scores.reasons
-
-    def result(k: int) -> SplitSearchResult:
-        found = [w[k] for w, _ in reports if w[k] is not None]
-        if found:
-            return SplitSearchResult(STATUS_OK, _make_best(
-                min(found, key=candidate_order_key), control), cand_rows, control)
-        texts = _reason_texts(config.min_leaf_size)
-        rejected = sum((_reason_counts(r[k], texts) for _, r in reports), Counter())
-        return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control,
-                                 reason=_no_valid_summary(rejected))
-
-    if config.execution_path == PATH_PARTITIONED:
-        # feature-sharded workers, each returning its winners and reason codes
-        pool_size = config.pool_size or min(8, max(len(features), 1))
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            reports = list(pool.map(report, features))
-    else:
-        reports = [report(f) for f in features]
-    results = [result(k) for k in range(n_nodes or 1)]
+    if view.treatments != treatments:
+        raise InvalidArgumentError("binned rows were built with another treatment vocabulary")
+    units = _units(view, features, boundaries, config)
+    tables = _count_level(view, units, config, None, view.slots, view.n_slots)
+    results = _search_cells(view, units, tables, view.n_slots, config)
     return results if n_nodes is not None else results[0]
 
 

@@ -2,12 +2,14 @@
 serialized tree signature used as the end-to-end equality witness.
 
 Node expansion is level-wise in node-path order (root "", then "L", "R",
-"LL", ...): each partition is bucketized once, every row carries the slot of
-its node on the current level, and one node-batched split search per depth
-chooses every node's split.  Each node's split is the one the shared split
-search picks on that node's rows alone, so the learned tree is a pure
-function of (locked manifest, frame content) and never of row order,
-partitioning, or execution path.
+"LL", ...).  Each partition is bucketized once.  The trainer keeps each
+level's split-search cell tables, one slice per node, and one stacked search
+pass chooses every node's split.  Below the root it counts only the smaller
+child of each split and takes the larger as the parent minus it.  Live rows
+are (row, slot) index arrays routed by a flat gather on the bins.  Each
+node's split is the one the shared split search picks on that node's rows
+alone, so the learned tree is a pure function of (locked manifest, frame
+content) and never of row order, partitioning, or execution path.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from .errors import (AlignmentError, ContractViolationError, InvalidArgumentErro
 from .forest import (ForestArrays, TreeArrays, _leaf_nodes, INTERNAL_CONTINUOUS,
                      LEAF)
 from .frame import ColumnFrame, PartitionedFrame
-# treatment_codes is unused here; perfbench's traced run wraps it on this module
-from .splitsearch import (Boundaries, SplitConfig, best_split, bin_rows,
-                          feature_boundaries, select_control, treatment_codes,
-                          PATH_REFERENCE, STATUS_OK, STATUS_SKIPPED_TOO_LARGE)
+from .splitsearch import (Boundaries, SplitConfig, bin_rows, feature_boundaries,
+                          select_control, _count_level, _search_cells, _units,
+                          _skip_reason, PATH_REFERENCE, STATUS_OK)
+# unused here: perfbench's traced run wraps both on this module
+from .splitsearch import best_split, treatment_codes  # noqa: F401
 
 SIGNATURE_FORMAT_VERSION = "1"
 
@@ -255,41 +258,53 @@ class PolicyTree:
 def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
                 execution_path: str, control_override: Optional[str]) -> PolicyTree:
     """Level-wise expansion over rows binned once, partition by partition.
-    ``level`` holds the rows of the current level's nodes, each row's slot
-    naming its node in ``frontier``; one ``best_split`` answers for every
-    node.  Rows route on bins: with left-inclusive bins, ``value <= cuts[c]``
-    iff ``bin <= c``, and the missing bin B > c follows the NaN direction.
-    Rows of new leaves leave the level."""
+
+    The live rows of a level are two arrays, ``rows`` (ascending view rows,
+    so each stays in its partition) and ``slots`` (its node in ``frontier``).
+    ``tables`` holds each search unit's cell table with one slice per node;
+    one ``_search_cells`` pass answers for every node.  Rows route on bins
+    with one flat gather: with left-inclusive bins ``value <= cuts[c]`` iff
+    ``bin <= c``, and the missing bin B > c follows the NaN direction.  Of
+    each split only the smaller child (by the winner's branch totals, ties
+    left) is counted; the larger child's table is the parent's minus it,
+    exact in int64.  A child's opps and accepts are its branch of the
+    parent's winner; rows of new leaves leave the level."""
     T = len(manifest.treatment_labels)
     features = manifest.feature_names
-    binned = bin_rows(data, features, manifest.boundary_map(), manifest.treatment_labels)
-    missing_bin = np.array([b.missing_bin for b in binned.boundaries], dtype=np.int64)
+    bmap = manifest.boundary_map()
+    view = bin_rows(data, features, bmap, manifest.treatment_labels)
+    N = view.n_rows
+    missing_bin = np.array([b.missing_bin for b in view.boundaries], dtype=np.int64)
     bin_axis = np.arange(missing_bin.max(initial=0) + 1)
     config = SplitConfig(min_leaf_size=manifest.min_leaf_size,
                          control_label_override=control_override,
                          execution_path=execution_path)
+    if manifest.max_depth > 0 and _skip_reason(features, bmap, manifest.treatment_labels,
+                                               config) is not None:
+        raise ContractViolationError(
+            "split search safety-skipped during training; raise the threshold "
+            "or shrink the candidate grid")
+    units = _units(view, features, bmap, config)
 
     nodes: dict[str, PolicyNode] = {}
     frontier = [""]
-    level = binned.with_slots(np.zeros(binned.n_rows, dtype=np.int64), 1)
+    cells = np.bincount(view.tails, minlength=2 * T).reshape(1, T, 2)
+    opps, accepts = cells.sum(axis=2), cells[..., 1]
+    rows = slots = tables = None
     for depth in count():
         K = len(frontier)
-        results = best_split(level, features, manifest.boundary_map(),
-                             manifest.treatment_labels, config) \
-            if depth < manifest.max_depth else [None] * K
-        if any(r is not None and r.status == STATUS_SKIPPED_TOO_LARGE for r in results):
-            raise ContractViolationError(
-                "split search safety-skipped during training; raise the threshold "
-                "or shrink the candidate grid")
+        if depth < manifest.max_depth:
+            if tables is None:
+                tables = _count_level(view, units, config, None, None, 1)
+            results = _search_cells(view, units, tables, K, config)
+        else:
+            results = [None] * K
         split = np.array([r is not None and r.status == STATUS_OK for r in results])
-        # per node and treatment: rows with outcome 0 and 1
-        cells = np.bincount(level.slots * (2 * T) + level.tails,
-                            minlength=K * T * 2).reshape(K, T, 2)
-        opps, accepts = cells.sum(axis=2), cells[..., 1]
         vectors = np.divide(accepts, opps, out=np.zeros((K, T)), where=opps > 0)
         feature = np.zeros(K, dtype=np.int64)
         candidate_bin = np.zeros(K, dtype=np.int64)
         nan_left = np.zeros(K, dtype=bool)
+        branches = []   # per split node: left and right (opps, accepts)
         for k, (path, r) in enumerate(zip(frontier, results)):
             n_rows = int(opps[k].sum())
             if not split[k]:
@@ -306,23 +321,44 @@ def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
             feature[k] = features.index(best.feature_name)
             candidate_bin[k] = best.candidate_bin
             nan_left[k] = best.nan_direction == "left"
+            branches.append([best.diagnostics[side + "_" + stat]
+                             for side in ("left", "right") for stat in ("opps", "accepts")])
         if not split.any():
             break
-        # children of the i-th splitting node take slots 2i (L) and 2i+1 (R);
-        # goes_right[k, b]: a row of node k whose split feature has bin b
-        first_child = 2 * np.cumsum(split) - 2
-        goes_right = (bin_axis > candidate_bin[:, None]) \
-            & ~(nan_left[:, None] & (bin_axis == missing_bin[feature][:, None]))
-        bins = np.take(level.bins, feature[level.slots] * level.n_rows
-                       + np.arange(level.n_rows))
-        slots = first_child[level.slots] \
-            + np.take(goes_right, level.slots * len(bin_axis) + bins)
-        if not split.all():
-            rows = np.flatnonzero(split[level.slots])
-            level, slots = level.take(rows), slots[rows]
-        level = level.with_slots(slots, 2 * int(split.sum()))
+        # children of the i-th splitting node take slots 2i (L) and 2i+1 (R)
+        branches = np.array(branches, dtype=np.int64).reshape(-1, 2, 2, T)
+        opps, accepts = branches[:, :, 0].reshape(-1, T), branches[:, :, 1].reshape(-1, T)
         frontier = [path + side for path, ok in zip(frontier, split) if ok
                     for side in "LR"]
+        if depth + 1 >= manifest.max_depth:
+            tables = None
+            continue
+        # code[k, b]: for a row of node k whose split feature has bin b, twice
+        # its child's slot plus 1 when that child is the one counted; -1 when
+        # node k is a leaf
+        totals = opps.reshape(-1, 2, T).sum(axis=2)
+        small_right = totals[:, 1] < totals[:, 0]
+        goes_right = (bin_axis > candidate_bin[:, None]) \
+            & ~(nan_left[:, None] & (bin_axis == missing_bin[feature][:, None]))
+        child = (2 * np.cumsum(split) - 2)[:, None] + goes_right
+        code = np.where(split[:, None],
+                        2 * child + (goes_right == small_right[child // 2]), -1)
+        if rows is None:
+            rows, slots = np.arange(N), np.zeros(N, dtype=np.int64)
+        codes = np.take(code, slots * len(bin_axis)
+                        + np.take(view.bins, feature[slots] * N + rows))
+        if not split.all():
+            keep = codes >= 0
+            rows, codes = rows[keep], codes[keep]
+        slots = codes >> 1
+        counted = (codes & 1).astype(bool)
+        small = _count_level(view, units, config, rows[counted], slots[counted] >> 1,
+                             len(small_right))
+        at = 2 * np.arange(len(small_right)) + small_right
+        for u, (whole, part) in enumerate(zip(tables, small)):
+            tables[u] = np.empty((len(whole), 2 * len(at)) + whole.shape[2:], dtype=np.int64)
+            tables[u][:, at] = part
+            tables[u][:, at ^ 1] = whole[:, split] - part
     return PolicyTree(nodes, manifest.feature_names, manifest.treatment_labels,
                       manifest.max_depth, manifest.min_leaf_size)
 

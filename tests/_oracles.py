@@ -5,7 +5,8 @@ deliberately independent of the engine's vectorized / prefix-sum code paths,
 with two exceptions.  ``scalar_candidate`` reads the engine's ``PrefixTable``
 and checks only the array scorer's S2 arithmetic, one candidate at a time.
 ``pernode_train`` keeps the engine's per-node split search and checks only
-how the level-wise trainer batches nodes and routes rows.
+how the level-wise trainer batches nodes, subtracts sibling tables and routes
+rows.
 """
 
 import math

@@ -8,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import policylock as pl
+from policylock import splitsearch
 from policylock.harness import random_small_instance
 from policylock.splitsearch import (CandidateScore, PrefixTable, _FeatureScores,
                                     _make_best, _no_valid_summary, _reason_counts,
                                     candidate_order_key)
 
 from conftest import build_frame
-from _oracles import oracle_best, oracle_candidates, scalar_candidate
+from _oracles import oracle_best, oracle_candidates, pernode_train, scalar_candidate
 
 
 @st.composite
@@ -417,6 +418,104 @@ class TestBestSplit:
         assert "min_leaf_size" in res.reason
 
 
+def _per_feature_record(data, names, bmap, labels, config):
+    """The record ``best_split`` must give: the winner under
+    ``candidate_order_key`` among every feature's own candidates, or the
+    no-valid reason tallied over all of them."""
+    control = pl.select_control(labels, config.control_label_override)
+    found = [c for name in names for c in pl.expand_and_score(
+        pl.build_prefix_sums(data, name, bmap[name], labels), config)]
+    rows = sum(pl.candidate_row_count(1, bmap[n].n_bins, len(labels)) for n in names)
+    valid = [c for c in found if c.valid]
+    if valid:
+        best = _make_best(min(valid, key=candidate_order_key), control)
+        return pl.SplitSearchResult(pl.STATUS_OK, best, rows, control).to_record()
+    rejected = Counter(c.invalid_reason for c in found)
+    return pl.SplitSearchResult(pl.STATUS_NO_VALID, None, rows, control,
+                                reason=_no_valid_summary(rejected)).to_record()
+
+
+def _mixed_instance(n=600, seed=5):
+    """Eight features of B = 40, 2, 300, 5 (twice each, interleaved and
+    named out of sorted order), T = 3, 10% NULL and NaN cells."""
+    gen = np.random.default_rng(seed)
+    sizes = [40, 2, 300, 5, 2, 40, 5, 300]
+    names = [f"m{i}" for i in (6, 3, 7, 0, 5, 1, 4, 2)]
+    values = [np.where(gen.random(n) < 0.1, np.nan, gen.random(n)) for _ in names]
+    valid = [gen.random(n) >= 0.05 for _ in names]
+    labels = ("control", "t1", "t2")
+    frame = pl.ColumnFrame(np.arange(n), names, values, valid,
+                           np.array(labels, dtype=object)[gen.integers(0, 3, n)],
+                           (gen.random(n) < 0.4).astype(np.int64))
+    bmap = {name: pl.uniform_boundaries(name, b) for name, b in zip(names, sizes)}
+    return frame, names, bmap, labels
+
+
+class TestStackedSearch:
+    """S2 stacks each B group's features and picks every node's winner from
+    arrays; the result must be the per-feature winner under the total order."""
+
+    @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
+    def test_equal_features_tie_on_name_not_position(self, path):
+        gen = np.random.default_rng(11)
+        n = 500
+        column = np.where(gen.random(n) < 0.1, np.nan, gen.random(n))
+        frame = pl.ColumnFrame(np.arange(n), ["zeta", "alpha"], [column, column.copy()],
+                               [np.ones(n, bool), np.ones(n, bool)],
+                               np.array(["control", "a", "b"], dtype=object)[
+                                   gen.integers(0, 3, n)],
+                               (gen.random(n) < 0.4).astype(np.int64))
+        bmap = {name: pl.uniform_boundaries(name, 8) for name in ("zeta", "alpha")}
+        labels = ("control", "a", "b")
+        config = pl.SplitConfig(min_leaf_size=20, execution_path=path)
+        for data in (frame, pl.partition(frame, 3)):
+            got = pl.best_split(data, ["zeta", "alpha"], bmap, labels, config)
+            assert got.status == pl.STATUS_OK
+            assert got.best.feature_name == "alpha"
+            assert got.to_record() == _per_feature_record(frame, ["zeta", "alpha"], bmap,
+                                                          labels, config)
+
+    @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
+    @pytest.mark.parametrize("min_leaf", [10, 600])
+    def test_mixed_bins_match_per_feature_results(self, path, min_leaf, monkeypatch):
+        frame, names, bmap, labels = _mixed_instance()
+        config = pl.SplitConfig(min_leaf_size=min_leaf, execution_path=path)
+        view = _binned(frame, names, bmap, labels)
+        assert view.bins.dtype == np.uint16
+        want = _per_feature_record(frame, names, bmap, labels, config)
+        assert (want["best"] is None) == (min_leaf == 600)
+        count_cells, units = splitsearch._count_cells, []
+
+        def recording(view, unit, *args):
+            units.append([view.boundaries[f].n_bins for f in unit])
+            return count_cells(view, unit, *args)
+
+        monkeypatch.setattr(splitsearch, "_count_cells", recording)
+        for data in (frame, pl.partition(frame, 3), view):
+            assert pl.best_split(data, names, bmap, labels, config).to_record() == want
+        # one table per B group, in order of first appearance; the
+        # partitioned path splits each worker's shard by B
+        assert all(len(set(unit)) == 1 for unit in units)
+        if path != pl.PATH_PARTITIONED:
+            assert units == [[40, 40], [2, 2], [300, 300], [5, 5]] * 3
+
+        slots = np.arange(frame.n_rows) % 3
+        nodes = pl.best_split(view.with_slots(slots, 3), names, bmap, labels, config)
+        for k, got in enumerate(nodes):
+            rows = np.flatnonzero(slots == k)
+            assert got.to_record() == _per_feature_record(view.take(rows), names, bmap,
+                                                          labels, config)
+
+    @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
+    def test_mixed_bins_train_matches_pernode_oracle(self, path):
+        frame, names, bmap, labels = _mixed_instance(n=1500)
+        man = pl.build_manifest(frame, names, labels, bmap, 0, 4, 40).lock()
+        want = pl.signature(pernode_train(frame, man, path)).text
+        assert want.count("internal") > 3
+        for data in (frame, pl.partition(frame, 3)):
+            assert pl.signature(pl.train(data, man, path)).text == want
+
+
 def _table(opps, accepts, missing_opps, missing_accepts):
     opps = np.array(opps, dtype=np.int64)
     B, T = opps.shape
@@ -468,7 +567,7 @@ class TestArrayScorer:
                      [0, 0, 0]), 2, 1))
     def test_matches_scalar_candidate_by_candidate(self, case):
         table, control_idx, min_leaf = case
-        fast = _FeatureScores(table, control_idx, min_leaf)
+        fast = _FeatureScores.of_table(table, control_idx, min_leaf)
         slow = [scalar_candidate(table, c, direction, control_idx, min_leaf)
                 for c in range(table.n_candidates) for direction in ("left", "right")]
         listed = pl.expand_and_score(table, pl.SplitConfig(
@@ -486,14 +585,14 @@ class TestArrayScorer:
                     assert np.array_equal(getattr(cand, name), getattr(want, name))
 
         valid = [c for c in slow if c.valid]
-        winner = fast.winners()[0]
+        c, d, score, has = (a[0] for a in fast.best())
+        assert has == bool(valid)
         if valid:
             best = min(valid, key=candidate_order_key)
+            winner = fast.candidate(int(d), int(c))
             assert winner.identity() == best.identity()
-            assert _byte_equal(winner.score, best.score)
+            assert _byte_equal(score, best.score) and _byte_equal(winner.score, best.score)
             assert _make_best(winner, "t0").to_record() == _make_best(best, "t0").to_record()
-        else:
-            assert winner is None
         rejected = Counter(c.invalid_reason for c in slow if not c.valid)
         counted = _reason_counts(fast.reasons[0], fast.reason_texts)
         assert counted == rejected

@@ -102,26 +102,26 @@ class TestTrain:
         assert 0 < calls["bucketize"] <= len(man.feature_names)
 
         # four partitions: each is binned once, none is concatenated, and one
-        # split search serves every node of a level
-        concat_frames, best_split = frame_module.concat_frames, trainer.best_split
+        # search pass serves every node of a level
+        concat_frames, search = frame_module.concat_frames, trainer._search_cells
 
         def counting_concat(frames):
             calls["concat"] += 1
             return concat_frames(frames)
 
-        def counting_best_split(*args):
-            calls["best_split"] += 1
-            return best_split(*args)
+        def counting_search(*args):
+            calls["search"] += 1
+            return search(*args)
 
         monkeypatch.setattr(frame_module, "concat_frames", counting_concat)
-        monkeypatch.setattr(trainer, "best_split", counting_best_split)
+        monkeypatch.setattr(trainer, "_search_cells", counting_search)
         calls.clear()
         parted = pl.train(parts, man, path)
         assert pl.signature(parted).text == pl.signature(tree).text
         assert calls["concat"] == 0
         assert calls["take"] == 0
         assert 0 < calls["bucketize"] <= parts.partition_count * len(man.feature_names)
-        assert 0 < calls["best_split"] <= man.max_depth
+        assert 0 < calls["search"] <= man.max_depth
 
     def test_depth_monotonic_prefix_extension(self):
         frame, labels = _witness_frame()
@@ -141,7 +141,8 @@ class TestTrain:
 @st.composite
 def _locked_instances(draw):
     """(frame, locked manifest, partition count): N <= 400 rows, T from 1 to 4
-    with some arms possibly empty, 1-3 features of 2-8 bins whose values
+    with some arms possibly empty, 1-3 features (named in any order) of 2-8
+    bins whose values
     land on the cuts, on a 1/16 grid or in NULL and NaN cells, outcomes all
     0, all 1 or mixed, min_leaf_size at its edges and depth 0-4."""
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -154,8 +155,10 @@ def _locked_instances(draw):
     arms = draw(st.lists(st.integers(0, T - 1), min_size=1, max_size=T, unique=True)) \
         if draw(st.integers(0, 3)) == 0 else list(range(T))
     names, values, valid, bmap = [], [], [], {}
+    # names out of sorted order: a tie broken by feature index would show
+    order = draw(st.permutations(["f0", "f1", "f2"]))
     for i in range(draw(st.sampled_from([3, 2, 1]))):
-        name = f"f{i}"
+        name = order[i]
         n_bins = draw(st.sampled_from([8, 5, 3, 2]))
         cuts = np.sort(gen.choice(np.arange(1, 16), n_bins - 1, replace=False)) / 16.0
         pool = np.concatenate([cuts, np.arange(17) / 16.0, [np.nan]])
@@ -191,63 +194,126 @@ class TestLevelWise:
 
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
     def test_every_level_counts_each_partition_on_its_own(self, path, monkeypatch):
-        """S1 reads one key slice per partition for every feature of every
-        level's search."""
+        """S1 counts one key slice per partition for every feature of every
+        counted level."""
         frame, labels = _witness_frame(n_rows=3000)
         man, _ = _manifest(frame, labels, max_depth=4, min_leaf=150)
-        partition_keys, search = splitsearch._partition_keys, trainer.best_split
-        slices, levels = [], []
+        partition_counts, count_cells = splitsearch._partition_counts, splitsearch._count_cells
+        tables, features = [], []
 
-        def counting_keys(*args):  # the partitioned path calls it from threads
-            n = 0
-            for keys in partition_keys(*args):
-                n += 1
-                yield keys
-            slices.append(n)
+        def counting_tables(*args):  # the partitioned path calls it from threads
+            counts = partition_counts(*args)
+            tables.append(len(counts))
+            return counts
 
-        def counting_search(view, *args):
-            levels.append(view.bounds)
-            return search(view, *args)
+        def counting_cells(view, unit, *args):
+            features.append(len(unit))
+            return count_cells(view, unit, *args)
 
-        monkeypatch.setattr(splitsearch, "_partition_keys", counting_keys)
-        monkeypatch.setattr(trainer, "best_split", counting_search)
+        monkeypatch.setattr(splitsearch, "_partition_counts", counting_tables)
+        monkeypatch.setattr(splitsearch, "_count_cells", counting_cells)
         pl.train(pl.partition(frame, 3), man, path)
-        assert len(levels) == man.max_depth
-        assert all(len(bounds) == 4 for bounds in levels)
-        assert slices == [3] * (len(levels) * len(man.feature_names))
+        assert sum(features) % len(man.feature_names) == 0
+        assert sum(features) // len(man.feature_names) > 1   # the root and more
+        assert tables == [3] * sum(features)
 
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
     def test_every_level_matches_per_node_searches_and_tables(self, path, monkeypatch):
-        """Each node's result of a level's one search, no-valid reason
-        included, and each node's slice of the node-axis tables equal the
-        search and the tables on that node's rows alone."""
+        """Each node's slice of a level's tables, larger children taken by
+        subtraction included, equals both S1 plans on that node's rows alone,
+        and each node's result of the level's one search, no-valid reason
+        included, equals ``best_split`` on those rows."""
         frame, labels = _witness_frame(n_rows=3000)
         man, bmap = _manifest(frame, labels, max_depth=4, min_leaf=150)
-        search, levels = trainer.best_split, []
+        search, levels = trainer._search_cells, []
 
-        def recording(view, *args):
-            results = search(view, *args)
-            levels.append((view, args, results))
+        def recording(view, units, tables, n_nodes, config):
+            results = search(view, units, tables, n_nodes, config)
+            levels.append((view, units, [t.copy() for t in tables], config, results))
             return results
 
-        monkeypatch.setattr(trainer, "best_split", recording)
-        pl.train(pl.partition(frame, 4), man, path)
+        monkeypatch.setattr(trainer, "_search_cells", recording)
+        tree = pl.train(pl.partition(frame, 4), man, path)
         assert len(levels) == man.max_depth
         statuses = Counter()
-        for view, args, results in levels:
-            assert len(results) == view.n_slots
-            tables = {(build, name): build(view, name, bmap[name], labels)
-                      for build in (pl.build_prefix_sums, pl.windowed_prefix_table)
-                      for name in man.feature_names}
-            whole = view.with_slots(None)
-            for k, got in enumerate(results):
-                node = whole.take(np.flatnonzero(view.slots == k))
-                assert got.to_record() == search(node, *args).to_record()
+        for depth, (view, units, tables, config, results) in enumerate(levels):
+            paths = sorted(p for p in tree.nodes if len(p) == depth)
+            assert len(results) == len(paths)
+            for k, node_path in enumerate(paths):
+                node = view.take(_node_rows(view, tree, node_path))
+                got = results[k]
+                assert got.to_record() == pl.best_split(node, man.feature_names, bmap,
+                                                        labels, config).to_record()
                 statuses[got.status] += 1
-                for (build, name), table in tables.items():
-                    assert table.node(k).to_record() == \
-                        build(node, name, bmap[name], labels).to_record()
+                for unit, cells in zip(units, tables):
+                    for i, f in enumerate(unit):
+                        name = view.features[f]
+                        table = pl.PrefixTable.from_cells(name, labels, bmap[name].cuts,
+                                                          cells[i, k])
+                        for build in (pl.build_prefix_sums, pl.windowed_prefix_table):
+                            assert table.to_record() == \
+                                build(node, name, bmap[name], labels).to_record()
         assert statuses[pl.STATUS_OK] and statuses[pl.STATUS_NO_VALID]
+
+    @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
+    def test_counts_only_the_smaller_child_and_takes_no_rows(self, path, monkeypatch):
+        """After the root, S1 counts exactly the smaller child of each split
+        (ties to the left) and the trainer gathers no binned rows."""
+        frame, labels = _witness_frame(n_rows=3000)
+        man, _ = _manifest(frame, labels, max_depth=4, min_leaf=150)
+        count_cells, search, take = (splitsearch._count_cells, trainer._search_cells,
+                                     splitsearch.BinnedRows.take)
+        events = []
+
+        def counting_cells(view, unit, relational, rows, slots, n_slots):
+            events.append(view.n_rows if rows is None else len(rows))
+            return count_cells(view, unit, relational, rows, slots, n_slots)
+
+        def marking_search(*args):
+            events.append("search")
+            return search(*args)
+
+        def counting_take(self, rows):
+            events.append("take")
+            return take(self, rows)
+
+        monkeypatch.setattr(splitsearch, "_count_cells", counting_cells)
+        monkeypatch.setattr(trainer, "_search_cells", marking_search)
+        monkeypatch.setattr(splitsearch.BinnedRows, "take", counting_take)
+        tree = pl.train(pl.partition(frame, 3), man, path)
+        assert "take" not in events
+        levels = [[]]   # rows counted per unit, level by level
+        for event in events:
+            if event == "search":
+                levels.append([])
+            else:
+                levels[-1].append(event)
+        levels = [level for level in levels if level]
+        assert all(len(level) == len(levels[0]) for level in levels)
+        counted = [set(level) for level in levels]
+        sizes = {p: node.n_rows for p, node in tree.nodes.items()}
+        want = [{frame.n_rows}]
+        lopsided = False
+        for depth in range(1, len(counted)):
+            split = [p for p in sizes if len(p) == depth - 1 and p + "L" in sizes]
+            want.append({sum(min(sizes[p + "L"], sizes[p + "R"]) for p in split)})
+            lopsided |= any(sizes[p + "L"] > sizes[p + "R"] for p in split)
+        assert counted == want
+        assert lopsided and len(counted) == man.max_depth
+
+
+def _node_rows(view, tree, path):
+    """Rows of ``view`` that reach the node at ``path`` of ``tree``."""
+    rows = np.arange(view.n_rows)
+    for depth in range(len(path)):
+        node = tree.nodes[path[:depth]]
+        f = view.features.index(node.feature)
+        bins = view.bins[f, rows]
+        go_left = bins <= node.candidate_bin
+        if node.nan_direction == "left":
+            go_left |= bins == view.boundaries[f].missing_bin
+        rows = rows[go_left if path[depth] == "L" else ~go_left]
+    return rows
 
 
 def _two_partitions():
