@@ -14,7 +14,7 @@ from .inference import (InferenceBackend, ScoreColumn, ParityReport,
                         score, check_parity, measure_throughput, BACKEND_KINDS)
 from .splitsearch import (Boundaries, uniform_boundaries, bucketize,
                           candidate_row_count, select_control, treatment_codes,
-                          BinnedRows, bin_rows, PrefixTable,
+                          bin_rows, PrefixTable,
                           build_prefix_sums, windowed_prefix_table, ddp_max,
                           CandidateScore, expand_and_score, compare_candidates,
                           candidate_order_key, SplitConfig, BestSplit,

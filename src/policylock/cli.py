@@ -2,8 +2,9 @@
 batch inference with parity/throughput reports, and the experiment harness.
 
 All commands are batch-oriented (CI consumers); exit code is nonzero iff a
-non-skipped case fails its block predicate (1) or the engine rejects an input
-or argument (2, with ``error: <message>`` on stderr).
+non-skipped case fails its block predicate (1), or the engine rejects an
+input or argument or a file cannot be read or written (2, with
+``error: <message>`` on stderr).
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EngineError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

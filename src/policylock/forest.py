@@ -75,7 +75,7 @@ class ForestArrays:
 
 @dataclass
 class Violation:
-    tree_index: int
+    tree_index: Optional[int]   # None for the forest as a whole
     node_index: Optional[int]
     message: str
 
@@ -92,6 +92,8 @@ class ValidationReport:
 def validate_forest(forest: ForestArrays) -> ValidationReport:
     """Structural validation; violations are report entries, never exceptions."""
     report = ValidationReport()
+    if not forest.trees:
+        report.violations.append(Violation(None, None, "forest has no trees"))
     T = forest.n_treatments
     F = forest.n_features
     for ti, tree in enumerate(forest.trees):
@@ -497,6 +499,8 @@ def random_forest(n_trees: int, max_depth: int, feature_names: Sequence[str],
     F, T = len(feature_names), len(treatment_labels)
     if F < 1:
         raise InvalidArgumentError("a random forest needs at least one feature")
+    if n_trees < 1:
+        raise InvalidArgumentError("a random forest needs at least one tree")
     cat_set = set(int(c) for c in categorical_features)
     trees = []
     for k in range(n_trees):

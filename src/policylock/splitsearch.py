@@ -4,16 +4,16 @@ tables, not rows.
 Stage S1 (``_count_cells``) turns rows into cell tables: int64
 ``[F_u, K, B+1, T, 2]`` per unit of features sharing one B, the rows with
 outcome 0 and 1 per node, bin (the missing bin last) and treatment.  Its one
-input is a ``BinnedRows`` view that keeps each partition's row range:
-``bin_rows`` bucketizes a frame (``ColumnFrame`` or ``PartitionedFrame``)
-once per search, and a caller that searches many row subsets bins each row
-once.  Every execution path counts each partition's cell keys
-``((slot*(B+1) + bin)*T + code)*2 + positive`` with one ``bincount``, one
-feature at a time into one key buffer; only the count tables merge.  A view
-may carry a node slot per row; then every table has K nodes and
-``best_split`` answers for every node in one pass (the trainer searches all
-nodes of a tree level at once).  Without slots all rows are one node.
-``build_prefix_sums`` and ``windowed_prefix_table`` are one feature's slice.
+input is a ``BinnedRows`` view that keeps each partition's row range, built
+by ``bin_rows``, which bucketizes a frame (``ColumnFrame`` or
+``PartitionedFrame``) once.  Every execution path counts each partition's
+cell keys ``((slot*(B+1) + bin)*T + code)*2 + positive`` with one
+``bincount``, one feature at a time into one key buffer; only the count
+tables merge.  ``best_split`` bins its frame and counts all rows as one node
+(K = 1).  The trainer bins its rows once and counts a subset of them with a
+node slot per row, so every table has K nodes and one S2 pass answers for
+every node of a tree level.  ``build_prefix_sums`` and
+``windowed_prefix_table`` are one feature's slice.
 
 Stage S2 (``_search_cells``) stacks each B group's tables and scores every
 candidate of every feature and node in one array pass, expanding each
@@ -38,7 +38,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidArgumentError, SchemaError
+from .errors import ContractViolationError, InvalidArgumentError
 from .frame import ColumnFrame, PartitionedFrame
 from . import rng
 
@@ -183,70 +183,34 @@ def treatment_codes(frame: ColumnFrame, treatments: tuple[str, ...]) -> np.ndarr
 
 @dataclass(frozen=True)
 class BinnedRows:
-    """Rows bucketized once under fixed boundaries: ``bins[f]`` is feature
-    ``features[f]``'s bin per row (missing bin B included) and ``tails`` is
-    ``code*2 + positive`` per row, the low digits of every cell key (``code``
-    the treatment index in ``treatments``, ``positive`` the outcome).  Rows
-    ``bounds[p]:bounds[p+1]`` are partition p, which S1 counts on its own;
-    ``slots``, when set, places each row in one of ``n_slots`` nodes.
-
-    ``best_split`` accepts a view in place of a frame; the view remembers
-    the boundaries and vocabulary it was built with, and a search under any
-    other raises ``InvalidArgumentError``."""
+    """S1's input, built by ``bin_rows``: rows bucketized once under fixed
+    boundaries.  ``bins[f]`` is feature ``features[f]``'s bin per row (missing
+    bin B included) and ``tails`` is ``code*2 + positive`` per row, the low
+    digits of every cell key (``code`` the treatment index in
+    ``treatments``, ``positive`` the outcome).  Rows ``bounds[p]:bounds[p+1]``
+    are partition p, which S1 counts on its own."""
     features: tuple[str, ...]
     boundaries: tuple[Boundaries, ...]
     treatments: tuple[str, ...]
     bins: np.ndarray        # uint8 [F, N]; uint16 (or wider) when some B+1 > 256
     tails: np.ndarray       # int64 [N]
     bounds: tuple[int, ...]  # 0 = bounds[0] <= ... <= bounds[-1] = N
-    slots: Optional[np.ndarray] = None   # int64 [N] in [0, n_slots)
-    n_slots: int = 1
 
     def __post_init__(self):
         b = self.bounds
         if len(b) < 2 or b[0] != 0 or b[-1] != self.n_rows or any(np.diff(b) < 0):
             raise InvalidArgumentError("partition bounds must run non-decreasing from 0 to "
                                        f"{self.n_rows} over one partition or more")
-        if self.slots is not None and len(self.slots) and (
-                self.slots.min() < 0 or self.slots.max() >= self.n_slots):
-            raise InvalidArgumentError(f"node slots must lie in [0, {self.n_slots})")
 
     @property
     def n_rows(self) -> int:
         return len(self.tails)
 
-    def take(self, rows: np.ndarray) -> "BinnedRows":
-        """``rows`` in their partitions: any order within one, partitions in order."""
-        part = np.searchsorted(self.bounds, rows, side="right") - 1
-        P = len(self.bounds) - 1
-        if (np.diff(part, prepend=0, append=P - 1) < 0).any():
-            raise InvalidArgumentError(f"rows must lie in [0, {self.n_rows}) in partition order")
-        return BinnedRows(self.features, self.boundaries, self.treatments,
-                          np.take(self.bins, rows, axis=1), self.tails[rows],
-                          tuple(np.searchsorted(part, np.arange(P + 1)).tolist()),
-                          None if self.slots is None else self.slots[rows],
-                          self.n_slots)
 
-    def with_slots(self, slots: Optional[np.ndarray], n_slots: int = 1) -> "BinnedRows":
-        return replace(self, slots=slots, n_slots=n_slots)
-
-    def feature_index(self, feature: str, boundaries: Boundaries,
-                      treatments: tuple[str, ...]) -> int:
-        """Row of ``feature`` in ``bins``, after checking that a search under
-        ``boundaries`` and ``treatments`` sees the same bins as the view."""
-        if feature not in self.features:
-            raise SchemaError(f"no binned feature named {feature!r}")
-        f = self.features.index(feature)
-        if self.boundaries[f] != boundaries:
-            raise InvalidArgumentError(
-                f"binned rows of {feature!r} were built with other boundaries")
-        if self.treatments != treatments:
-            raise InvalidArgumentError(
-                "binned rows were built with another treatment vocabulary")
-        return f
+SplitInput = Union[ColumnFrame, PartitionedFrame]
 
 
-def bin_rows(data: Union[ColumnFrame, PartitionedFrame], features: Sequence[str],
+def bin_rows(data: SplitInput, features: Sequence[str],
              boundaries: Mapping[str, Boundaries],
              treatments: Sequence[str]) -> BinnedRows:
     """Bucketize every feature of every partition of ``data`` once and build
@@ -265,20 +229,15 @@ def bin_rows(data: Union[ColumnFrame, PartitionedFrame], features: Sequence[str]
     return BinnedRows(features, per_feature, treatments, bins, tails, bounds)
 
 
-SplitInput = Union[ColumnFrame, PartitionedFrame, BinnedRows]
-
-
-def _units(view: BinnedRows, features: Sequence[str], boundaries: Mapping[str, Boundaries],
-           config: SplitConfig) -> list[list[int]]:
-    """S1's units of work, each a list of view rows of ``features`` sharing
-    one B (grouped in feature order).  The partitioned path cuts the features
-    into contiguous shards, one per worker, before grouping them."""
-    index = [view.feature_index(name, b, view.treatments)
-             for name, b in zip(features, feature_boundaries(boundaries, features))]
-    shards = config.pool_size or min(8, max(len(index), 1)) \
+def _units(view: BinnedRows, config: SplitConfig) -> list[list[int]]:
+    """S1's units of work, each a list of the view's feature rows sharing one
+    B (grouped in feature order).  The partitioned path cuts the features into
+    contiguous shards, one per worker, before grouping them."""
+    F = len(view.features)
+    shards = config.pool_size or min(8, max(F, 1)) \
         if config.execution_path == PATH_PARTITIONED else 1
     units = []
-    for shard in np.array_split(np.array(index, dtype=np.int64), shards):
+    for shard in np.array_split(np.arange(F), shards):
         groups: dict[int, list[int]] = {}
         for f in shard.tolist():
             groups.setdefault(view.boundaries[f].n_bins, []).append(f)
@@ -339,9 +298,7 @@ class PrefixTable:
     """Per-candidate-bin, per-treatment sufficient statistics.
 
     Right-branch statistics are always derived as totals minus prefixes;
-    missing tallies stay separate until a candidate routes them.  A table
-    built from rows with node slots carries a leading node axis [K, ...] on
-    every array.
+    missing tallies stay separate until a candidate routes them.
     """
     feature_name: str
     treatments: tuple[str, ...]
@@ -385,6 +342,12 @@ class PrefixTable:
         return cls.from_counts(feature_name, treatments, cuts, opps[..., :-1, :],
                                accepts[..., :-1, :], opps[..., -1, :], accepts[..., -1, :])
 
+    def cells(self) -> np.ndarray:
+        """The inverse of ``from_cells``: int64 [..., B+1, T, 2]."""
+        opps = np.concatenate([self.opps, self.missing_opps[..., None, :]], axis=-2)
+        accepts = np.concatenate([self.accepts, self.missing_accepts[..., None, :]], axis=-2)
+        return np.stack([opps - accepts, accepts], axis=-1)
+
     def zero_support_cells(self) -> list[tuple[int, int]]:
         bins, ts = np.nonzero(self.opps == 0)
         return list(zip(bins.tolist(), ts.tolist()))
@@ -399,15 +362,13 @@ class PrefixTable:
         }
 
 
-def _feature_cells(data: SplitInput, feature: str, boundaries: Boundaries,
-                   treatments: tuple[str, ...], relational: bool) -> np.ndarray:
-    """One feature's slice of S1: cells ``[K,] B+1, T, 2`` (no node axis on a
-    view without slots)."""
-    view = data if isinstance(data, BinnedRows) else \
-        bin_rows(data, [feature], {feature: boundaries}, treatments)
-    f = view.feature_index(feature, boundaries, treatments)
-    cells = _count_cells(view, [f], relational, None, view.slots, view.n_slots)[0]
-    return cells if view.slots is not None else cells[0]
+def _feature_table(data: SplitInput, feature: str, boundaries: Boundaries,
+                   treatments: Sequence[str], relational: bool) -> PrefixTable:
+    """One feature's slice of S1 on ``data``'s rows as one node."""
+    treatments = tuple(treatments)
+    view = bin_rows(data, [feature], {feature: boundaries}, treatments)
+    return PrefixTable.from_cells(feature, treatments, boundaries.cuts,
+                                  _count_cells(view, [0], relational, None, None, 1)[0, 0])
 
 
 def build_prefix_sums(data: SplitInput, feature: str,
@@ -415,20 +376,16 @@ def build_prefix_sums(data: SplitInput, feature: str,
     """S1: exact group-by counts with explicit zero-fill over the fixed
     treatment vocabulary; independent of row order and partitioning.  The
     partitions' dense count tables are summed."""
-    treatments = tuple(treatments)
-    return PrefixTable.from_cells(feature, treatments, boundaries.cuts,
-                                  _feature_cells(data, feature, boundaries, treatments, False))
+    return _feature_table(data, feature, boundaries, treatments, False)
 
 
 def windowed_prefix_table(data: SplitInput, feature: str,
                           boundaries: Boundaries, treatments: Sequence[str]) -> PrefixTable:
     """Same counts via a grouped-then-cumulative plan: each partition's
     non-empty cells as sparse (key, count) groups, merged by a sort on the
-    cell key, then per-(node, treatment) running window sums over the bins.
-    Integer arithmetic makes it exactly equal to the dense path."""
-    treatments = tuple(treatments)
-    return PrefixTable.from_cells(feature, treatments, boundaries.cuts,
-                                  _feature_cells(data, feature, boundaries, treatments, True))
+    cell key, then per-treatment running window sums over the bins.  Integer
+    arithmetic makes it exactly equal to the dense path."""
+    return _feature_table(data, feature, boundaries, treatments, True)
 
 
 def ddp_max(uplifts_left: Sequence[float], uplifts_right: Sequence[float]) -> float:
@@ -529,12 +486,12 @@ _VALID, _NO_CONTROL, _ZERO_SUPPORT, _MIN_LEAF, _NOT_FINITE = range(5)
 
 
 class _FeatureScores:
-    """S2 of every candidate of a table, for every node and feature, in one
-    array pass.
+    """S2 of every candidate of stacked cell tables, for every node and
+    feature, in one array pass.
 
-    Arrays are [R, 2, B-1]: axis 0 runs over the table's leading axes (R = 1
-    for one feature without a node axis, K nodes, or F_g features times K
-    nodes of a group's stacked cells), axis 1 the NaN route (left, right).
+    Arrays are [R, 2, B-1]: axis 0 runs over the stacked tables (R = 1 for
+    one feature's table, F_g features times K nodes for a B group), axis 1
+    the NaN route (left, right).
     Branch counts put the treatments first, [T, R, 2, B-1], so that every
     reduction over T combines whole slabs.  Every element comes from the same
     IEEE operations as in the test oracle ``scalar_candidate``
@@ -543,10 +500,8 @@ class _FeatureScores:
     ``max(a, b)``.  Reasons and scores therefore equal the oracle's, score
     bits included."""
 
-    def __init__(self, opps, accepts, control_idx: int, min_leaf_size: int,
-                 table: Optional[PrefixTable] = None):
+    def __init__(self, opps, accepts, control_idx: int, min_leaf_size: int):
         """``opps`` and ``accepts`` are ``_routes``' (left, right) pairs."""
-        self.table = table
         self.reason_texts = _reason_texts(min_leaf_size)
         (self.left_o, self.right_o), (self.left_a, self.right_a) = opps, accepts
         T = len(self.left_o)
@@ -572,21 +527,6 @@ class _FeatureScores:
         self.scores = np.where(zero | small, math.nan, scores)
 
     @classmethod
-    def of_table(cls, table: PrefixTable, control_idx: int,
-                 min_leaf_size: int) -> "_FeatureScores":
-        """Scores of a ``PrefixTable``, any leading axes included."""
-        C, T = table.left_opps.shape[-2:]
-
-        def first(x, *inner):  # treatments first, leading axes flattened
-            return np.ascontiguousarray(np.moveaxis(x.reshape(-1, *inner, T), -1, 0))
-
-        return cls(*(_routes(first(left, C), first(totals), first(missing))
-                     for left, totals, missing in (
-                         (table.left_opps, table.totals_opps, table.missing_opps),
-                         (table.left_accepts, table.totals_accepts, table.missing_accepts))),
-                   control_idx, min_leaf_size, table)
-
-    @classmethod
     def of_cells(cls, cells: np.ndarray, control_idx: int,
                  min_leaf_size: int) -> "_FeatureScores":
         """Scores of stacked cells [R, B+1, T, 2] (rows with outcome 0 and 1
@@ -598,12 +538,8 @@ class _FeatureScores:
                              x[..., -1]) for x in (counts[:, 0] + accepts, accepts)),
                    control_idx, min_leaf_size)
 
-    def candidate(self, d: int, c: int, node: int = 0) -> CandidateScore:
-        """The scored candidate of bin ``c`` on route ``d`` of ``node``, for a
-        one-feature table."""
-        return self._candidate(node, d, c, self.table.feature_name, self.table.cuts[c])
-
     def _candidate(self, row: int, d: int, c: int, name: str, cut: float) -> CandidateScore:
+        """The scored candidate of bin ``c`` on route ``d`` of table ``row``."""
         at = (row, d, c)
         code = int(self.reasons[at])
         return CandidateScore(name, c, cut, _DIRECTIONS[d], float(self.scores[at]),
@@ -631,10 +567,10 @@ def expand_and_score(table: PrefixTable, config: SplitConfig) -> list[CandidateS
     tallies added to the routed branch before rate computation; in (bin,
     route) order."""
     control = select_control(table.treatments, config.control_label_override)
-    scores = _FeatureScores.of_table(table, table.treatments.index(control),
+    scores = _FeatureScores.of_cells(table.cells()[None], table.treatments.index(control),
                                      config.min_leaf_size)
-    return [scores.candidate(d, c) for c in range(table.n_candidates)
-            for d in (0, 1)]
+    return [scores._candidate(0, d, c, table.feature_name, cut)
+            for c, cut in enumerate(table.cuts) for d in (0, 1)]
 
 
 @dataclass
@@ -777,33 +713,23 @@ def _search_cells(view: BinnedRows, units: Sequence[Sequence[int]],
 
 def best_split(data: SplitInput, features: Sequence[str],
                boundaries: Mapping[str, Boundaries], treatments: Sequence[str],
-               config: SplitConfig) -> Union[SplitSearchResult, list[SplitSearchResult]]:
+               config: SplitConfig) -> SplitSearchResult:
     """Deterministic best split; all three execution paths return identical
     results on identical inputs (contract scope: fixed shared boundaries).
-    ``data`` may be a ``BinnedRows`` view built under the same boundaries
-    and treatment vocabulary.  On a view with node slots the result is a list
-    with one ``SplitSearchResult`` per node, each equal to the search on that
-    node's rows alone; otherwise it is one ``SplitSearchResult``.  S1 counts
-    every unit's cells, then S2 searches all of them at once."""
+    The frame is binned once, S1 counts every unit's cells, then S2 searches
+    all of them at once."""
     treatments = tuple(treatments)
     features = list(features)
     control = select_control(treatments, config.control_label_override)
-    n_nodes = data.n_slots if isinstance(data, BinnedRows) and data.slots is not None \
-        else None
     skip = _skip_reason(features, boundaries, treatments, config)
     if skip is not None:
-        cand_rows = _total_candidate_rows(features, boundaries, len(treatments))
-        skipped = [SplitSearchResult(STATUS_SKIPPED_TOO_LARGE, None, cand_rows, control,
-                                     reason=skip) for _ in range(n_nodes or 1)]
-        return skipped if n_nodes is not None else skipped[0]
-    view = data if isinstance(data, BinnedRows) else \
-        bin_rows(data, features, boundaries, treatments)
-    if view.treatments != treatments:
-        raise InvalidArgumentError("binned rows were built with another treatment vocabulary")
-    units = _units(view, features, boundaries, config)
-    tables = _count_level(view, units, config, None, view.slots, view.n_slots)
-    results = _search_cells(view, units, tables, view.n_slots, config)
-    return results if n_nodes is not None else results[0]
+        return SplitSearchResult(STATUS_SKIPPED_TOO_LARGE, None,
+                                 _total_candidate_rows(features, boundaries, len(treatments)),
+                                 control, reason=skip)
+    view = bin_rows(data, features, boundaries, treatments)
+    units = _units(view, config)
+    tables = _count_level(view, units, config, None, None, 1)
+    return _search_cells(view, units, tables, 1, config)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,12 @@ class Manifest:
     preprocessing_digest: str
     locked: bool = False
 
+    def __post_init__(self):
+        if self.max_depth < 0:
+            raise InvalidArgumentError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.min_leaf_size < 1:
+            raise InvalidArgumentError(f"min_leaf_size must be >= 1, got {self.min_leaf_size}")
+
     def boundary_map(self) -> dict[str, Boundaries]:
         return dict(self.boundaries)
 
@@ -173,7 +179,8 @@ def _manifest_boundaries(line: str) -> Boundaries:
 def manifest_from_text(text: str) -> Manifest:
     """Reader recomputes the preprocessing digest and rejects tampering.
     Malformed text (truncated, fields missing or out of order, bad counts or
-    numbers, short feature lines, trailing lines) raises ``SchemaError``."""
+    numbers, ``max_depth`` or ``min_leaf_size`` out of range, short feature
+    lines, trailing lines) raises ``SchemaError``."""
     lines = text.splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "manifest":
@@ -209,13 +216,16 @@ def manifest_from_text(text: str) -> Manifest:
     names = tuple(b.feature_name for b in bounds)
     if len(set(names)) != len(names):
         raise SchemaError("manifest lists a feature twice")
-    rebuilt = Manifest(fields["row_id_digest"], names, labels,
-                       tuple(zip(names, bounds)),
-                       _manifest_int(fields["seed"], "seed"),
-                       _manifest_int(fields["max_depth"], "max_depth"),
-                       _manifest_int(fields["min_leaf_size"], "min_leaf_size"),
-                       fields["preprocessing_digest"],
-                       locked=fields["locked"] == "true")
+    try:
+        rebuilt = Manifest(fields["row_id_digest"], names, labels,
+                           tuple(zip(names, bounds)),
+                           _manifest_int(fields["seed"], "seed"),
+                           _manifest_int(fields["max_depth"], "max_depth"),
+                           _manifest_int(fields["min_leaf_size"], "min_leaf_size"),
+                           fields["preprocessing_digest"],
+                           locked=fields["locked"] == "true")
+    except InvalidArgumentError as exc:
+        raise SchemaError(f"manifest {exc}") from None
     check = _preprocessing_digest(rebuilt.boundaries, rebuilt.treatment_labels,
                                   rebuilt.seed, rebuilt.max_depth,
                                   rebuilt.min_leaf_size)
@@ -284,7 +294,7 @@ def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
         raise ContractViolationError(
             "split search safety-skipped during training; raise the threshold "
             "or shrink the candidate grid")
-    units = _units(view, features, bmap, config)
+    units = _units(view, config)
 
     nodes: dict[str, PolicyNode] = {}
     frontier = [""]

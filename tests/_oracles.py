@@ -4,9 +4,9 @@ Everything here works from raw rows with plain Python loops and stays
 deliberately independent of the engine's vectorized / prefix-sum code paths,
 with two exceptions.  ``scalar_candidate`` reads the engine's ``PrefixTable``
 and checks only the array scorer's S2 arithmetic, one candidate at a time.
-``pernode_train`` keeps the engine's per-node split search and checks only
-how the level-wise trainer batches nodes, subtracts sibling tables and routes
-rows.
+``pernode_train`` keeps the engine's per-node split search, run on each
+node's rows of the frame, and checks only how the level-wise trainer batches
+nodes, subtracts sibling tables and routes rows.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 
 from policylock.forest import LEAF, INTERNAL_CATEGORICAL
 from policylock.frame import PartitionedFrame
-from policylock.splitsearch import (CandidateScore, SplitConfig, best_split, bin_rows,
+from policylock.splitsearch import (CandidateScore, SplitConfig, best_split,
                                     treatment_codes, STATUS_OK, _REASON_NO_CONTROL,
                                     _REASON_NOT_FINITE, _REASON_ZERO_SUPPORT,
                                     _reason_min_leaf)
@@ -188,15 +188,15 @@ def oracle_auuc_qini(proxy, treatments, outcomes, control, row_ids):
 
 def pernode_train(data, manifest, execution_path, control_override=None):
     """The breadth-first per-node trainer: one queue entry per node holding
-    its row indices, one ``best_split`` on that node's rows of the binned
-    view, leaf statistics from a per-leaf count.  Slow, and the reference
-    the level-wise ``train`` must match."""
+    its row indices, one ``best_split`` on a frame of that node's rows,
+    routing on raw values (``value <= threshold``, missing values by the NaN
+    direction), leaf statistics from a per-leaf count.  Slow, and the
+    reference the level-wise ``train`` must match."""
     frame = data.concat() if isinstance(data, PartitionedFrame) else data
     labels = manifest.treatment_labels
     T = len(labels)
     codes = treatment_codes(frame, labels)
     bmap = manifest.boundary_map()
-    binned = bin_rows(frame, manifest.feature_names, bmap, labels)
     config = SplitConfig(min_leaf_size=manifest.min_leaf_size,
                          control_label_override=control_override,
                          execution_path=execution_path)
@@ -206,7 +206,7 @@ def pernode_train(data, manifest, execution_path, control_override=None):
         path, rows = queue.pop(0)
         result = None
         if len(path) < manifest.max_depth:
-            result = best_split(binned.take(rows), manifest.feature_names, bmap,
+            result = best_split(frame.take(rows), manifest.feature_names, bmap,
                                 labels, config)
         if result is None or result.status != STATUS_OK:
             opps = np.bincount(codes[rows], minlength=T).astype(np.int64)
@@ -224,10 +224,10 @@ def pernode_train(data, manifest, execution_path, control_override=None):
                                  threshold=best.threshold_boundary,
                                  candidate_bin=best.candidate_bin,
                                  nan_direction=best.nan_direction)
-        bins = binned.bins[manifest.feature_names.index(best.feature_name), rows]
-        go_left = bins <= best.candidate_bin
+        values = frame.effective_values(best.feature_name)[rows]
+        go_left = values <= best.threshold_boundary
         if best.nan_direction == "left":
-            go_left |= bins == bmap[best.feature_name].missing_bin
+            go_left |= np.isnan(values)
         queue.append((path + "L", rows[go_left]))
         queue.append((path + "R", rows[~go_left]))
     return PolicyTree(nodes, manifest.feature_names, labels, manifest.max_depth,

@@ -52,6 +52,11 @@ class TestValidation:
         report = pl.validate_forest(pl.ForestArrays([tree], ("f0",), ("a",)))
         assert any("out of range" in v.message for v in report.violations)
 
+    def test_forest_without_trees_fails(self):
+        report = pl.validate_forest(pl.ForestArrays([], ("f0",), ("a",)))
+        assert [(v.tree_index, v.message) for v in report.violations] == \
+            [(None, "forest has no trees")]
+
     def test_self_loop_child(self):
         tree = TreeArrays([INTERNAL_CONTINUOUS, LEAF], [0, -1], [0.5, 0.0],
                           [0, -1], [1, -1], [False, False], [[0.0], [1.0]])
@@ -62,6 +67,12 @@ class TestValidation:
 def test_random_forest_without_features_rejected():
     with pytest.raises(pl.EngineError, match="at least one feature"):
         pl.random_forest(2, 3, (), ("a", "b"), seed=1)
+
+
+@pytest.mark.parametrize("n_trees", [0, -1])
+def test_random_forest_without_trees_rejected(n_trees):
+    with pytest.raises(pl.InvalidArgumentError, match="at least one tree"):
+        pl.random_forest(n_trees, 3, ("f0",), ("a", "b"), seed=1)
 
 
 class TestTraversal:

@@ -328,6 +328,38 @@ class TestCli:
         assert captured.err == f"error: {exc.value}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--forest", "{missing}", "--synth-rows", "20", "--synth-features", "2",
+         "--synth-trees", "1", "--synth-depth", "1"],
+        ["infer", "--csv", "{missing}", "--feature-cols", "f00", "--forest", "{missing}"],
+        ["synth", "--out", "{tmp}/x.csv", "--config", "{missing}"],
+        ["harness", "run", "--block", "C2", "--out", "{tmp}/o", "--config", "{missing}"],
+        ["harness", "report", "--in", "{missing}"],
+    ], ids=["infer_forest", "infer_csv", "synth_config", "harness_config", "report_in"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing")
+        rc = cli_main([arg.format(missing=missing, tmp=tmp_path) for arg in argv])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and repr(missing) in captured.err
+        assert captured.out == ""
+
+    def test_forest_without_trees_exits_2(self, tmp_path, capsys):
+        forest_path = tmp_path / "forest.txt"
+        rc = cli_main(["forest-gen", "--trees", "-1", "--out", str(forest_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: a random forest needs at least one tree\n"
+        assert not forest_path.exists()
+        forest_path.write_text(pl.forest_to_text(pl.ForestArrays([], ("f00",),
+                                                                 ("control", "treat"))))
+        rc = cli_main(["infer", "--forest", str(forest_path), "--synth-rows", "20",
+                       "--synth-features", "1", "--synth-treatments", "2",
+                       "--synth-trees", "1", "--synth-depth", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: forest failed validation: forest has no trees\n"
+        assert captured.out == ""
+
     def test_infer_malformed_csv_exits_2(self, tmp_path, capsys):
         forest_path = tmp_path / "forest.txt"
         assert cli_main(["forest-gen", "--trees", "2", "--depth", "2",

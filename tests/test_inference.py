@@ -74,6 +74,14 @@ class TestScore:
                      pl.InferenceBackend("broadcast_rowwise"))
 
 
+    @pytest.mark.parametrize("kind", pl.BACKEND_KINDS)
+    def test_forest_without_trees_rejected_on_every_backend(self, kind):
+        forest = pl.ForestArrays([], ("f00",), ("a", "b"))
+        frame = build_frame({"f00": [0.5, None]})
+        with pytest.raises(pl.InvalidArgumentError, match="no trees"):
+            pl.score(pl.partition(frame, 2), forest, pl.InferenceBackend(kind))
+
+
 @pytest.fixture
 def model_inits(monkeypatch):
     """Counts model inits: every one parses the forest text through

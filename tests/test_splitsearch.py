@@ -491,20 +491,13 @@ class TestStackedSearch:
             return count_cells(view, unit, *args)
 
         monkeypatch.setattr(splitsearch, "_count_cells", recording)
-        for data in (frame, pl.partition(frame, 3), view):
+        for data in (frame, pl.partition(frame, 3)):
             assert pl.best_split(data, names, bmap, labels, config).to_record() == want
         # one table per B group, in order of first appearance; the
         # partitioned path splits each worker's shard by B
         assert all(len(set(unit)) == 1 for unit in units)
         if path != pl.PATH_PARTITIONED:
-            assert units == [[40, 40], [2, 2], [300, 300], [5, 5]] * 3
-
-        slots = np.arange(frame.n_rows) % 3
-        nodes = pl.best_split(view.with_slots(slots, 3), names, bmap, labels, config)
-        for k, got in enumerate(nodes):
-            rows = np.flatnonzero(slots == k)
-            assert got.to_record() == _per_feature_record(view.take(rows), names, bmap,
-                                                          labels, config)
+            assert units == [[40, 40], [2, 2], [300, 300], [5, 5]] * 2
 
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
     def test_mixed_bins_train_matches_pernode_oracle(self, path):
@@ -567,15 +560,15 @@ class TestArrayScorer:
                      [0, 0, 0]), 2, 1))
     def test_matches_scalar_candidate_by_candidate(self, case):
         table, control_idx, min_leaf = case
-        fast = _FeatureScores.of_table(table, control_idx, min_leaf)
+        fast = _FeatureScores.of_cells(table.cells()[None], control_idx, min_leaf)
         slow = [scalar_candidate(table, c, direction, control_idx, min_leaf)
                 for c in range(table.n_candidates) for direction in ("left", "right")]
         listed = pl.expand_and_score(table, pl.SplitConfig(
             min_leaf_size=min_leaf, control_label_override=table.treatments[control_idx]))
         assert len(listed) == len(slow)
         for want, in_list in zip(slow, listed):
-            got = fast.candidate(("left", "right").index(want.nan_direction),
-                                 want.candidate_bin)
+            got = fast._candidate(0, ("left", "right").index(want.nan_direction),
+                                  want.candidate_bin, "x", want.threshold_boundary)
             for cand in (got, in_list):
                 assert cand.identity() == want.identity()
                 assert cand.threshold_boundary == want.threshold_boundary
@@ -589,7 +582,7 @@ class TestArrayScorer:
         assert has == bool(valid)
         if valid:
             best = min(valid, key=candidate_order_key)
-            winner = fast.candidate(int(d), int(c))
+            winner = fast._candidate(0, int(d), int(c), "x", table.cuts[int(c)])
             assert winner.identity() == best.identity()
             assert _byte_equal(score, best.score) and _byte_equal(winner.score, best.score)
             assert _make_best(winner, "t0").to_record() == _make_best(best, "t0").to_record()
@@ -620,22 +613,20 @@ class TestBinnedRows:
     @pytest.mark.parametrize("no_valid", [False, True])
     def test_best_split_equal_on_view_frame_and_partitions(self, no_valid):
         """status, as_tuple(), reason and diagnostics (all in to_record())
-        agree across the paths, and for every path on a frame, its view, its
-        partitions and a row subset of the view."""
+        agree across the paths, and for every path on a frame and its
+        partitions, and across the paths on a row subset of the frame."""
         compared = 0
         for i in range(12):
             frame, names, bmap, labels, config = random_small_instance(5100 + i)
             if no_valid:
                 config = pl.SplitConfig(min_leaf_size=frame.n_rows)
-            view = _binned(frame, names, bmap, labels)
             want = _split_records(frame, names, bmap, labels, config)
             assert want == [want[0]] * len(want)
-            assert _split_records(view, names, bmap, labels, config) == want
             assert _split_records(pl.partition(frame, 4), names, bmap, labels,
                                   config) == want
             rows = np.random.RandomState(i).permutation(frame.n_rows)[:frame.n_rows // 2]
-            assert _split_records(view.take(rows), names, bmap, labels, config) == \
-                _split_records(frame.take(rows), names, bmap, labels, config)
+            sub = _split_records(frame.take(rows), names, bmap, labels, config)
+            assert sub == [sub[0]] * len(sub)
             compared += sum(r["status"] == ("no_valid_candidate" if no_valid else "ok")
                             for r in want)
         assert compared >= 12
@@ -655,33 +646,6 @@ class TestBinnedRows:
         with pytest.raises(pl.InvalidArgumentError, match="bounds"):
             dataclasses.replace(view, bounds=bounds)
 
-    def test_take_keeps_rows_in_their_partitions(self):
-        """Rows of partitions 0 and 2, shuffled within each: the subset keeps
-        one range per partition (partition 1's empty) and searches like the
-        same rows of the frame."""
-        frame, names, bmap, labels, config = random_small_instance(5401)
-        view = _binned(pl.partition(frame, 3), names, bmap, labels)
-        b = view.bounds
-        shuffle = np.random.RandomState(0).permutation
-        first, last = shuffle(b[1])[:b[1] // 2], b[2] + shuffle(b[3] - b[2])
-        rows = np.concatenate([first, last])
-        sub = view.take(rows)
-        assert sub.bounds == (0, len(first), len(first), len(rows))
-        assert np.array_equal(sub.bins, view.bins[:, rows])
-        assert np.array_equal(sub.tails, view.tails[rows])
-        assert _split_records(sub, names, bmap, labels, config) == \
-            _split_records(frame.take(rows), names, bmap, labels, config)
-
-    @pytest.mark.parametrize("rows", [[100, 0], [0, 100, 50], [-1], [1000]],
-                             ids=["out_of_order", "back_to_earlier", "negative",
-                                  "past_the_end"])
-    def test_take_out_of_partition_order_rejected(self, rows):
-        frame = build_frame({"x": np.linspace(0, 1, 1000).tolist()})
-        view = _binned(pl.partition(frame, 10), ["x"], {"x": pl.uniform_boundaries("x", 4)},
-                       ("control",))
-        with pytest.raises(pl.InvalidArgumentError, match="partition order"):
-            view.take(np.array(rows))
-
     def test_empty_partitions_change_no_record_or_table(self):
         """``partition(frame, n_rows + 3)`` holds three empty partitions."""
         for i in range(3):
@@ -699,39 +663,18 @@ class TestBinnedRows:
         empty = frame.take(np.arange(0))
         want = _split_records(empty, names, bmap, labels, config)
         assert want == [want[0]] * 3 and want[0]["status"] == pl.STATUS_NO_VALID
-        view = _binned(frame, names, bmap, labels)
-        for data in (_binned(empty, names, bmap, labels), view.take(np.arange(0))):
-            assert data.n_rows == 0
-            assert _split_records(data, names, bmap, labels, config) == want
+        view = _binned(empty, names, bmap, labels)
+        assert view.n_rows == 0 and view.bins.shape == (len(names), 0)
 
     def test_tails_match_codes_and_outcomes(self):
-        """``tails`` is ``code*2 + positive`` on a view, on its ``with_slots``
-        result and on its ``take`` result."""
+        """``tails`` is ``code*2 + positive`` per row, partition by partition."""
         frame, names, bmap, labels, _ = random_small_instance(5200)
-        view = _binned(frame, names, bmap, labels)
-        rows = np.random.RandomState(0).permutation(view.n_rows)[:view.n_rows // 2]
-        want = pl.treatment_codes(frame, labels) * 2 + frame.outcomes
-        assert view.tails.dtype == np.int64
-        slotted = view.with_slots(np.arange(view.n_rows) % 3, 3)
-        for derived, expect in ((view, want), (slotted, want), (view.take(rows), want[rows]),
-                                (slotted.take(rows), want[rows])):
-            assert np.array_equal(derived.tails, expect)
-
-    @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
-    def test_view_under_other_boundaries_or_vocabulary_rejected(self, path):
-        frame, names, bmap, labels, config = random_small_instance(5300)
-        config = config.with_path(path)
-        other = {n: pl.Boundaries(n, b.cuts[:-1] + (b.cuts[-1] + 0.01,))
-                 for n, b in bmap.items()}
-        with pytest.raises(pl.InvalidArgumentError):
-            pl.best_split(_binned(frame, names, other, labels), names, bmap,
-                          labels, config)
-        with pytest.raises(pl.InvalidArgumentError):
-            pl.best_split(_binned(frame, names, bmap, labels), names, bmap,
-                          labels[::-1], config)
-        with pytest.raises(pl.SchemaError):
-            pl.best_split(_binned(frame, names[:-1], bmap, labels), names, bmap,
-                          labels, config)
+        parts = pl.partition(frame, 3)
+        for data, rows in ((frame, frame), (parts, parts.concat())):
+            view = _binned(data, names, bmap, labels)
+            assert view.tails.dtype == np.int64
+            assert np.array_equal(view.tails,
+                                  pl.treatment_codes(rows, labels) * 2 + rows.outcomes)
 
 
 class TestNaiveVariants:

@@ -233,14 +233,16 @@ class TestLevelWise:
             return results
 
         monkeypatch.setattr(trainer, "_search_cells", recording)
-        tree = pl.train(pl.partition(frame, 4), man, path)
+        parts = pl.partition(frame, 4)
+        tree = pl.train(parts, man, path)
+        rows = parts.concat()   # the view's rows, in order
         assert len(levels) == man.max_depth
         statuses = Counter()
         for depth, (view, units, tables, config, results) in enumerate(levels):
             paths = sorted(p for p in tree.nodes if len(p) == depth)
             assert len(results) == len(paths)
             for k, node_path in enumerate(paths):
-                node = view.take(_node_rows(view, tree, node_path))
+                node = rows.take(_node_rows(view, tree, node_path))
                 got = results[k]
                 assert got.to_record() == pl.best_split(node, man.feature_names, bmap,
                                                         labels, config).to_record()
@@ -258,11 +260,10 @@ class TestLevelWise:
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
     def test_counts_only_the_smaller_child_and_takes_no_rows(self, path, monkeypatch):
         """After the root, S1 counts exactly the smaller child of each split
-        (ties to the left) and the trainer gathers no binned rows."""
+        (ties to the left)."""
         frame, labels = _witness_frame(n_rows=3000)
         man, _ = _manifest(frame, labels, max_depth=4, min_leaf=150)
-        count_cells, search, take = (splitsearch._count_cells, trainer._search_cells,
-                                     splitsearch.BinnedRows.take)
+        count_cells, search = splitsearch._count_cells, trainer._search_cells
         events = []
 
         def counting_cells(view, unit, relational, rows, slots, n_slots):
@@ -273,15 +274,9 @@ class TestLevelWise:
             events.append("search")
             return search(*args)
 
-        def counting_take(self, rows):
-            events.append("take")
-            return take(self, rows)
-
         monkeypatch.setattr(splitsearch, "_count_cells", counting_cells)
         monkeypatch.setattr(trainer, "_search_cells", marking_search)
-        monkeypatch.setattr(splitsearch.BinnedRows, "take", counting_take)
         tree = pl.train(pl.partition(frame, 3), man, path)
-        assert "take" not in events
         levels = [[]]   # rows counted per unit, level by level
         for event in events:
             if event == "search":
@@ -547,6 +542,31 @@ class TestManifestFile:
         man, _ = _manifest(frame, labels, max_depth=1, min_leaf=10)
         text = pl.manifest_to_text(man).replace("manifest v1", "manifest v9")
         with pytest.raises(pl.SchemaError):
+            pl.manifest_from_text(text)
+
+
+class TestManifestRanges:
+    """A negative ``max_depth`` or a ``min_leaf_size`` below 1 is rejected
+    wherever a manifest is made."""
+
+    @pytest.mark.parametrize("max_depth,min_leaf", [(-1, 10), (2, 0), (2, -3)])
+    def test_out_of_range_rejected(self, max_depth, min_leaf):
+        frame, labels = _witness_frame(n_rows=500)
+        with pytest.raises(pl.InvalidArgumentError):
+            _manifest(frame, labels, max_depth=max_depth, min_leaf=min_leaf)
+        bmap = {n: pl.uniform_boundaries(n, 4) for n in frame.feature_names}
+        with pytest.raises(pl.InvalidArgumentError):
+            pl.train_unlocked_naive(frame, bmap, max_depth, min_leaf)
+        # the text of a manifest with these fields and a matching digest
+        man, _ = _manifest(frame, labels, max_depth=2, min_leaf=10)
+        text = pl.manifest_to_text(man)
+        digest = trainer._preprocessing_digest(man.boundaries, man.treatment_labels,
+                                               man.seed, max_depth, min_leaf)
+        for old, new in {man.preprocessing_digest: digest,
+                         "max_depth 2": f"max_depth {max_depth}",
+                         "min_leaf_size 10": f"min_leaf_size {min_leaf}"}.items():
+            text = text.replace(old, new)
+        with pytest.raises(pl.SchemaError, match="must be >= "):
             pl.manifest_from_text(text)
 
 
