@@ -174,8 +174,8 @@ def _cmd_harness_run(args) -> int:
         key, _, val = item.partition("=")
         knobs[key] = _parse_knob_value(val)
     spec = ExperimentSpec(args.block, seed=args.seed, knobs=knobs)
-    bundle = run_block(spec)
     os.makedirs(args.out, exist_ok=True)
+    bundle = run_block(spec)
     bundle_path = os.path.join(args.out, f"{args.block.lower()}_bundle.json")
     with open(bundle_path, "w") as fh:
         json.dump(bundle.to_record(), fh, indent=2, sort_keys=True)

@@ -9,11 +9,12 @@ by ``bin_rows``, which bucketizes a frame (``ColumnFrame`` or
 ``PartitionedFrame``) once.  Every execution path counts each partition's
 cell keys ``((slot*(B+1) + bin)*T + code)*2 + positive`` with one
 ``bincount``, one feature at a time into one key buffer; only the count
-tables merge.  ``best_split`` bins its frame and counts all rows as one node
-(K = 1).  The trainer bins its rows once and counts a subset of them with a
-node slot per row, so every table has K nodes and one S2 pass answers for
-every node of a tree level.  ``build_prefix_sums`` and
-``windowed_prefix_table`` are one feature's slice.
+tables merge.  ``best_split`` bins its frame, one partition per task on a
+thread pool on every path (binning runs before the paths part), and counts
+all rows as one node (K = 1).  The trainer bins its rows once on its own
+thread and counts a subset of them with a node slot per row, so every table
+has K nodes and one S2 pass answers for every node of a tree level.
+``build_prefix_sums`` and ``windowed_prefix_table`` are one feature's slice.
 
 Stage S2 (``_search_cells``) stacks each B group's tables and scores every
 candidate of every feature and node in one array pass, expanding each
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -102,27 +104,41 @@ def uniform_boundaries(feature_name: str, n_bins: int) -> Boundaries:
 
 # widest B bucketized by counting cuts (the bin count fits a uint8 counter)
 _COUNT_CUTS_MAX_BINS = 255
+# size of the [B-1, chunk] bool block that counting compares into
+_BLOCK_BYTES = 1 << 20
 
 
 def bucketize(value, boundaries: Boundaries):
-    """Bin index in [0, B]: missing -> B; a value equal to cuts[i] lands in
-    bin i (left-inclusive, matching '<=' left routing).
+    """Bin index in [0, B]: missing (None or NaN) -> B; a value equal to
+    cuts[i] lands in bin i (left-inclusive, matching '<=' left routing).
+    A value that is not a number is an ``InvalidArgumentError``.
 
     The bin is the number of cuts strictly below the value, which equals
     ``searchsorted(cuts, value, side="left")`` because cuts strictly increase
-    and are never NaN.  For B <= 255 it is computed branch-free, one
-    compare-and-add pass per cut into a uint8 counter; a binary search over
-    random values mispredicts at every step and is several times slower
-    there.  Compare-and-count is O(B) per value, so wider features keep
-    ``searchsorted``."""
-    arr = np.asarray(value, dtype=np.float64)
+    and are never NaN.  For B <= 255 it is computed branch-free: each chunk
+    of values is compared with every cut in one ``less`` call into a reused
+    ``[B-1, chunk]`` bool block of about 1 MB, and one ``add.reduce`` down
+    the cuts counts them into a uint8 counter (at most 254).  Two large calls
+    per chunk release the interpreter lock for the whole block, so partitions
+    bin in parallel threads; a binary search over random values mispredicts
+    at every step and is several times slower.  Counting is O(B) per value,
+    so wider features keep ``searchsorted``."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"bucketize values must be numbers or None: {exc}") from None
     if boundaries.n_bins <= _COUNT_CUTS_MAX_BINS:
-        count = np.zeros(arr.shape, dtype=np.uint8)
-        below = np.empty(arr.shape, dtype=bool)
-        for cut in boundaries.cuts:
-            np.less(cut, arr, out=below)
-            np.add(count, below.view(np.uint8), out=count)
-        bins = count.astype(np.int64)
+        flat = arr.ravel()
+        cuts = np.array(boundaries.cuts)[:, None]
+        chunk = _BLOCK_BYTES // len(cuts)
+        count = np.empty(flat.size, dtype=np.uint8)
+        block = np.empty((len(cuts), min(chunk, flat.size)), dtype=bool)
+        for lo in range(0, flat.size, chunk):
+            values = flat[lo:lo + chunk]
+            below = block[:, :values.size]
+            np.less(cuts, values, out=below)
+            np.add.reduce(below.view(np.uint8), axis=0, out=count[lo:lo + chunk])
+        bins = count.reshape(arr.shape).astype(np.int64)
     else:
         bins = np.asarray(np.searchsorted(boundaries.cuts, arr, side="left"), dtype=np.int64)
     bins[np.isnan(arr)] = boundaries.missing_bin
@@ -212,9 +228,16 @@ SplitInput = Union[ColumnFrame, PartitionedFrame]
 
 def bin_rows(data: SplitInput, features: Sequence[str],
              boundaries: Mapping[str, Boundaries],
-             treatments: Sequence[str]) -> BinnedRows:
+             treatments: Sequence[str], workers: int = 1) -> BinnedRows:
     """Bucketize every feature of every partition of ``data`` once and build
-    the cell tails; partition p becomes rows ``bounds[p]:bounds[p+1]``."""
+    the cell tails; partition p becomes rows ``bounds[p]:bounds[p+1]``.
+
+    With ``workers`` > 1 each partition is binned in a worker of a pool of
+    at most that many threads (and no more than the partitions), writing its
+    own rows ``bounds[p]:bounds[p+1]`` of the one ``bins`` and ``tails``
+    arrays; the result is the serial one bit for bit, and a worker's error
+    is raised as the serial loop would raise it, the first failing
+    partition's."""
     features, treatments = tuple(features), tuple(treatments)
     per_feature = feature_boundaries(boundaries, features)
     parts = data.partitions if isinstance(data, PartitionedFrame) else (data,)
@@ -222,10 +245,20 @@ def bin_rows(data: SplitInput, features: Sequence[str],
     dtype = np.min_scalar_type(max((b.missing_bin for b in per_feature), default=0))
     bins = np.empty((len(features), bounds[-1]), dtype=dtype)
     tails = np.empty(bounds[-1], dtype=np.int64)
-    for part, lo, hi in zip(parts, bounds, bounds[1:]):
+
+    def bin_partition(p: int) -> None:
+        part, lo, hi = parts[p], bounds[p], bounds[p + 1]
         for f, (name, b) in enumerate(zip(features, per_feature)):
             bins[f, lo:hi] = bucketize(part.effective_values(name), b)
         tails[lo:hi] = treatment_codes(part, treatments) * 2 + (part.outcomes == 1)
+
+    workers = min(workers, len(parts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(bin_partition, range(len(parts))))
+    else:
+        for p in range(len(parts)):
+            bin_partition(p)
     return BinnedRows(features, per_feature, treatments, bins, tails, bounds)
 
 
@@ -716,8 +749,9 @@ def best_split(data: SplitInput, features: Sequence[str],
                config: SplitConfig) -> SplitSearchResult:
     """Deterministic best split; all three execution paths return identical
     results on identical inputs (contract scope: fixed shared boundaries).
-    The frame is binned once, S1 counts every unit's cells, then S2 searches
-    all of them at once."""
+    The frame is binned once, its partitions on a pool of ``pool_size``
+    threads (default one per CPU) on every path, S1 counts every unit's
+    cells, then S2 searches all of them at once."""
     treatments = tuple(treatments)
     features = list(features)
     control = select_control(treatments, config.control_label_override)
@@ -726,7 +760,8 @@ def best_split(data: SplitInput, features: Sequence[str],
         return SplitSearchResult(STATUS_SKIPPED_TOO_LARGE, None,
                                  _total_candidate_rows(features, boundaries, len(treatments)),
                                  control, reason=skip)
-    view = bin_rows(data, features, boundaries, treatments)
+    view = bin_rows(data, features, boundaries, treatments,
+                    config.pool_size or os.cpu_count() or 1)
     units = _units(view, config)
     tables = _count_level(view, units, config, None, None, 1)
     return _search_cells(view, units, tables, 1, config)[0]

@@ -282,6 +282,9 @@ def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
     T = len(manifest.treatment_labels)
     features = manifest.feature_names
     bmap = manifest.boundary_map()
+    # binned on this thread: a pool here gives each worker thread its own
+    # malloc arena, which raised locked training's peak memory by about 8%
+    # and saved no time
     view = bin_rows(data, features, bmap, manifest.treatment_labels)
     N = view.n_rows
     missing_bin = np.array([b.missing_bin for b in view.boundaries], dtype=np.int64)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 import policylock as pl
+from policylock import cli as cli_module
 from policylock.cli import main as cli_main
 from policylock.harness import (ExperimentSpec, ResultBundle, emit_report, run_block,
                                 random_small_instance, inference_fixture)
@@ -326,6 +327,17 @@ class TestCli:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {exc.value}\n"
+        assert captured.out == ""
+
+    def test_unusable_out_fails_before_the_block_runs(self, monkeypatch, capsys):
+        def no_block(spec):
+            raise AssertionError("the block ran before --out was made")
+
+        monkeypatch.setattr(cli_module, "run_block", no_block)
+        rc = cli_main(["harness", "run", "--block", "P2", "--out", "/dev/null/runs"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "/dev/null/runs" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [

@@ -112,6 +112,84 @@ class TestBucketize:
             assert got.dtype == np.int64 and got.shape == arr.shape
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("value", ["a", [1, "b"], object()])
+    def test_non_numeric_values_rejected(self, value):
+        with pytest.raises(pl.InvalidArgumentError, match="must be numbers or None"):
+            pl.bucketize(value, pl.Boundaries("x", (0.5,)))
+
+    def test_none_goes_to_missing_bin(self):
+        b = pl.Boundaries("x", (0.5,))
+        assert pl.bucketize(None, b) == 2
+        assert pl.bucketize([1, None, 0.2], b).tolist() == [1, 2, 0]
+
+
+def _searchsorted_bins(value, b):
+    """The bucketize oracle: ``searchsorted`` left, NaN in the missing bin."""
+    arr = np.asarray(value, dtype=np.float64)
+    return np.where(np.isnan(arr), b.missing_bin,
+                    np.searchsorted(np.array(b.cuts), arr, side="left"))
+
+
+class TestChunkedBucketize:
+    """Counting compares each chunk of values with every cut in one block of
+    ``splitsearch._BLOCK_BYTES`` bools, ``_BLOCK_BYTES // (B - 1)`` values."""
+
+    @pytest.mark.parametrize("n_bins", [2, 32, 255])
+    def test_chunk_edges_match_searchsorted(self, n_bins):
+        b = pl.uniform_boundaries("x", n_bins)
+        chunk = splitsearch._BLOCK_BYTES // (n_bins - 1)
+        gen = np.random.default_rng(n_bins)
+        pool = np.concatenate([b.cuts, np.nextafter(b.cuts, 2.0), [np.nan, -1.0, 2.0]])
+        for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            values = gen.random(n)
+            picked = gen.random(n) < 0.3
+            values[picked] = gen.choice(pool, int(picked.sum()))
+            got = pl.bucketize(values, b)
+            assert got.dtype == np.int64 and got.shape == (n,)
+            assert np.array_equal(got, _searchsorted_bins(values, b))
+
+    @pytest.mark.parametrize("n_bins", [32, 255, 256])
+    def test_shapes_kept(self, n_bins):
+        b = pl.uniform_boundaries("x", n_bins)
+        grid = np.random.default_rng(1).random((7, 9))
+        grid[2, 3] = np.nan
+        got = pl.bucketize(grid, b)
+        assert got.shape == (7, 9) and np.array_equal(got, _searchsorted_bins(grid, b))
+        got = pl.bucketize(np.array(0.5), b)
+        assert type(got) is int and got == int(_searchsorted_bins(0.5, b))
+
+    def test_widest_counted_b_reaches_254(self, monkeypatch):
+        searched = []
+        searchsorted = np.searchsorted
+
+        def counting(*args, **kwargs):
+            searched.append(1)
+            return searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        values = np.array([1.5, np.inf, 1.0, 1.0 - 1e-12])
+        b255 = pl.uniform_boundaries("x", 255)
+        assert pl.bucketize(values, b255).tolist() == [254, 254, 254, 254]
+        assert not searched
+        b256 = pl.uniform_boundaries("x", 256)
+        assert pl.bucketize(values, b256).tolist() == [255, 255, 255, 255]
+        assert len(searched) == 1
+
+    @pytest.mark.parametrize("n_bins", [2, 255, 300])
+    def test_float_edges(self, n_bins):
+        """Signed zeros against a cut of 0.0, infinities, subnormals, NaN."""
+        cuts = np.linspace(-1.0, 1.0, n_bins - 1)
+        cuts[np.argmin(np.abs(cuts))] = 0.0
+        b = pl.Boundaries("x", tuple(cuts.tolist()))
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 2.2e-308, -2.2e-308,
+                           np.nan, 1.0, -1.0])
+        got = pl.bucketize(values, b)
+        zero = int(np.flatnonzero(cuts == 0.0)[0])
+        assert got[0] == got[1] == zero and got[4] == zero + 1 and got[5] == zero
+        assert got[2] == n_bins - 1 and got[3] == 0 and got[8] == n_bins
+        assert np.array_equal(got, _searchsorted_bins(values, b))
+
 
 class TestCandidateRowCount:
     @pytest.mark.parametrize("f,b,t,expected", [
@@ -596,6 +674,29 @@ def _binned(frame, names, bmap, labels):
     return pl.bin_rows(frame, names, bmap, labels)
 
 
+def _mixed_bins_partitions():
+    """Six partitions (three empty) of 600 rows over features of B 2, 32,
+    255, 256 and 300, each with NULL and NaN cells and values on its cuts."""
+    gen = np.random.default_rng(11)
+    n, labels = 600, ("control", "t1", "t2")
+    bmap = {f"b{B}": pl.uniform_boundaries(f"b{B}", B) for B in (2, 32, 255, 256, 300)}
+    data = {}
+    for name, b in bmap.items():
+        values = gen.random(n)
+        on_cut = gen.random(n) < 0.2
+        values[on_cut] = gen.choice(b.cuts, int(on_cut.sum()))
+        values[gen.random(n) < 0.05] = np.nan
+        column = values.tolist()
+        for i in np.flatnonzero(gen.random(n) < 0.05):
+            column[i] = None
+        data[name] = column
+    frame = build_frame(data, treatments=gen.choice(labels, n).tolist(),
+                        outcomes=(gen.random(n) < 0.4).astype(int).tolist())
+    a, b, c = pl.partition(frame, 3).partitions
+    empty = frame.take(np.arange(0))
+    return pl.PartitionedFrame((a, empty, b, empty, c, empty)), list(bmap), bmap, labels
+
+
 def _split_records(data, names, bmap, labels, config):
     return [pl.best_split(data, names, bmap, labels, config.with_path(p)).to_record()
             for p in pl.EXECUTION_PATHS]
@@ -666,6 +767,74 @@ class TestBinnedRows:
         view = _binned(empty, names, bmap, labels)
         assert view.n_rows == 0 and view.bins.shape == (len(names), 0)
 
+    def test_pooled_binning_equals_serial(self):
+        """Widths 1, 2, P and P+3 on partitions with empty ones, NULL and NaN
+        cells, values on the cuts and B of 2, 32, 255, 256 and 300."""
+        parts, names, bmap, labels = _mixed_bins_partitions()
+        serial = _binned(parts, names, bmap, labels)
+        assert serial.bins.dtype == np.uint16
+        P = parts.partition_count
+        for workers in (1, 2, P, P + 3):
+            pooled = pl.bin_rows(parts, names, bmap, labels, workers)
+            assert pooled.bins.dtype == serial.bins.dtype
+            assert pooled.bins.tobytes() == serial.bins.tobytes()
+            assert pooled.tails.tobytes() == serial.tails.tobytes()
+            assert pooled.bounds == serial.bounds
+        narrow = [n for n in names if bmap[n].n_bins <= 255]
+        assert pl.bin_rows(parts, narrow, bmap, labels, P).bins.tobytes() == \
+            _binned(parts, narrow, bmap, labels).bins.tobytes()
+
+    def test_pooled_best_split_equals_serial_on_every_path(self):
+        parts, names, bmap, labels = _mixed_bins_partitions()
+        P = parts.partition_count
+        for seed in range(3):
+            frame, small_names, small_bmap, small_labels, config = \
+                random_small_instance(5700 + seed)
+            data = pl.partition(frame, 5)
+            want = _split_records(data, small_names, small_bmap, small_labels,
+                                  dataclasses.replace(config, pool_size=1))
+            for workers in (2, 5, 8):
+                assert _split_records(data, small_names, small_bmap, small_labels,
+                                      dataclasses.replace(config, pool_size=workers)) == want
+        config = pl.SplitConfig(min_leaf_size=5, safety_skip_threshold=10 ** 6)
+        want = _split_records(parts, names, bmap, labels,
+                              dataclasses.replace(config, pool_size=1))
+        assert want == [want[0]] * len(want)
+        for workers in (2, P, P + 3):
+            assert _split_records(parts, names, bmap, labels,
+                                  dataclasses.replace(config, pool_size=workers)) == want
+
+    def test_zero_partitions_rejected_at_any_width(self):
+        frame, names, bmap, labels, _ = random_small_instance(5800)
+        for workers in (1, 4):
+            with pytest.raises(pl.InvalidArgumentError, match="bounds"):
+                pl.bin_rows(pl.PartitionedFrame(()), names, bmap, labels, workers)
+
+    @pytest.mark.parametrize("broken", ["label", "column"])
+    def test_worker_errors_match_serial(self, broken):
+        frame, names, bmap, labels, _ = random_small_instance(5900)
+        parts = list(pl.partition(frame, 4).partitions)
+        if broken == "label":
+            bad = parts[2]
+            treatments = bad.treatments.copy()
+            treatments[1] = "zz-unknown"
+            parts[2] = pl.ColumnFrame(bad.row_ids, bad.feature_names, bad.feature_values,
+                                      bad.feature_valid, treatments, bad.outcomes)
+            error = pl.ContractViolationError
+        else:
+            bad = parts[1]
+            parts[1] = pl.ColumnFrame(bad.row_ids, ("other",) + tuple(bad.feature_names[1:]),
+                                      bad.feature_values, bad.feature_valid,
+                                      bad.treatments, bad.outcomes)
+            error = pl.SchemaError
+        data = pl.PartitionedFrame(tuple(parts))
+        with pytest.raises(error) as serial:
+            pl.bin_rows(data, names, bmap, labels, 1)
+        for workers in (2, 4):
+            with pytest.raises(error) as pooled:
+                pl.bin_rows(data, names, bmap, labels, workers)
+            assert str(pooled.value) == str(serial.value)
+
     def test_tails_match_codes_and_outcomes(self):
         """``tails`` is ``code*2 + positive`` per row, partition by partition."""
         frame, names, bmap, labels, _ = random_small_instance(5200)
@@ -675,6 +844,44 @@ class TestBinnedRows:
             assert view.tails.dtype == np.int64
             assert np.array_equal(view.tails,
                                   pl.treatment_codes(rows, labels) * 2 + rows.outcomes)
+
+
+class TestBinningPool:
+    """``best_split`` bins partitions on a pool on every path; the trainer
+    bins on its own thread."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class CountingPool(splitsearch.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("max_workers", args[0] if args else None))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(splitsearch, "ThreadPoolExecutor", CountingPool)
+        return made
+
+    @pytest.mark.parametrize("path", [pl.PATH_REFERENCE, pl.PATH_RELATIONAL])
+    def test_train_makes_no_pool(self, pools, path):
+        spec = pl.SynthSpec(n_rows=800, seed=3, families=("x_boundary",))
+        frame, labels = pl.generate(spec), spec.treatment_labels()
+        bmap = {n: pl.uniform_boundaries(n, 8) for n in frame.feature_names}
+        manifest = pl.build_manifest(frame, frame.feature_names, labels, bmap, 3, 2,
+                                     50).lock()
+        tree = pl.train(pl.partition(frame, 4), manifest, path)
+        assert len(tree.nodes) > 1
+        assert pools == []
+
+    def test_reference_best_split_makes_one_pool(self, pools):
+        frame, names, bmap, labels, config = random_small_instance(6000)
+        pl.best_split(pl.partition(frame, 3), names, bmap, labels,
+                      dataclasses.replace(config, pool_size=2))
+        assert pools == [2]
+        pools.clear()
+        pl.best_split(pl.partition(frame, 3), names, bmap, labels,
+                      dataclasses.replace(config, pool_size=8))
+        assert pools == [3]
 
 
 class TestNaiveVariants:
