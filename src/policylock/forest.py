@@ -90,7 +90,9 @@ class ValidationReport:
 
 
 def validate_forest(forest: ForestArrays) -> ValidationReport:
-    """Structural validation; violations are report entries, never exceptions."""
+    """Structural validation; violations are report entries, never exceptions.
+    Internal nodes need in-range features and children other than
+    themselves, and leaves carry ``-1`` children (docs/normative.md)."""
     report = ValidationReport()
     if not forest.trees:
         report.violations.append(Violation(None, None, "forest has no trees"))
@@ -120,16 +122,21 @@ def validate_forest(forest: ForestArrays) -> ValidationReport:
         node_ids = np.arange(n)
         flagged = internal & ~((0 <= tree.feature_index) & (tree.feature_index < F))
         for child in (tree.left_child, tree.right_child):
-            flagged |= internal & ~((0 <= child) & (child < n) & (child != node_ids))
+            flagged |= np.where(internal, ~((0 <= child) & (child < n) & (child != node_ids)),
+                                child != -1)
         flagged = np.flatnonzero(flagged)
         for ni in flagged:
             for side, child in (("left", tree.left_child[ni]), ("right", tree.right_child[ni])):
-                if not (0 <= child < n):
+                if not internal[ni]:
+                    if child != -1:
+                        report.violations.append(Violation(
+                            ti, int(ni), f"leaf {side} child {child} is not -1"))
+                elif not (0 <= child < n):
                     report.violations.append(Violation(ti, int(ni), f"{side} child {child} out of range"))
                 elif child == ni:
                     report.violations.append(Violation(ti, int(ni), f"{side} child points to itself"))
             f = tree.feature_index[ni]
-            if not (0 <= f < F):
+            if internal[ni] and not (0 <= f < F):
                 report.violations.append(Violation(ti, int(ni), f"feature index {f} out of range [0, {F})"))
         if flagged.size:
             continue

@@ -3,6 +3,13 @@
 A cell is *missing* when its validity bit is unset (NULL) or when its payload
 is NaN.  The two encodings stay distinguishable at the data layer (checksums,
 CSV round-trips) but route identically everywhere downstream.
+
+Frames are immutable: every array is read-only.  Every fully valid column of
+a frame references the frame's one all-true bitmap.  ``partition`` cuts a
+frame into consecutive row blocks (the bounds of ``np.array_split``) that are
+read-only views of the parent's arrays, not copies, so a partition keeps its
+parent's buffers alive.  ``take``, ``concat_frames`` and the ``repartition``,
+``coalesce`` and ``shuffle_rows`` perturbations still copy.
 """
 
 from __future__ import annotations
@@ -35,8 +42,10 @@ def plant_missing(values: np.ndarray, mask: np.ndarray,
     """Payloads and validity of a feature column whose ``mask`` cells are
     missing: NULL (validity unset, payload 0.0) when ``null``, else a NaN
     payload.  ``values`` itself is never written, and a column with no
-    ``mask`` cell is returned uncopied (wide synth frames stay one copy)."""
-    valid = np.ones(len(values), dtype=bool)
+    ``mask`` cell is returned uncopied (wide synth frames stay one copy).  An
+    all-true validity is a read-only broadcast that holds no buffer; the
+    frame built from it swaps in its own shared bitmap."""
+    valid = np.broadcast_to(np.True_, len(values))
     if not mask.any():
         return values, valid
     values = values.copy()
@@ -51,6 +60,7 @@ def plant_missing(values: np.ndarray, mask: np.ndarray,
 class ColumnFrame:
     """Immutable columnar dataset: row ids, ordered float features with
     validity bitmaps, a string treatment column, and a binary outcome column.
+    Every fully valid column's bitmap is the one ``_all_valid`` array.
     """
 
     def __init__(self, row_ids, feature_names: Sequence[str], feature_values,
@@ -62,11 +72,23 @@ class ColumnFrame:
             raise SchemaError("duplicate feature names")
         vals = [_as_float_column(feature_values[i]) for i in range(len(self.feature_names))]
         if feature_valid is None:
-            valid = [np.ones(n, dtype=bool) for _ in vals]
+            valid = [np.broadcast_to(np.True_, n)] * len(vals)
         else:
             valid = [np.asarray(feature_valid[i], dtype=bool) for i in range(len(vals))]
+        for col, vld in zip(vals, valid):
+            if len(col) != n or len(vld) != n:
+                raise SchemaError("all columns must share the frame length")
+        full = [vld.all() for vld in valid]
+        # the shared bitmap is the first fully valid column with one byte per
+        # row (so a block's is a slice of its parent's); a broadcast has no
+        # such buffer, and without one the frame allocates its own
+        self._all_valid = next((vld for vld, f in zip(valid, full)
+                                if f and vld.strides == (1,)), None)
+        if self._all_valid is None:
+            self._all_valid = np.ones(n, dtype=bool)
         self.feature_values: tuple[np.ndarray, ...] = tuple(vals)
-        self.feature_valid: tuple[np.ndarray, ...] = tuple(valid)
+        self.feature_valid: tuple[np.ndarray, ...] = tuple(
+            self._all_valid if f else vld for vld, f in zip(valid, full))
         if treatments is None:
             treatments = np.array(["control"] * n, dtype=object)
         self.treatments = np.asarray(treatments, dtype=object)
@@ -74,9 +96,6 @@ class ColumnFrame:
             outcomes = np.zeros(n, dtype=np.int64)
         self.outcomes = np.asarray(outcomes, dtype=np.int64)
 
-        for col, vld in zip(self.feature_values, self.feature_valid):
-            if len(col) != n or len(vld) != n:
-                raise SchemaError("all columns must share the frame length")
         if len(self.treatments) != n or len(self.outcomes) != n:
             raise SchemaError("all columns must share the frame length")
         if n and len(np.unique(self.row_ids)) != n:
@@ -84,7 +103,7 @@ class ColumnFrame:
         if n and not np.isin(self.outcomes, (0, 1)).all():
             raise SchemaError("outcomes must be binary 0/1")
         for arr in (self.row_ids, *self.feature_values, *self.feature_valid,
-                    self.treatments, self.outcomes):
+                    self._all_valid, self.treatments, self.outcomes):
             arr.setflags(write=False)
         self._index = {name: i for i, name in enumerate(self.feature_names)}
 
@@ -103,7 +122,7 @@ class ColumnFrame:
         i = self.column_index(name)
         vals = self.feature_values[i]
         valid = self.feature_valid[i]
-        if valid.all():
+        if valid is self._all_valid:
             return vals
         out = vals.copy()
         out[~valid] = np.nan
@@ -122,20 +141,41 @@ class ColumnFrame:
         return tags
 
     def take(self, indices) -> "ColumnFrame":
+        """The rows at ``indices``, gathered into new arrays (the shared
+        bitmap once)."""
         idx = np.asarray(indices, dtype=np.int64)
+        ones = self._all_valid[idx]
         return ColumnFrame(
             self.row_ids[idx],
             self.feature_names,
             [col[idx] for col in self.feature_values],
-            [vld[idx] for vld in self.feature_valid],
+            [ones if vld is self._all_valid else vld[idx] for vld in self.feature_valid],
             self.treatments[idx],
             self.outcomes[idx],
         )
 
+    def _row_range(self, lo: int, hi: int) -> "ColumnFrame":
+        """Rows ``lo:hi`` as a frame over read-only slices of this frame's
+        arrays: no gather and no copy, the constructor's checks all run."""
+        return ColumnFrame(
+            self.row_ids[lo:hi],
+            self.feature_names,
+            [col[lo:hi] for col in self.feature_values],
+            [vld[lo:hi] for vld in self.feature_valid],
+            self.treatments[lo:hi],
+            self.outcomes[lo:hi],
+        )
+
     def feature_matrix_effective(self, names: Sequence[str]) -> np.ndarray:
-        """Columnar [F, n] float64 block with missing cells as NaN."""
-        return np.stack([self.effective_values(n) for n in names]) if names else \
-            np.empty((0, self.n_rows))
+        """Columnar [F, n] float64 block with missing cells as NaN, filled
+        row by row in place: the payloads, then NaN where a cell is NULL."""
+        out = np.empty((len(names), self.n_rows))
+        for row, name in zip(out, names):
+            i = self.column_index(name)
+            np.copyto(row, self.feature_values[i])
+            if self.feature_valid[i] is not self._all_valid:
+                row[~self.feature_valid[i]] = np.nan
+        return out
 
 
 def concat_frames(frames: Sequence[ColumnFrame]) -> ColumnFrame:
@@ -174,11 +214,16 @@ class PartitionedFrame:
 
 
 def partition(frame: ColumnFrame, p: int) -> PartitionedFrame:
-    """``p`` consecutive row blocks; the first ``n % p`` get one extra row."""
+    """``p`` consecutive row blocks; the first ``n % p`` get one extra row
+    (the bounds of ``np.array_split``).  Each block is a read-only view of
+    ``frame``'s arrays, not a copy, and keeps ``frame``'s buffers alive; the
+    ``repartition``, ``coalesce`` and ``shuffle_rows`` perturbations copy."""
     if p < 1:
         raise InvalidArgumentError("partition count must be >= 1")
-    return PartitionedFrame(tuple(frame.take(rows)
-                                  for rows in np.array_split(np.arange(frame.n_rows), p)))
+    q, r = divmod(frame.n_rows, p)
+    bounds = [i * q + min(i, r) for i in range(p + 1)]
+    return PartitionedFrame(tuple(frame._row_range(lo, hi)
+                                  for lo, hi in zip(bounds, bounds[1:])))
 
 
 class PerturbationKind(str, Enum):

@@ -108,21 +108,26 @@ _COUNT_CUTS_MAX_BINS = 255
 _BLOCK_BYTES = 1 << 20
 
 
-def bucketize(value, boundaries: Boundaries):
+def bucketize(value, boundaries: Boundaries, *, out: Optional[np.ndarray] = None):
     """Bin index in [0, B]: missing (None or NaN) -> B; a value equal to
     cuts[i] lands in bin i (left-inclusive, matching '<=' left routing).
-    A value that is not a number is an ``InvalidArgumentError``.
+    A value that is not a number is an ``InvalidArgumentError``.  The result
+    is int64 (an ``int`` for a scalar value); ``out``, an unsigned integer
+    array of the value's shape wide enough for B, receives the bins in its
+    place and is returned (``bin_rows`` passes its uint8/uint16 ``bins`` row,
+    so no int64 copy is made).
 
     The bin is the number of cuts strictly below the value, which equals
     ``searchsorted(cuts, value, side="left")`` because cuts strictly increase
     and are never NaN.  For B <= 255 it is computed branch-free: each chunk
     of values is compared with every cut in one ``less`` call into a reused
     ``[B-1, chunk]`` bool block of about 1 MB, and one ``add.reduce`` down
-    the cuts counts them into a uint8 counter (at most 254).  Two large calls
-    per chunk release the interpreter lock for the whole block, so partitions
-    bin in parallel threads; a binary search over random values mispredicts
-    at every step and is several times slower.  Counting is O(B) per value,
-    so wider features keep ``searchsorted``."""
+    the cuts counts them into a uint8 counter (at most 254; a uint8 ``out``
+    is the counter).  Two large calls per chunk release the interpreter lock
+    for the whole block, so partitions bin in parallel threads; a binary
+    search over random values mispredicts at every step and is several times
+    slower.  Counting is O(B) per value, so wider features keep
+    ``searchsorted``."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -131,16 +136,22 @@ def bucketize(value, boundaries: Boundaries):
         flat = arr.ravel()
         cuts = np.array(boundaries.cuts)[:, None]
         chunk = _BLOCK_BYTES // len(cuts)
-        count = np.empty(flat.size, dtype=np.uint8)
+        direct = out is not None and out.dtype == np.uint8 and arr.ndim == 1
+        count = out if direct else np.empty(flat.size, dtype=np.uint8)
         block = np.empty((len(cuts), min(chunk, flat.size)), dtype=bool)
         for lo in range(0, flat.size, chunk):
             values = flat[lo:lo + chunk]
             below = block[:, :values.size]
             np.less(cuts, values, out=below)
             np.add.reduce(below.view(np.uint8), axis=0, out=count[lo:lo + chunk])
-        bins = count.reshape(arr.shape).astype(np.int64)
+        bins = out if direct else count.reshape(arr.shape)
     else:
-        bins = np.asarray(np.searchsorted(boundaries.cuts, arr, side="left"), dtype=np.int64)
+        bins = np.searchsorted(boundaries.cuts, arr, side="left")
+    if out is None:
+        bins = np.asarray(bins, dtype=np.int64)
+    elif bins is not out:
+        out[...] = bins
+        bins = out
     bins[np.isnan(arr)] = boundaries.missing_bin
     if np.isscalar(value) or arr.ndim == 0:
         return int(bins)
@@ -249,7 +260,7 @@ def bin_rows(data: SplitInput, features: Sequence[str],
     def bin_partition(p: int) -> None:
         part, lo, hi = parts[p], bounds[p], bounds[p + 1]
         for f, (name, b) in enumerate(zip(features, per_feature)):
-            bins[f, lo:hi] = bucketize(part.effective_values(name), b)
+            bucketize(part.effective_values(name), b, out=bins[f, lo:hi])
         tails[lo:hi] = treatment_codes(part, treatments) * 2 + (part.outcomes == 1)
 
     workers = min(workers, len(parts))

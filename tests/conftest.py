@@ -45,6 +45,18 @@ def build_frame(feature_data, treatments=None, outcomes=None, row_ids=None,
                        np.array(treatments, dtype=object), np.array(outcomes))
 
 
+def leaf_child_forest_text(child):
+    """Text of a two-tree forest over ``f00`` whose last node line, a leaf of
+    tree 1, carries left child ``child`` where the format writes -1."""
+    from policylock import forest_to_text, random_forest
+    lines = forest_to_text(random_forest(2, 2, ("f00",), ("control", "treat"),
+                                         seed=1)).splitlines()
+    fields = lines[-1].split()
+    assert fields[0] == "leaf" and fields[3] == "-1"
+    fields[3] = str(child)
+    return "\n".join(lines[:-1] + [" ".join(fields)]) + "\n"
+
+
 @pytest.fixture
 def six_row_frame():
     # two bins (cut at 0.5), two treatments, hand-checkable counts

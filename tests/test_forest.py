@@ -9,7 +9,7 @@ from policylock.forest import (INTERNAL_CATEGORICAL, INTERNAL_CONTINUOUS, LEAF,
 from policylock import rng
 
 from _oracles import scalar_leaf, scalar_scores
-from conftest import build_frame
+from conftest import build_frame, leaf_child_forest_text
 
 
 def single_leaf_tree(payload):
@@ -56,6 +56,16 @@ class TestValidation:
         report = pl.validate_forest(pl.ForestArrays([], ("f0",), ("a",)))
         assert [(v.tree_index, v.message) for v in report.violations] == \
             [(None, "forest has no trees")]
+
+    @pytest.mark.parametrize("child", [-61, -2, 0, 1, 2, 99])
+    def test_leaf_child_other_than_minus_one(self, child):
+        # the text reads back; validation names the tree and the leaf before
+        # any walk over the children can index with them
+        forest = pl.forest_from_text(leaf_child_forest_text(child))
+        leaf = forest.trees[1].n_nodes - 1
+        report = pl.validate_forest(forest)
+        assert [(v.tree_index, v.node_index, v.message) for v in report.violations] == \
+            [(1, leaf, f"leaf left child {child} is not -1")]
 
     def test_self_loop_child(self):
         tree = TreeArrays([INTERNAL_CONTINUOUS, LEAF], [0, -1], [0.5, 0.0],

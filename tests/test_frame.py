@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policylock as pl
-from policylock.frame import NULL, NAN, PRESENT, plant_missing
+from policylock.frame import NULL, NAN, PRESENT, PartitionedFrame, plant_missing
 from policylock.harness import inference_fixture, random_small_instance
 
 from conftest import build_frame
@@ -45,6 +47,167 @@ class TestPartition:
         f = build_frame({"a": [1.0]})
         with pytest.raises(pl.InvalidArgumentError):
             pl.partition(f, 0)
+
+
+def _taken_partitions(frame, p):
+    """``partition``'s blocks rebuilt as gathered copies."""
+    return PartitionedFrame(tuple(frame.take(rows)
+                                  for rows in np.array_split(np.arange(frame.n_rows), p)))
+
+
+def _frame_arrays(frame):
+    return (frame.row_ids, *frame.feature_values, *frame.feature_valid,
+            frame.treatments, frame.outcomes)
+
+
+def _wide_frame(n_rows=2000, n_features=50, seed=3):
+    """A quarter of the columns hold NULL cells, a quarter NaN payloads."""
+    names = [f"c{i:02d}" for i in range(n_features)]
+    values, valid = [], []
+    for i, name in enumerate(names):
+        miss = pl.rng.uniform_stream(seed, f"miss:{name}", n_rows) < (0.1 if i % 2 else 0.0)
+        vals, ok = plant_missing(pl.rng.uniform_stream(seed, name, n_rows), miss,
+                                 null=i % 4 == 1)
+        values.append(vals)
+        valid.append(ok)
+    codes = pl.rng.choice_from_probs(seed, "codes", n_rows, [0.5, 0.5])
+    outcomes = (pl.rng.uniform_stream(seed, "out", n_rows) < 0.4).astype(np.int64)
+    return pl.ColumnFrame(np.arange(n_rows), names, values, valid,
+                          np.array(["control", "treat"], dtype=object)[codes], outcomes)
+
+
+class TestZeroCopyPartition:
+    @pytest.mark.parametrize("n", [0, 1, 7, 10, 64])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 9, 70])
+    def test_blocks_are_array_split_bounds(self, n, p):
+        f = build_frame({"a": [i / 8 for i in range(n)]})
+        pf = pl.partition(f, p)
+        assert len(pf.partitions) == p
+        for part, rows in zip(pf.partitions, np.array_split(np.arange(n), p)):
+            assert part.row_ids.tolist() == rows.tolist()
+
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    def test_blocks_are_read_only_views_of_the_parent(self, p):
+        frame = _wide_frame()
+        pf = pl.partition(frame, p)
+        for part in pf.partitions:
+            assert part.n_rows > 0
+            for arr, parent in zip(_frame_arrays(part), _frame_arrays(frame)):
+                assert np.shares_memory(arr, parent)
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                part.feature_values[0][0] = 1.0
+        assert pl.frame_checksum(pf.concat()) == pl.frame_checksum(frame)
+        assert pl.frame_checksum(pf.concat()) == \
+            pl.frame_checksum(_taken_partitions(frame, p).concat())
+
+    def test_fully_valid_columns_share_one_bitmap(self, tmp_path):
+        frame = _wide_frame()
+        pl.write_csv(frame, tmp_path / "f.csv")
+        csv_frame = pl.read_csv(tmp_path / "f.csv", pl.CsvRoles(
+            frame.feature_names, "treatment", "outcome", "row_id"))
+        frames = [frame, csv_frame, frame.take(np.arange(0, 2000, 3)),
+                  pl.ColumnFrame(np.arange(5), ["a", "b"], [np.zeros(5), np.ones(5)]),
+                  pl.generate(pl.SynthSpec(n_rows=500, seed=2, families=("generic(6)",))),
+                  *pl.partition(frame, 4).partitions,
+                  *pl.apply_perturbation(pl.partition(frame, 4), pl.PerturbationSpec(
+                      pl.PerturbationKind.REPARTITION, target_partitions=3)).partitions]
+        for f in frames:
+            full = [vld for vld in f.feature_valid if vld.all()]
+            assert full and all(vld is f._all_valid for vld in full)
+            assert not f._all_valid.flags.writeable and f._all_valid.strides == (1,)
+            partial = [vld for vld in f.feature_valid if not vld.all()]
+            assert all(vld is not f._all_valid for vld in partial)
+        # a block's bitmap is a slice of its parent's
+        for part in pl.partition(frame, 4).partitions:
+            assert np.shares_memory(part._all_valid, frame._all_valid)
+
+    def test_partition_allocates_no_column_copy(self):
+        frame = _wide_frame(n_rows=2000, n_features=50)
+        column_bytes = sum(a.nbytes for a in _frame_arrays(frame))
+        pl.partition(frame, 4)   # first calls import lazily; trace a warm call
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            pf = pl.partition(frame, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pf.n_rows == frame.n_rows
+        assert peak - before < column_bytes / 10
+
+    def test_fully_valid_columns_allocate_one_bitmap(self):
+        """The default validity, ``plant_missing`` and ``take`` allocate one
+        bitmap for all fully valid columns, not one per column."""
+        n, F = 2000, 400
+        names = [f"c{i:03d}" for i in range(F)]
+        values = [np.full(n, i / F) for i in range(F)]
+        treatments, outcomes = np.full(n, "control", dtype=object), np.zeros(n, np.int64)
+        bitmaps = F * n   # one bool per cell
+
+        def traced(make):
+            make()   # first calls import lazily; trace a warm call
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                out = make()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return out, peak - before
+
+        frame, grown = traced(lambda: pl.ColumnFrame(np.arange(n), names, values,
+                                                     None, treatments, outcomes))
+        assert grown < bitmaps / 4
+        planted, grown = traced(lambda: [plant_missing(v, np.zeros(n, bool), null=True)
+                                         for v in values])
+        assert grown < bitmaps / 4 and all(ok.all() for _, ok in planted)
+        taken, grown = traced(lambda: frame.take(np.arange(n)))
+        assert grown < sum(v.nbytes for v in values) + bitmaps / 2
+        assert pl.frame_checksum(taken) == pl.frame_checksum(frame)
+
+    def test_matrix_is_the_effective_values_with_their_nan_payloads(self):
+        frame = _wide_frame(n_rows=300, n_features=8)
+        quiet = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
+        values = [np.where(np.isnan(v), quiet, v) for v in frame.feature_values]
+        frame = pl.ColumnFrame(frame.row_ids, frame.feature_names, values,
+                               frame.feature_valid, frame.treatments, frame.outcomes)
+        names = frame.feature_names[::-1]
+        for f in (frame, *pl.partition(frame, 3).partitions):
+            got = f.feature_matrix_effective(names)
+            want = np.stack([f.effective_values(n) for n in names])
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+        assert f.feature_matrix_effective(()).shape == (0, f.n_rows)
+
+    def test_scores_equal_on_views_and_copies(self):
+        frame, forest = inference_fixture(90, 6, 3, 4, 3, seed=11)
+        for kind in pl.BACKEND_KINDS:
+            backend = pl.InferenceBackend(kind, batch_size=16)
+            for p in (1, 3, 4):
+                views = pl.score(pl.partition(frame, p), forest, backend)
+                copies = pl.score(_taken_partitions(frame, p), forest, backend)
+                assert views.row_ids.tobytes() == copies.row_ids.tobytes()
+                assert views.vectors.tobytes() == copies.vectors.tobytes()
+
+    def test_splits_and_trained_signature_equal_on_views_and_copies(self):
+        spec = pl.SynthSpec(n_rows=3000, n_treatments=3, seed=4, p_miss=0.1,
+                            families=("x_boundary", "x_miss", "generic(3)"))
+        frame, labels = pl.generate(spec), spec.treatment_labels()
+        bmap = {n: pl.uniform_boundaries(n, 12) for n in frame.feature_names}
+        config = pl.SplitConfig(min_leaf_size=40)
+        manifest = pl.build_manifest(frame, frame.feature_names, labels, bmap, 7, 3,
+                                     60).lock()
+        for p in (2, 5):
+            views, copies = pl.partition(frame, p), _taken_partitions(frame, p)
+            for path in pl.EXECUTION_PATHS:
+                a = pl.best_split(views, frame.feature_names, bmap, labels,
+                                  config.with_path(path))
+                b = pl.best_split(copies, frame.feature_names, bmap, labels,
+                                  config.with_path(path))
+                assert a.to_record() == b.to_record()
+                assert pl.signature(pl.train(views, manifest, path)).text == \
+                    pl.signature(pl.train(copies, manifest, path)).text
 
 
 class TestPerturbations:

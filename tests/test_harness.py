@@ -9,6 +9,8 @@ from policylock.cli import main as cli_main
 from policylock.harness import (ExperimentSpec, ResultBundle, emit_report, run_block,
                                 random_small_instance, inference_fixture)
 
+from conftest import leaf_child_forest_text
+
 
 TINY = {
     "P1": {"n_rows_grid": [2000, 5000], "repeats": 1, "rowwise_cap": 2000,
@@ -370,6 +372,18 @@ class TestCli:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err == "error: forest failed validation: forest has no trees\n"
+        assert captured.out == ""
+
+    def test_infer_leaf_child_other_than_minus_one_exits_2(self, tmp_path, capsys):
+        forest_path = tmp_path / "forest.txt"
+        forest_path.write_text(leaf_child_forest_text(-61))
+        rc = cli_main(["infer", "--forest", str(forest_path), "--synth-rows", "20",
+                       "--synth-features", "1", "--synth-treatments", "2",
+                       "--synth-trees", "1", "--synth-depth", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "error: forest failed validation: leaf left child -61 is not -1\n"
         assert captured.out == ""
 
     def test_infer_malformed_csv_exits_2(self, tmp_path, capsys):

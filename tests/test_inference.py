@@ -6,7 +6,7 @@ from policylock import inference
 from policylock.harness import inference_fixture
 from policylock.inference import parity_from_columns
 
-from conftest import build_frame
+from conftest import build_frame, leaf_child_forest_text
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,14 @@ class TestScore:
             pl.score(pl.partition(frame, 1), forest,
                      pl.InferenceBackend("broadcast_rowwise"))
 
+
+    @pytest.mark.parametrize("kind", pl.BACKEND_KINDS)
+    def test_leaf_child_other_than_minus_one_rejected(self, kind):
+        forest = pl.forest_from_text(leaf_child_forest_text(-61))
+        frame = build_frame({"f00": [0.5, None]}, treatments=["control", "treat"])
+        with pytest.raises(pl.InvalidArgumentError,
+                           match="forest failed validation: leaf left child -61 is not -1"):
+            pl.score(pl.partition(frame, 2), forest, pl.InferenceBackend(kind))
 
     @pytest.mark.parametrize("kind", pl.BACKEND_KINDS)
     def test_forest_without_trees_rejected_on_every_backend(self, kind):

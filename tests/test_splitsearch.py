@@ -190,6 +190,24 @@ class TestChunkedBucketize:
         assert got[2] == n_bins - 1 and got[3] == 0 and got[8] == n_bins
         assert np.array_equal(got, _searchsorted_bins(values, b))
 
+    @pytest.mark.parametrize("n_bins,dtype", [(2, np.uint8), (32, np.uint8),
+                                              (255, np.uint8), (32, np.uint16),
+                                              (256, np.uint16), (300, np.uint16)])
+    def test_out_row_receives_the_int64_bins(self, n_bins, dtype):
+        """``out`` (a row of a wider table, as ``bin_rows`` passes it) gets
+        the public result's bins in its own dtype and is returned."""
+        b = pl.uniform_boundaries("x", n_bins)
+        chunk = splitsearch._BLOCK_BYTES // (n_bins - 1)
+        gen = np.random.default_rng(n_bins)
+        for n in (0, 1, chunk + 1):
+            values = gen.random(n)
+            values[::5] = np.nan
+            table = np.full((3, n + 4), 7, dtype=dtype)
+            got = pl.bucketize(values, b, out=table[1, 2:n + 2])
+            assert got.base is table and got.dtype == dtype
+            assert np.array_equal(got, pl.bucketize(values, b))
+            assert (table[[0, 2]] == 7).all() and (table[1, [0, 1, -2, -1]] == 7).all()
+
 
 class TestCandidateRowCount:
     @pytest.mark.parametrize("f,b,t,expected", [

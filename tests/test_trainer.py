@@ -90,9 +90,9 @@ class TestTrain:
             calls["take"] += 1
             return take(self, indices)
 
-        def counting_bucketize(value, boundaries):
+        def counting_bucketize(value, boundaries, **kwargs):
             calls["bucketize"] += 1
-            return bucketize(value, boundaries)
+            return bucketize(value, boundaries, **kwargs)
 
         monkeypatch.setattr(pl.ColumnFrame, "take", counting_take)
         monkeypatch.setattr(splitsearch, "bucketize", counting_bucketize)
