@@ -25,7 +25,6 @@ LEAF = 2
 _NODE_TYPE_NAMES = {INTERNAL_CONTINUOUS: "internal_continuous",
                     INTERNAL_CATEGORICAL: "internal_categorical",
                     LEAF: "leaf"}
-_NODE_TYPE_CODES = {v: k for k, v in _NODE_TYPE_NAMES.items()}
 _NAN_FLAGS = {"0": False, "1": True}
 _NAN_FLAG_TEXT = {v: k for k, v in _NAN_FLAGS.items()}
 
@@ -89,65 +88,101 @@ class ValidationReport:
         return not self.violations
 
 
+def _shape_violation(tree: TreeArrays, T: int) -> Optional[str]:
+    """Why ``tree``'s tables cannot be stacked as ``n`` nodes of ``T``
+    payload columns, or None."""
+    n = tree.n_nodes
+    lengths = {f.name: len(getattr(tree, f.name)) for f in fields(tree)}
+    bad = {k: v for k, v in lengths.items() if v != n}
+    if bad:
+        return f"array length mismatch: {bad}"
+    if n == 0:
+        return "tree has no nodes"
+    if tree.leaf_payload.ndim != 2 or tree.leaf_payload.shape[1] != T:
+        return f"leaf_payload must have {T} columns, got shape {tree.leaf_payload.shape}"
+    return None
+
+
 def validate_forest(forest: ForestArrays) -> ValidationReport:
     """Structural validation; violations are report entries, never exceptions.
     Internal nodes need in-range features and children other than
-    themselves, and leaves carry ``-1`` children (docs/normative.md)."""
+    themselves, and leaves carry ``-1`` children (docs/normative.md).
+
+    Each tree's shape is checked on its own; the trees of the right shape
+    are then stacked into one node table (tree ``t``'s nodes at ``roots[t] +
+    local index``, as in ``_PreparedForest``) and checked in one pass.  A
+    tree reports its first failing stage: shape, an unknown node type, its
+    flagged nodes in node order, or the first node that cannot reach a leaf
+    within ``4 * n_nodes`` steps."""
     report = ValidationReport()
     if not forest.trees:
         report.violations.append(Violation(None, None, "forest has no trees"))
     T = forest.n_treatments
     F = forest.n_features
-    for ti, tree in enumerate(forest.trees):
-        n = tree.n_nodes
-        # any acyclic traversal is bounded by depth <= n_nodes; factor 4 is slack
-        budget = 4 * max(n, 1)
-        lengths = {f.name: len(getattr(tree, f.name)) for f in fields(tree)}
-        bad = {k: v for k, v in lengths.items() if v != n}
-        if bad:
-            report.violations.append(Violation(ti, None, f"array length mismatch: {bad}"))
+    shape = [_shape_violation(tree, T) for tree in forest.trees]
+    stacked = [tree for tree, msg in zip(forest.trees, shape) if msg is None]
+    found = iter(_node_violations(stacked, F))
+    for ti, msg in enumerate(shape):
+        if msg is not None:
+            report.violations.append(Violation(ti, None, msg))
             continue
-        if n == 0:
-            report.violations.append(Violation(ti, None, "tree has no nodes"))
-            continue
-        if tree.leaf_payload.ndim != 2 or tree.leaf_payload.shape[1] != T:
-            report.violations.append(Violation(
-                ti, None, f"leaf_payload must have {T} columns, "
-                          f"got shape {tree.leaf_payload.shape}"))
-            continue
-        if not np.isin(tree.node_type, (INTERNAL_CONTINUOUS, INTERNAL_CATEGORICAL, LEAF)).all():
-            report.violations.append(Violation(ti, None, "unknown node_type code"))
-            continue
-        internal = tree.node_type != LEAF
-        node_ids = np.arange(n)
-        flagged = internal & ~((0 <= tree.feature_index) & (tree.feature_index < F))
-        for child in (tree.left_child, tree.right_child):
-            flagged |= np.where(internal, ~((0 <= child) & (child < n) & (child != node_ids)),
-                                child != -1)
-        flagged = np.flatnonzero(flagged)
-        for ni in flagged:
-            for side, child in (("left", tree.left_child[ni]), ("right", tree.right_child[ni])):
-                if not internal[ni]:
-                    if child != -1:
-                        report.violations.append(Violation(
-                            ti, int(ni), f"leaf {side} child {child} is not -1"))
-                elif not (0 <= child < n):
-                    report.violations.append(Violation(ti, int(ni), f"{side} child {child} out of range"))
-                elif child == ni:
-                    report.violations.append(Violation(ti, int(ni), f"{side} child points to itself"))
-            f = tree.feature_index[ni]
-            if internal[ni] and not (0 <= f < F):
-                report.violations.append(Violation(ti, int(ni), f"feature index {f} out of range [0, {F})"))
-        if flagged.size:
-            continue
-        steps = _steps_to_leaf(~internal, tree.left_child, tree.right_child)
-        over = ~(steps <= budget)
-        if over.any():
-            first = int(np.flatnonzero(over)[0])
-            report.violations.append(Violation(
-                ti, first, f"step budget exceeded: node cannot reach a leaf "
-                           f"within {budget} steps (cycle or malformed tree)"))
+        report.violations.extend(Violation(ti, ni, text) for ni, text in next(found))
     return report
+
+
+def _node_violations(trees: list[TreeArrays], F: int) -> list[list[tuple]]:
+    """``(node_index, message)`` violations of every tree, trees of the
+    right shape stacked into one node table."""
+    if not trees:
+        return []
+    sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
+    roots = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(len(trees)), sizes)
+    start = roots[tree_of]
+    local = np.arange(int(sizes.sum()), dtype=np.int64) - start
+    size = sizes[tree_of]
+
+    def stack(name):
+        return np.concatenate([getattr(t, name).astype(np.int64, copy=False) for t in trees])
+
+    node_type, feature = stack("node_type"), stack("feature_index")
+    left, right = stack("left_child"), stack("right_child")
+    unknown = np.bincount(tree_of[~np.isin(node_type, (INTERNAL_CONTINUOUS,
+                                                        INTERNAL_CATEGORICAL, LEAF))],
+                          minlength=len(trees)) > 0
+    internal = node_type != LEAF
+    flagged = internal & ~((0 <= feature) & (feature < F))
+    for child in (left, right):
+        flagged |= np.where(internal, ~((0 <= child) & (child < size) & (child != local)),
+                            child != -1)
+    flagged &= ~unknown[tree_of]
+    out: list[list[tuple]] = [[(None, "unknown node_type code")] if u else []
+                              for u in unknown.tolist()]
+    for g in np.flatnonzero(flagged):
+        ti, ni, n = int(tree_of[g]), int(local[g]), int(size[g])
+        for side, child in (("left", left[g]), ("right", right[g])):
+            if not internal[g]:
+                if child != -1:
+                    out[ti].append((ni, f"leaf {side} child {child} is not -1"))
+            elif not (0 <= child < n):
+                out[ti].append((ni, f"{side} child {child} out of range"))
+            elif child == ni:
+                out[ti].append((ni, f"{side} child points to itself"))
+        if internal[g] and not (0 <= feature[g] < F):
+            out[ti].append((ni, f"feature index {feature[g]} out of range [0, {F})"))
+    # only trees without a violation so far are walked: the internal nodes of
+    # the others loop on themselves, and leaves' children are never read
+    walks = np.array([not tree for tree in out], dtype=bool)[tree_of] & internal
+    left = np.where(walks, left, local) + start
+    right = np.where(walks, right, local) + start
+    # any acyclic traversal is bounded by depth <= n_nodes; factor 4 is slack
+    over = np.flatnonzero(walks & ~(_steps_to_leaf(~internal, left, right) <= 4 * size))
+    trees_over, first = np.unique(tree_of[over], return_index=True)
+    for ti, g in zip(trees_over.tolist(), over[first].tolist()):
+        out[ti].append((int(local[g]), f"step budget exceeded: node cannot reach a leaf "
+                                       f"within {4 * int(size[g])} steps "
+                                       f"(cycle or malformed tree)"))
+    return out
 
 
 def _steps_to_leaf(is_leaf: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -427,10 +462,58 @@ def forest_to_text(forest: ForestArrays) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _node_dtype(T: int) -> np.dtype:
+    """One node line as a record.  The string fields are one character wider
+    than any valid token, so a longer token cannot be cut down to one."""
+    return np.dtype([("node_type", "U21"), ("feature_index", np.int32),
+                     ("split_value", np.float64), ("left_child", np.int32),
+                     ("right_child", np.int32), ("nan_goes_left", "U2"),
+                     ("leaf_payload", np.float64, (T,))])
+
+
+def _parse_node_lines(lines: list[str], dtype: np.dtype) -> Optional[np.ndarray]:
+    """One record per line, or None when a line is blank or holds a NUL, a
+    wrong field count or a field that does not parse as its number type.
+    ``np.loadtxt`` reads numbers with CPython's correctly rounded
+    ``PyOS_string_to_double``, so floats are bit-identical to ``float()``;
+    it skips blank lines (hence the row count check) and drops trailing
+    NULs from string fields (hence the NUL check)."""
+    if not lines:
+        return np.empty(0, dtype)
+    if not lines[0].strip():   # loadtxt warns when every line is blank
+        return None
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if len(rows) != len(lines) or "\x00" in "".join(lines):
+        return None
+    return rows
+
+
+def _first_bad_line(lines: list[str], dtype: np.dtype) -> int:
+    """Index of the first line ``_parse_node_lines`` rejects, found by
+    bisection over prefixes that parse; ``lines`` must hold one."""
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parse_node_lines(lines[lo:mid], dtype) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def forest_from_text(text: str) -> ForestArrays:
     """Reader of ``forest_to_text``'s format.  Malformed text (truncated, bad
     count lines, unknown node types, node lines with a wrong field count or a
-    non-numeric field, trailing lines) raises ``SchemaError``."""
+    field that is not an ASCII decimal number, trailing lines) raises
+    ``SchemaError``.
+
+    The header, names and count lines are read line by line; every node
+    line of every tree is then parsed in one ``np.loadtxt`` pass into a
+    record array, whose node types and NaN flags are checked with
+    vectorized compares and whose columns are sliced per tree."""
     lines = text.splitlines()
     pos = 0
 
@@ -459,35 +542,47 @@ def forest_from_text(text: str) -> ForestArrays:
     f_count = count("features")
     names = [next_line() for _ in range(f_count)]
     n_trees = count("trees")
-    trees = []
-    width = 6 + t_count
+    starts, sizes = [], []   # each tree's first node line (0-based) and node count
     for _ in range(n_trees):
         n_nodes = count("tree")
-        first = pos + 1
         if pos + n_nodes > len(lines):
             raise SchemaError("forest text truncated")
-        rows = list(map(str.split, lines[pos:pos + n_nodes]))
+        starts.append(pos)
+        sizes.append(n_nodes)
         pos += n_nodes
-        if any(len(parts) != width for parts in rows):
-            raise SchemaError(f"forest lines {first}-{pos}: a node line does not "
-                              f"hold {width} fields")
-        cols = list(zip(*rows)) or [()] * width
-        try:
-            payload = np.fromiter(map(float, itertools.chain.from_iterable(cols[6:])),
-                                  np.float64, n_nodes * t_count)
-            trees.append(TreeArrays(
-                np.fromiter(map(_NODE_TYPE_CODES.__getitem__, cols[0]), np.int8, n_nodes),
-                np.fromiter(map(int, cols[1]), np.int32, n_nodes),
-                np.fromiter(map(float, cols[2]), np.float64, n_nodes),
-                np.fromiter(map(int, cols[3]), np.int32, n_nodes),
-                np.fromiter(map(int, cols[4]), np.int32, n_nodes),
-                np.fromiter(map(_NAN_FLAGS.__getitem__, cols[5]), bool, n_nodes),
-                payload.reshape(t_count, n_nodes).T.copy()))
-        except (KeyError, ValueError, OverflowError):
-            raise SchemaError(f"forest lines {first}-{pos} hold an unknown node type, a "
-                              f"NaN flag other than 0/1, or a bad number") from None
     if pos < len(lines):
         raise SchemaError("forest text has lines after its last tree")
+
+    node_lines = list(itertools.chain.from_iterable(
+        lines[s:s + n] for s, n in zip(starts, sizes)))
+    offsets = np.cumsum([0] + sizes)
+
+    def line_of(node: int) -> int:
+        """1-based text line of stacked node line ``node``."""
+        tree = int(np.searchsorted(offsets, node, side="right")) - 1
+        return starts[tree] + node - int(offsets[tree]) + 1
+
+    dtype = _node_dtype(t_count)
+    rows = _parse_node_lines(node_lines, dtype)
+    if rows is None:
+        bad = _first_bad_line(node_lines, dtype)
+        raise SchemaError(f"forest line {line_of(bad)}: a node line must hold "
+                          f"{6 + t_count} fields of the documented types, not "
+                          f"{node_lines[bad]!r}")
+    node_type = np.full(len(rows), -1, dtype=np.int8)
+    for code, name in _NODE_TYPE_NAMES.items():
+        node_type[rows["node_type"] == name] = code
+    nan_goes_left = rows["nan_goes_left"] == _NAN_FLAG_TEXT[True]
+    bad = (node_type < 0) | ~(nan_goes_left | (rows["nan_goes_left"] == _NAN_FLAG_TEXT[False]))
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        raise SchemaError(f"forest line {line_of(first)}: unknown node type or a NaN "
+                          f"flag other than 0/1 in {node_lines[first]!r}")
+    columns = (node_type, *(np.ascontiguousarray(rows[name]) for name in
+                            ("feature_index", "split_value", "left_child", "right_child")),
+               nan_goes_left, np.ascontiguousarray(rows["leaf_payload"]))
+    trees = [TreeArrays(*(col[lo:hi] for col in columns))
+             for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
     return ForestArrays(trees, tuple(names), tuple(labels))
 
 

@@ -9,7 +9,8 @@ a frame references the frame's one all-true bitmap.  ``partition`` cuts a
 frame into consecutive row blocks (the bounds of ``np.array_split``) that are
 read-only views of the parent's arrays, not copies, so a partition keeps its
 parent's buffers alive.  ``take``, ``concat_frames`` and the ``repartition``,
-``coalesce`` and ``shuffle_rows`` perturbations still copy.
+``coalesce`` and ``shuffle_rows`` perturbations still copy, but build the
+result's shared bitmap once, not once per fully valid column.
 """
 
 from __future__ import annotations
@@ -185,13 +186,17 @@ def concat_frames(frames: Sequence[ColumnFrame]) -> ColumnFrame:
     for f in frames[1:]:
         if f.feature_names != first.feature_names:
             raise SchemaError("frames disagree on feature columns")
+    columns = range(len(first.feature_names))
+    # a column fully valid in every frame is fully valid in the result: all
+    # such columns get one concatenation of the frames' shared bitmaps
+    full = [all(f.feature_valid[i] is f._all_valid for f in frames) for i in columns]
+    ones = np.concatenate([f._all_valid for f in frames]) if any(full) else None
     return ColumnFrame(
         np.concatenate([f.row_ids for f in frames]),
         first.feature_names,
-        [np.concatenate([f.feature_values[i] for f in frames])
-         for i in range(len(first.feature_names))],
-        [np.concatenate([f.feature_valid[i] for f in frames])
-         for i in range(len(first.feature_names))],
+        [np.concatenate([f.feature_values[i] for f in frames]) for i in columns],
+        [ones if full[i] else np.concatenate([f.feature_valid[i] for f in frames])
+         for i in columns],
         np.concatenate([f.treatments for f in frames]),
         np.concatenate([f.outcomes for f in frames]),
     )

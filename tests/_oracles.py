@@ -1,19 +1,22 @@
 """Independent reference implementations used as test oracles.
 
-Everything here works from raw rows with plain Python loops and stays
-deliberately independent of the engine's vectorized / prefix-sum code paths,
-with two exceptions.  ``scalar_candidate`` reads the engine's ``PrefixTable``
+Everything here works from raw rows or raw text with plain Python loops and
+stays deliberately independent of the engine's vectorized / prefix-sum /
+bulk-parse code paths, with two exceptions.  ``scalar_candidate`` reads the engine's ``PrefixTable``
 and checks only the array scorer's S2 arithmetic, one candidate at a time.
 ``pernode_train`` keeps the engine's per-node split search, run on each
 node's rows of the frame, and checks only how the level-wise trainer batches
 nodes, subtracts sibling tables and routes rows.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from policylock.forest import LEAF, INTERNAL_CATEGORICAL
+from policylock.errors import SchemaError
+from policylock.forest import (FOREST_FORMAT_VERSION, INTERNAL_CATEGORICAL, LEAF,
+                               _NAN_FLAGS, _NODE_TYPE_NAMES, ForestArrays, TreeArrays)
 from policylock.frame import PartitionedFrame
 from policylock.splitsearch import (CandidateScore, SplitConfig, best_split,
                                     treatment_codes, STATUS_OK, _REASON_NO_CONTROL,
@@ -52,6 +55,74 @@ def scalar_scores(forest, rows):
                 acc[t] += float(tree.leaf_payload[leaf][t])
         out.append([a / float(len(forest.trees)) for a in acc])
     return out
+
+
+def reference_forest_from_text(text):
+    """Line-by-line reader of the forest text format: each tree's node lines
+    split in Python and converted field by field with ``int``, ``float`` and
+    dict lookups.  Slow; the bulk ``forest_from_text`` must read every text
+    it accepts into byte-identical arrays, and reject the texts it rejects,
+    except node lines whose numbers Python's ``int``/``float`` accept but the
+    format does not (``1_0``, non-ASCII digits)."""
+    node_type_codes = {name: code for code, name in _NODE_TYPE_NAMES.items()}
+    lines = text.splitlines()
+    pos = 0
+
+    def next_line():
+        nonlocal pos
+        if pos >= len(lines):
+            raise SchemaError("forest text truncated")
+        line = lines[pos]
+        pos += 1
+        return line
+
+    def count(keyword):
+        parts = next_line().split()
+        if len(parts) != 2 or parts[0] != keyword or not parts[1].isdecimal():
+            raise SchemaError(f"forest line {pos} should read '{keyword} <count>', "
+                              f"not {' '.join(parts)!r}")
+        return int(parts[1])
+
+    header = next_line().split()
+    if len(header) != 2 or header[0] != "forestarrays":
+        raise SchemaError("not a forest file")
+    if header[1] != f"v{FOREST_FORMAT_VERSION}":
+        raise SchemaError(f"unsupported forest format version {header[1]!r}")
+    t_count = count("treatments")
+    labels = [next_line() for _ in range(t_count)]
+    f_count = count("features")
+    names = [next_line() for _ in range(f_count)]
+    n_trees = count("trees")
+    trees = []
+    width = 6 + t_count
+    for _ in range(n_trees):
+        n_nodes = count("tree")
+        first = pos + 1
+        if pos + n_nodes > len(lines):
+            raise SchemaError("forest text truncated")
+        rows = list(map(str.split, lines[pos:pos + n_nodes]))
+        pos += n_nodes
+        if any(len(parts) != width for parts in rows):
+            raise SchemaError(f"forest lines {first}-{pos}: a node line does not "
+                              f"hold {width} fields")
+        cols = list(zip(*rows)) or [()] * width
+        try:
+            payload = np.fromiter(map(float, itertools.chain.from_iterable(cols[6:])),
+                                  np.float64, n_nodes * t_count)
+            trees.append(TreeArrays(
+                np.fromiter(map(node_type_codes.__getitem__, cols[0]), np.int8, n_nodes),
+                np.fromiter(map(int, cols[1]), np.int32, n_nodes),
+                np.fromiter(map(float, cols[2]), np.float64, n_nodes),
+                np.fromiter(map(int, cols[3]), np.int32, n_nodes),
+                np.fromiter(map(int, cols[4]), np.int32, n_nodes),
+                np.fromiter(map(_NAN_FLAGS.__getitem__, cols[5]), bool, n_nodes),
+                payload.reshape(t_count, n_nodes).T.copy()))
+        except (KeyError, ValueError, OverflowError):
+            raise SchemaError(f"forest lines {first}-{pos} hold an unknown node type, a "
+                              f"NaN flag other than 0/1, or a bad number") from None
+    if pos < len(lines):
+        raise SchemaError("forest text has lines after its last tree")
+    return ForestArrays(trees, tuple(names), tuple(labels))
 
 
 def raw_missing(frame, feature, r):

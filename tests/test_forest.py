@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from policylock.forest import (INTERNAL_CATEGORICAL, INTERNAL_CONTINUOUS, LEAF,
                                TreeArrays, _leaf_nodes, _PreparedForest)
 from policylock import rng
 
-from _oracles import scalar_leaf, scalar_scores
+from _oracles import reference_forest_from_text, scalar_leaf, scalar_scores
 from conftest import build_frame, leaf_child_forest_text
 
 
@@ -538,3 +540,256 @@ def _insert_after_first_node_line(lines, line):
 def _join_first_node_lines(lines):
     i = _first_node_line(lines)
     return lines[:i] + [lines[i] + " " + lines[i + 1]] + lines[i + 2:]
+
+
+_TREE_FIELDS = ("node_type", "feature_index", "split_value", "left_child",
+                "right_child", "nan_goes_left", "leaf_payload")
+_SPECIAL_FLOATS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                            _INF, -_INF, _NAN, 1.7976931348623157e308, -1e-300, 0.1])
+
+
+def _assert_same_forest(got, want):
+    assert got.feature_names == want.feature_names
+    assert got.treatment_labels == want.treatment_labels
+    assert len(got.trees) == len(want.trees)
+    for a, b in zip(got.trees, want.trees):
+        for name in _TREE_FIELDS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def _seeded_forest(seed, T, full):
+    """Random forest with categorical nodes whose thresholds and payload
+    cells are ~30% special floats (signed zeros, subnormals, +-inf, NaN)."""
+    gen = np.random.default_rng(seed)
+    F = int(gen.integers(1, 7))
+    forest = pl.random_forest(int(gen.integers(1, 5)), int(gen.integers(0, 6)),
+                              [f"f{i}" for i in range(F)], [f"t{i}" for i in range(T)],
+                              seed=seed, categorical_features=range(0, F, 2),
+                              categorical_cardinality=int(gen.integers(2, 6)), full=full)
+    for tree in forest.trees:
+        hit = gen.random(tree.n_nodes) < 0.3
+        tree.split_value[hit] = gen.choice(_SPECIAL_FLOATS, int(hit.sum()))
+        hit = gen.random(tree.leaf_payload.shape) < 0.3
+        tree.leaf_payload[hit] = gen.choice(_SPECIAL_FLOATS, int(hit.sum()))
+    return forest
+
+
+# tokens the edits put in place of a field: valid and invalid numbers, node
+# types, NaN flags, count keywords, truncation bait and trailing NULs
+_EDIT_TOKENS = ("0", "1", "-1", "+1", "01", "2", "5", "2147483647", "2147483648",
+                "-2147483649", "1.5", "1e5", ".5", "nan", "-nan", "inf", "-Infinity",
+                "1e999", "-0.0", "5e-324", "0x10", "1e", "leaf", "internal_continuous",
+                "internal_categorical", "internal_categoricalX", "leaf\x00", "0\x00",
+                "1\x00", "x", "", "tree", "3", "trees 2", "tree 1")
+# numbers Python's int()/float() read but the format does not (ASCII decimal only)
+_LOOSE_TOKENS = ("1_0", "0_5", "１", "٣.5")
+_SEPARATORS = (" ", "  ", "\t", "\xa0", "　")
+
+
+def _edited_texts(n, seed):
+    """``(text, loose)`` for ``n`` seeded edits of three small forest texts
+    (T = 1..3, partial trees, categorical nodes): one field replaced by a
+    token, one line deleted or duplicated, or one line re-spaced.  ``loose``
+    marks a replacement from ``_LOOSE_TOKENS``."""
+    gen = np.random.default_rng(seed)
+    bases = [pl.forest_to_text(pl.random_forest(
+        3, 3, ("f0", "f1", "f2"), ("control", "t1", "t2")[:T], seed=T,
+        categorical_features=(1,), full=False)).splitlines() for T in (1, 2, 3)]
+    tokens = _EDIT_TOKENS + _LOOSE_TOKENS
+    out = []
+    for _ in range(n):
+        lines = list(bases[int(gen.integers(len(bases)))])
+        i = int(gen.integers(len(lines)))
+        kind = int(gen.integers(4))
+        token = None
+        if kind == 0:
+            parts = lines[i].split() or [""]
+            token = tokens[int(gen.integers(len(tokens)))]
+            parts[int(gen.integers(len(parts)))] = token
+            lines[i] = " ".join(parts)
+        elif kind == 1:
+            del lines[i]
+        elif kind == 2:
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = _SEPARATORS[int(gen.integers(len(_SEPARATORS)))].join(lines[i].split())
+        out.append(("\n".join(lines) + "\n", token in _LOOSE_TOKENS))
+    return out
+
+
+def _read_or_none(reader, text):
+    try:
+        return reader(text)
+    except pl.SchemaError:
+        return None
+
+
+class TestBulkReader:
+    """``forest_from_text`` parses every node line in one ``np.loadtxt`` pass;
+    the line-by-line ``reference_forest_from_text`` is its oracle."""
+
+    @pytest.mark.parametrize("full", [True, False])
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+    def test_seeded_forests_read_byte_identical(self, T, full):
+        for seed in range(4):
+            forest = _seeded_forest(100 * T + seed, T, full)
+            text = pl.forest_to_text(forest)
+            back = pl.forest_from_text(text)
+            _assert_same_forest(back, reference_forest_from_text(text))
+            _assert_same_forest(back, forest)
+            assert pl.forest_to_text(back) == text
+
+    def test_edited_texts_accepted_and_rejected_alike(self):
+        """The readers accept the same edited texts into byte-identical
+        arrays and reject the same ones, except for numbers that are not
+        ASCII decimal, which only the line reader accepts."""
+        accepted = rejected = loose = 0
+        for text, is_loose in _edited_texts(2000, seed=17):
+            got = _read_or_none(pl.forest_from_text, text)
+            want = _read_or_none(reference_forest_from_text, text)
+            if got is None and want is not None and is_loose:
+                loose += 1
+                continue
+            assert (got is None) == (want is None), repr(text)
+            if got is None:
+                rejected += 1
+            else:
+                accepted += 1
+                _assert_same_forest(got, want)
+        assert min(accepted, rejected) > 300 and loose > 10
+
+    @pytest.mark.parametrize("field,token", [(1, "1_0"), (1, "１"), (2, "0_5"),
+                                             (3, "٣"), (6, "１.5")])
+    def test_node_numbers_are_ascii_decimal(self, field, token):
+        lines = pl.forest_to_text(pl.random_forest(2, 2, ["f0", "f1"], ("a", "b"),
+                                                   seed=3)).splitlines()
+        text = "\n".join(_replace_node_field(lines, field, token)) + "\n"
+        reference_forest_from_text(text)   # Python's int() and float() read it
+        with pytest.raises(pl.SchemaError, match=f"forest line {_first_node_line(lines) + 1}:"):
+            pl.forest_from_text(text)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda line: line + " 0.5", id="extra-field"),
+        pytest.param(lambda line: line.rsplit(" ", 1)[0] + " abc", id="bad-payload"),
+        pytest.param(lambda line: "", id="blank"),
+        pytest.param(lambda line: "leef " + line.split(" ", 1)[1], id="unknown-type"),
+        pytest.param(lambda line: " ".join(line.split()[:5] + ["2"] + line.split()[6:]),
+                     id="nan-flag"),
+        pytest.param(lambda line: " ".join(line.split()[:5] + ["0\x00"] + line.split()[6:]),
+                     id="nul-after-flag"),
+        pytest.param(lambda line: line.split()[0] + "\x00 " + line.split(" ", 1)[1],
+                     id="nul-after-type"),
+    ])
+    def test_error_names_the_offending_line(self, edit):
+        lines = pl.forest_to_text(pl.random_forest(3, 2, ["f0", "f1"], ("a", "b"),
+                                                   seed=3)).splitlines()
+        nodes = [i for i, line in enumerate(lines)
+                 if line.split()[0] in ("leaf", "internal_continuous", "internal_categorical")]
+        for i in (nodes[0], nodes[8], nodes[-1]):
+            text = "\n".join(lines[:i] + [edit(lines[i])] + lines[i + 1:]) + "\n"
+            with pytest.raises(pl.SchemaError):
+                reference_forest_from_text(text)
+            with pytest.raises(pl.SchemaError, match=f"forest line {i + 1}:"):
+                pl.forest_from_text(text)
+
+    def test_blank_node_lines_rejected_without_warning(self):
+        head = "forestarrays v1\ntreatments 1\na\nfeatures 1\nf0\ntrees 2\ntree 0\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pl.SchemaError, match="forest line 9:"):
+                pl.forest_from_text(head + "tree 2\n\n \t\n")
+            empty = pl.forest_from_text(head + "tree 0\n")
+        _assert_same_forest(empty, reference_forest_from_text(head + "tree 0\n"))
+        assert [t.n_nodes for t in empty.trees] == [0, 0]
+        assert [t.leaf_payload.shape for t in empty.trees] == [(0, 1), (0, 1)]
+
+
+def _per_tree_violations(forest):
+    """Violations of every tree validated as a forest of its own."""
+    out = [] if forest.trees else [(None, None, "forest has no trees")]
+    for ti, tree in enumerate(forest.trees):
+        one = pl.ForestArrays([tree], forest.feature_names, forest.treatment_labels)
+        out += [(ti, v.node_index, v.message) for v in pl.validate_forest(one).violations]
+    return out
+
+
+def _violations(report):
+    return [(v.tree_index, v.node_index, v.message) for v in report.violations]
+
+
+class TestStackedValidation:
+    def test_each_tree_reports_as_if_alone(self):
+        cont = INTERNAL_CONTINUOUS
+        good = depth1_tree()
+        cycle = TreeArrays([cont, cont, LEAF], [0, 0, -1], [0.5, 0.5, _NAN],
+                           [1, 0, -1], [1, 0, -1], [False] * 3, [[0.0, 0.0]] * 3)
+        deep_cycle = TreeArrays([cont, cont, cont, LEAF], [0, 0, 0, -1], [0.5] * 3 + [_NAN],
+                                [3, 2, 1, -1], [1, 3, 3, -1], [False] * 4, [[0.0, 0.0]] * 4)
+        leaf_child = TreeArrays([cont, LEAF, LEAF], [0, -1, -1], [0.5, _NAN, _NAN],
+                                [1, 7, -1], [2, -1, -1], [False] * 3, [[0.0, 0.0]] * 3)
+        short = TreeArrays([cont, LEAF, LEAF], [0, -1], [0.5, _NAN, _NAN], [1, -1, -1],
+                           [2, -1, -1], [False] * 3, [[0.0, 0.0]] * 3)
+        # node 1 is also a self loop, which only known node types report
+        unknown = TreeArrays([cont, 7, LEAF], [0, 0, -1], [0.5, 0.5, _NAN], [1, 1, -1],
+                             [2, 2, -1], [False] * 3, [[0.0, 0.0]] * 3)
+        wrong = TreeArrays([cont, cont, LEAF, LEAF], [4, 0, -1, -1], [0.5, 0.5, _NAN, _NAN],
+                           [1, 1, -1, -1], [9, 3, -1, -1], [False] * 4, [[0.0, 0.0]] * 4)
+        payload = single_leaf_tree([0.5])
+        trees = [good, cycle, leaf_child, short, unknown, good, deep_cycle, wrong, payload,
+                 TreeArrays([], [], [], [], [], [], np.zeros((0, 2))), good]
+        forest = pl.ForestArrays(trees, ("f0", "f1"), ("a", "b"))
+        got = _violations(pl.validate_forest(forest))
+        assert got == _per_tree_violations(forest)
+        budget = "step budget exceeded: node cannot reach a leaf within {} steps " \
+                 "(cycle or malformed tree)"
+        assert got == [(1, 0, budget.format(12)),
+                       (2, 1, "leaf left child 7 is not -1"),
+                       (3, None, "array length mismatch: {'feature_index': 2}"),
+                       (4, None, "unknown node_type code"),
+                       (6, 0, budget.format(16)),
+                       (7, 0, "right child 9 out of range"),
+                       (7, 0, "feature index 4 out of range [0, 2)"),
+                       (7, 1, "left child points to itself"),
+                       (8, None, "leaf_payload must have 2 columns, got shape (1, 1)"),
+                       (9, None, "tree has no nodes")]
+        for subset in ([good], [good, good], [cycle, good, good]):
+            forest = pl.ForestArrays(subset, ("f0", "f1"), ("a", "b"))
+            assert _violations(pl.validate_forest(forest)) == _per_tree_violations(forest)
+
+
+def test_edited_texts_raise_only_engine_errors():
+    """Edited forest texts go through the reader, ``validate_forest`` and
+    ``score``: every failure is an ``EngineError``, validation never raises
+    and reports each tree as if alone, a forest that fails it is refused by
+    ``score``, and one that passes scores like the scalar walk."""
+    cols = _kernel_batch(3, (1,), 12, seed=4)
+    frame = build_frame({f"f{i}": [None if i == 2 and r % 5 == 0 else v
+                                   for r, v in enumerate(cols[i].tolist())]
+                         for i in range(3)})
+    pf = pl.partition(frame, 2)
+    rows = np.vstack([frame.effective_values(f"f{i}") for i in range(3)]).T.tolist()
+    stages = {"reader": 0, "invalid": 0, "names": 0, "scored": 0}
+    for k, (text, _) in enumerate(_edited_texts(1200, seed=29)):
+        try:
+            forest = pl.forest_from_text(text)
+        except pl.SchemaError:
+            stages["reader"] += 1
+            continue
+        report = pl.validate_forest(forest)
+        assert _violations(report) == _per_tree_violations(forest)
+        backend = pl.InferenceBackend(("vectorized_columnar", "broadcast_rowwise")[k % 2], 5)
+        if not report.passed:
+            with pytest.raises(pl.InvalidArgumentError, match="failed validation"):
+                pl.score(pf, forest, backend)
+            stages["invalid"] += 1
+            continue
+        if forest.feature_names != frame.feature_names[:forest.n_features]:
+            with pytest.raises(pl.SchemaError):
+                pl.score(pf, forest, backend)
+            stages["names"] += 1
+            continue
+        got = pl.score(pf, forest, backend).vectors
+        assert got.tobytes() == np.array(scalar_scores(forest, rows)).tobytes()
+        stages["scored"] += 1
+    assert min(stages.values()) > 0 and stages["scored"] > 100, stages

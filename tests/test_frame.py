@@ -166,6 +166,46 @@ class TestZeroCopyPartition:
         assert grown < sum(v.nbytes for v in values) + bitmaps / 2
         assert pl.frame_checksum(taken) == pl.frame_checksum(frame)
 
+    def test_concat_shares_one_bitmap_across_fully_valid_columns(self):
+        frame = _wide_frame()
+        parts = pl.partition(frame, 4).partitions
+        # a column NULL only in the last block is fully valid in the others
+        last = parts[-1]
+        mixed = [*last.feature_valid]
+        mixed[0] = np.arange(last.n_rows) % 2 == 0
+        parts = parts[:-1] + (pl.ColumnFrame(last.row_ids, last.feature_names,
+                                             last.feature_values, mixed,
+                                             last.treatments, last.outcomes),)
+        out = pl.concat_frames(parts)
+        full = [i for i, vld in enumerate(frame.feature_valid)
+                if vld is frame._all_valid and i != 0]
+        assert len(full) > 10
+        assert all(out.feature_valid[i] is out._all_valid for i in full)
+        assert out.feature_valid[0] is not out._all_valid and not out.feature_valid[0].all()
+        for i, vld in enumerate(out.feature_valid):
+            assert vld.tolist() == [v for p in parts for v in p.feature_valid[i].tolist()]
+
+    def test_concat_allocates_one_bitmap(self):
+        """``pf.concat()`` of 250 fully valid columns concatenates one bitmap,
+        not 250 (``repartition``, ``coalesce`` and ``shuffle_rows`` concat)."""
+        frame = pl.generate(pl.SynthSpec(n_rows=20_000, seed=1, families=("generic(250)",)))
+        assert all(vld is frame._all_valid for vld in frame.feature_valid)
+        pf = pl.partition(frame, 4)
+        pf.concat()   # first calls import lazily; trace a warm call
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = pf.concat()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        copied = sum(a.nbytes for a in (*frame.feature_values, frame.row_ids,
+                                        frame.treatments, frame.outcomes))
+        bitmaps = 250 * frame.n_rows   # one bool per cell
+        assert peak - before < copied + bitmaps / 4
+        assert len({id(vld) for vld in out.feature_valid}) == 1
+        assert pl.frame_checksum(out) == pl.frame_checksum(frame)
+
     def test_matrix_is_the_effective_values_with_their_nan_payloads(self):
         frame = _wide_frame(n_rows=300, n_features=8)
         quiet = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
