@@ -58,6 +58,12 @@ def plant_missing(values: np.ndarray, mask: np.ndarray,
     return values, valid
 
 
+def _all_distinct(ids: np.ndarray) -> bool:
+    """One sort and an adjacent compare (``np.unique`` adds a hash pass)."""
+    ids = np.sort(ids)
+    return not (ids[1:] == ids[:-1]).any()
+
+
 class ColumnFrame:
     """Immutable columnar dataset: row ids, ordered float features with
     validity bitmaps, a string treatment column, and a binary outcome column.
@@ -99,9 +105,9 @@ class ColumnFrame:
 
         if len(self.treatments) != n or len(self.outcomes) != n:
             raise SchemaError("all columns must share the frame length")
-        if n and len(np.unique(self.row_ids)) != n:
+        if not _all_distinct(self.row_ids):
             raise SchemaError("row_ids must be unique")
-        if n and not np.isin(self.outcomes, (0, 1)).all():
+        if not ((self.outcomes == 0) | (self.outcomes == 1)).all():
             raise SchemaError("outcomes must be binary 0/1")
         for arr in (self.row_ids, *self.feature_values, *self.feature_valid,
                     self._all_valid, self.treatments, self.outcomes):

@@ -108,26 +108,19 @@ class SynthSpec:
                                     for i in range(self.n_treatments - 1))
 
 
-def _base_values(spec: SynthSpec, name: str, n: int) -> np.ndarray:
-    return rng.uniform_stream(spec.seed, f"feature:{name}", n)
-
-
-def _family_values(spec: SynthSpec, name: str, codes: np.ndarray) -> np.ndarray:
-    n = spec.n_rows
-    u = _base_values(spec, name, n)
+def _fill_family(spec: SynthSpec, name: str, codes: np.ndarray, out: np.ndarray) -> None:
+    """Writes feature ``name``'s values into ``out``, its row of the block."""
+    rng.fill_stream(out, spec.seed, f"feature:{name}")
     if name == "x_boundary":
-        vals = u.copy()
-        vals[rng.uniform_stream(spec.seed, "boundary-mass", n) < BOUNDARY_MASS] = BOUNDARY_VALUE
-        return vals
-    if name == "x_tie":
+        out[rng.uniform_stream(spec.seed, "boundary-mass", len(out)) < BOUNDARY_MASS] = \
+            BOUNDARY_VALUE
+    elif name == "x_tie":
         # two value groups only; every interior candidate between them induces
         # the identical row partition, forcing exactly equal scores
-        return np.where(u < 0.5, 0.05, 0.95)
-    if name == "x_sparse":
+        np.copyto(out, np.where(out < 0.5, 0.05, 0.95))
+    elif name == "x_sparse":
         # the last treatment arm never leaves the lowest bin
-        rare = codes == spec.n_treatments - 1
-        return np.where(rare, u / 64.0, u)
-    return u
+        np.divide(out, 64.0, out=out, where=codes == spec.n_treatments - 1)
 
 
 def uplift_offset(t: int) -> float:
@@ -145,9 +138,11 @@ def generate(spec: SynthSpec) -> ColumnFrame:
     codes = rng.choice_from_probs(spec.seed, "treatment", n, probs)
     names = spec.feature_names()
 
-    values: dict[str, np.ndarray] = {}
-    for name in names:
-        values[name] = _family_values(spec, name, codes)
+    # one [F, n] block whose rows are the feature columns
+    block = np.empty((len(names), n))
+    for name, row in zip(names, block):
+        _fill_family(spec, name, codes, row)
+    values = dict(zip(names, block))
 
     # missingness masks; focus applies to x_miss, the rest are uniform;
     # positive_outcome focus is deferred until outcomes exist

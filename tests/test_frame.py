@@ -469,3 +469,123 @@ def test_partition_concat_round_trip(values, p):
     pf = pl.partition(f, p)
     assert sum(q.n_rows for q in pf.partitions) == f.n_rows
     assert pl.frame_checksum(pf.concat()) == pl.frame_checksum(f)
+
+
+_I64 = np.iinfo(np.int64)
+
+
+def _ids_frame(ids, outcomes=None):
+    n = len(ids)
+    return pl.ColumnFrame(np.asarray(ids, dtype=np.int64), ["a"], [np.arange(n) / 4],
+                          outcomes=outcomes)
+
+
+class TestRowIdAndOutcomeChecks:
+    """Row-id uniqueness is checked with one sort and an adjacent compare,
+    outcomes with two compares; every way of building a frame runs both."""
+
+    @pytest.mark.parametrize("ids", [[], [0], [_I64.min], [_I64.max], [0, 1], [1, 0],
+                                     [_I64.max, _I64.min], [-1, 1], [-5, -4, -3],
+                                     [_I64.min, -1, 0, 1, _I64.max]])
+    def test_distinct_ids_accepted(self, ids):
+        assert _ids_frame(ids).row_ids.tolist() == ids
+
+    @pytest.mark.parametrize("ids", [
+        [7, 7], [_I64.min, _I64.min], [_I64.max, _I64.max], [-3, -3],
+        [4, 1, 2, 3, 4],                      # duplicate first and last
+        [0, 4, 1, 2, 3, 4],                   # last duplicates an inner id
+        [9, 9, 1, 2, 3],                      # first two
+        [1, 2, 3, 9, 9],                      # last two
+        [5, 1, 8, 1, 6],                      # in the middle
+        [_I64.min, 0, _I64.max, -1, _I64.max],
+        [-2, _I64.min, 3, _I64.min],
+    ])
+    def test_duplicate_ids_rejected(self, ids):
+        with pytest.raises(pl.SchemaError, match="^row_ids must be unique$"):
+            _ids_frame(ids)
+
+    def test_duplicate_at_every_position_of_a_long_frame(self):
+        ids = pl.rng.permutation(3, "ids", 5000).astype(np.int64) * 7 - 9000
+        for i, j in [(0, 1), (0, 4999), (4998, 4999), (2500, 17), (4999, 2)]:
+            dup = ids.copy()
+            dup[i] = dup[j]
+            with pytest.raises(pl.SchemaError, match="^row_ids must be unique$"):
+                _ids_frame(dup)
+        assert _ids_frame(ids).n_rows == 5000
+
+    def test_take_with_a_repeated_index_rejected(self):
+        frame = _wide_frame(n_rows=300, n_features=4)
+        for idx in ([5, 5], [0, 1, 2, 0], [299, 3, 299], np.r_[np.arange(300), 150]):
+            with pytest.raises(pl.SchemaError, match="^row_ids must be unique$"):
+                frame.take(idx)
+        assert frame.take([299, 0]).row_ids.tolist() == [299, 0]
+
+    def test_concat_of_overlapping_frames_rejected(self):
+        frame = _wide_frame(n_rows=300, n_features=4)
+        parts = pl.partition(frame, 3).partitions
+        for frames in ([frame, frame], [parts[0], parts[1], parts[0]],
+                       [frame.take([7]), parts[0]], [parts[2], frame.take([299, 0])]):
+            with pytest.raises(pl.SchemaError, match="^row_ids must be unique$"):
+                pl.concat_frames(frames)
+        assert pl.frame_checksum(pl.concat_frames(list(parts))) == pl.frame_checksum(frame)
+
+    @pytest.mark.parametrize("outcomes", [[0, 2, 1], [-1, 0, 1], [1, 1, 2], [2, 0, 0],
+                                          [0, 1, -1], [_I64.min, 0, 1], [0, 1, _I64.max]])
+    def test_non_binary_outcomes_rejected(self, outcomes):
+        with pytest.raises(pl.SchemaError, match="^outcomes must be binary 0/1$"):
+            _ids_frame([0, 1, 2], outcomes=outcomes)
+
+    @pytest.mark.parametrize("outcomes", [[], [0], [1], [0, 1], [1, 1]])
+    def test_binary_outcomes_accepted(self, outcomes):
+        ids = list(range(len(outcomes)))
+        assert _ids_frame(ids, outcomes=outcomes).outcomes.tolist() == outcomes
+
+    def test_frame_from_arrays_allocates_one_sort_copy_beyond_the_bitmap(self):
+        n = 200_000
+        ids, values = np.arange(n, dtype=np.int64)[::-1].copy(), [np.zeros(n), np.ones(n)]
+        treatments, outcomes = np.full(n, "control", dtype=object), np.zeros(n, np.int64)
+
+        def make():
+            return pl.ColumnFrame(ids, ["a", "b"], values, None, treatments, outcomes)
+
+        make()   # first calls import lazily; trace a warm call
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            frame = make()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the shared bitmap, the sorted copy of the ids and one bool per row
+        # for the adjacent compare
+        assert peak - before < n + 8 * n + n + 4096, peak - before
+        assert frame.row_ids.tolist()[:2] == [n - 1, n - 2]
+
+
+def test_frames_are_built_without_a_hash_pass(monkeypatch):
+    """``np.unique`` and ``np.isin`` hash their input; no way of building a
+    frame may call them."""
+    frame = _wide_frame(n_rows=400, n_features=6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hash pass while building a frame")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(np, "isin", refuse)
+    built = [pl.ColumnFrame(frame.row_ids, frame.feature_names, frame.feature_values,
+                            frame.feature_valid, frame.treatments, frame.outcomes),
+             frame.take(np.arange(399, -1, -2))]
+    pf = pl.partition(frame, 3)
+    built += [*pf.partitions, pl.concat_frames(list(pf.partitions))]
+    kind = pl.PerturbationKind
+    for spec in (pl.PerturbationSpec(kind.REPARTITION, target_partitions=4),
+                 pl.PerturbationSpec(kind.COALESCE, target_partitions=2),
+                 pl.PerturbationSpec(kind.SHUFFLE_ROWS, seed=3),
+                 pl.PerturbationSpec(kind.SORT_WITHIN_PARTITION, key="c01", ascending=False)):
+        built += pl.apply_perturbation(pf, spec).partitions
+    with pytest.raises(pl.SchemaError, match="row_ids must be unique"):
+        frame.take([3, 3])
+    with pytest.raises(pl.SchemaError, match="outcomes must be binary"):
+        _ids_frame([0, 1], outcomes=[0, 3])
+    assert len(built) == 2 + 3 + 1 + 4 + 2 + 3 + 3
+    assert sum(f.n_rows for f in built) == 400 * 8 - 200

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import policylock as pl
+from policylock.harness import inference_fixture
 
 
 class TestSkew:
@@ -151,3 +154,65 @@ class TestTrainHoldout:
             pl.split_train_holdout(frame, 0.0, seed=1)
         with pytest.raises(pl.InvalidArgumentError):
             pl.split_train_holdout(frame, 1.0, seed=1)
+
+
+_SPECS = {
+    "generic50": pl.SynthSpec(n_rows=20_000, seed=1, families=("generic(50)",)),
+    "severe8": pl.SynthSpec(n_rows=10_000, n_treatments=8, seed=3, skew="severe",
+                            p_miss=0.15),
+    "chunk-edges": pl.SynthSpec(n_rows=3 * 8192 + 5, seed=11, p_miss=0.05,
+                                missing_encoding="nan", missing_focus="control_arm",
+                                families=("x_sparse", "x_tie", "x_boundary", "generic(3)")),
+    "one-row": pl.SynthSpec(n_rows=1, seed=2),
+}
+
+
+class TestPinnedDigests:
+    """Digests of generated frames, pinned to the values of the one-array
+    stream and per-column generator that the chunked streams and the
+    feature block replaced: a change that moves one bit fails here."""
+
+    @pytest.mark.parametrize("name,digest", [
+        ("generic50", "6b6a9808f38414f6e723b66cf911a522"),
+        ("severe8", "ae20d91c27380ea52e58fffc9e6101a8"),
+        ("chunk-edges", "755b27476f141a4781d64ca0c57cfa2a"),
+        ("one-row", "8d64a73cc0a7740a81ed0f95ce8e5bc6"),
+    ])
+    def test_generate(self, name, digest):
+        assert pl.frame_checksum(pl.generate(_SPECS[name])) == digest
+
+    def test_train_holdout_and_shuffle(self):
+        train, holdout = pl.split_train_holdout(pl.generate(_SPECS["severe8"]), 0.2, 3)
+        assert (pl.frame_checksum(train), pl.frame_checksum(holdout)) == \
+            ("1c2459ec33edbdd07c22f8b7eefedb1d", "4db0767d0f476caff77d10e8b3a35814")
+        shuffled = pl.apply_perturbation(
+            pl.partition(pl.generate(_SPECS["chunk-edges"]), 3),
+            pl.PerturbationSpec(pl.PerturbationKind.SHUFFLE_ROWS, seed=5))
+        assert pl.frame_checksum(shuffled.concat()) == "bb6d7b724e68105e06407a9c0acbca55"
+
+    @pytest.mark.parametrize("args,digest", [
+        ((20_000, 8, 4, 3, 4, 5), "c2bd360ad7891fc7f59b71f11edfb606"),
+        ((3000, 6, 3, 2, 3, 9, 0.0), "2b1159978788fc88c315d1bf55acf05c"),
+    ])
+    def test_inference_fixture(self, args, digest):
+        assert pl.frame_checksum(inference_fixture(*args)[0]) == digest
+
+
+def test_generate_allocates_one_feature_block():
+    """The columns of a generated frame are the rows of one [F, n] block,
+    written in place, not one array per column."""
+    spec, n = _SPECS["generic50"], _SPECS["generic50"].n_rows
+    pl.generate(spec)   # first calls import lazily; trace a warm call
+    tracemalloc.start()
+    try:
+        frame = pl.generate(spec)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    block = frame.feature_values[0].base
+    assert block.shape == (50, n) and block.flags.c_contiguous
+    assert all(v.base is block for v in frame.feature_values)
+    # what the frame keeps of 8n bytes or more: the block, and the row ids,
+    # treatments and outcomes
+    kept = sorted(t.size for t in snapshot.traces if t.size >= 8 * n)
+    assert kept[-1] >= block.nbytes and len(kept) <= 4, kept

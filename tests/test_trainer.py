@@ -640,6 +640,65 @@ class TestManifestErrors:
             pl.manifest_from_text("")
 
 
+_MANIFEST_TOKENS = ("0", "1", "-1", "+1", "01", "2", "7", "20", "1e5", ".5", "0.5", "nan",
+                    "-nan", "inf", "-inf", "1e999", "-0.0", "5e-324", "0x10", "1e", "true",
+                    "false", "True", "x", "", "features", "treatments", "manifest", "v1",
+                    "v2", "seed", "locked", "1_0", "\uff11", "\u0663", "9" * 5000,
+                    "-" + "9" * 30, "0\x00", "\x00", "x_boundary", "control", "\x85", "\r")
+_MANIFEST_SEPARATORS = (" ", "  ", "\t", "\xa0", "\u3000")
+
+
+def _edited_manifest_texts(text, n, seed):
+    """``n`` seeded edits of a manifest text, one or two per text: a field
+    replaced by a token, a line deleted, duplicated or re-spaced, or trailing
+    NULs appended to a line."""
+    gen = np.random.default_rng(seed)
+    base = text.splitlines()
+    out = []
+    for _ in range(n):
+        lines = list(base)
+        for _ in range(1 + int(gen.integers(2))):
+            i = int(gen.integers(len(lines)))
+            kind = int(gen.integers(5))
+            if kind == 0:
+                parts = lines[i].split(" ")
+                parts[int(gen.integers(len(parts)))] = \
+                    _MANIFEST_TOKENS[int(gen.integers(len(_MANIFEST_TOKENS)))]
+                lines[i] = " ".join(parts)
+            elif kind == 1:
+                del lines[i]
+            elif kind == 2:
+                lines.insert(i, lines[i])
+            elif kind == 3:
+                sep = _MANIFEST_SEPARATORS[int(gen.integers(len(_MANIFEST_SEPARATORS)))]
+                lines[i] = sep.join(lines[i].split())
+            else:
+                lines[i] += "\x00" * (1 + int(gen.integers(3)))
+            lines = lines or [""]
+        out.append("\n".join(lines) + "\n")
+    return out
+
+
+def test_edited_manifest_texts_raise_only_engine_errors():
+    """Edited manifest texts either read into a manifest that writes back to
+    a text reading the same, or raise an ``EngineError``: a ``SchemaError``
+    for malformed text, a ``ContractViolationError`` for fields that no
+    longer match the digest."""
+    frame, labels = _witness_frame(n_rows=500, n_treatments=3)
+    man, _ = _manifest(frame, labels, max_depth=3, min_leaf=20, n_bins=6)
+    outcomes = Counter()
+    for text in _edited_manifest_texts(pl.manifest_to_text(man), 3000, seed=23):
+        try:
+            back = pl.manifest_from_text(text)
+        except pl.EngineError as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        assert pl.manifest_from_text(pl.manifest_to_text(back)) == back
+        outcomes["read"] += 1
+    assert set(outcomes) == {"read", "SchemaError", "ContractViolationError"}, outcomes
+    assert min(outcomes.values()) > 100, outcomes
+
+
 class TestWitness:
     def test_self_compare_all_equal(self):
         frame, labels = _witness_frame(n_rows=4000)
