@@ -110,10 +110,19 @@ def validate_forest(forest: ForestArrays) -> ValidationReport:
 
     Each tree's shape is checked on its own; the trees of the right shape
     are then stacked into one node table (tree ``t``'s nodes at ``roots[t] +
-    local index``, as in ``_PreparedForest``) and checked in one pass.  A
-    tree reports its first failing stage: shape, an unknown node type, its
-    flagged nodes in node order, or the first node that cannot reach a leaf
-    within ``4 * n_nodes`` steps."""
+    local index``) and checked in one pass, the same pass that builds
+    ``_PreparedForest``'s tables.  A tree reports its first failing stage:
+    shape, an unknown node type, its flagged nodes in node order, or the
+    first node that cannot reach a leaf within ``4 * n_nodes`` steps."""
+    return _checked_table(forest)[0]
+
+
+def _checked_table(forest: ForestArrays) -> tuple[ValidationReport, tuple]:
+    """``validate_forest``'s report and the stacked node table of its pass,
+    ``(roots, node_type, feature, left, right, steps)``; on a forest that
+    passes, ``left``/``right`` are the walk arrays (children shifted by their
+    tree's root, leaves looping on themselves) and ``steps`` every node's
+    worst-case steps to a leaf."""
     report = ValidationReport()
     if not forest.trees:
         report.violations.append(Violation(None, None, "forest has no trees"))
@@ -121,20 +130,19 @@ def validate_forest(forest: ForestArrays) -> ValidationReport:
     F = forest.n_features
     shape = [_shape_violation(tree, T) for tree in forest.trees]
     stacked = [tree for tree, msg in zip(forest.trees, shape) if msg is None]
-    found = iter(_node_violations(stacked, F))
+    nodes, table = _node_violations(stacked, F)
+    found = iter(nodes)
     for ti, msg in enumerate(shape):
         if msg is not None:
             report.violations.append(Violation(ti, None, msg))
             continue
         report.violations.extend(Violation(ti, ni, text) for ni, text in next(found))
-    return report
+    return report, table
 
 
-def _node_violations(trees: list[TreeArrays], F: int) -> list[list[tuple]]:
+def _node_violations(trees: list[TreeArrays], F: int) -> tuple[list[list[tuple]], tuple]:
     """``(node_index, message)`` violations of every tree, trees of the
-    right shape stacked into one node table."""
-    if not trees:
-        return []
+    right shape stacked into one node table, and that table."""
     sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
     roots = np.cumsum(sizes) - sizes
     tree_of = np.repeat(np.arange(len(trees)), sizes)
@@ -143,14 +151,14 @@ def _node_violations(trees: list[TreeArrays], F: int) -> list[list[tuple]]:
     size = sizes[tree_of]
 
     def stack(name):
-        return np.concatenate([getattr(t, name).astype(np.int64, copy=False) for t in trees])
+        return np.concatenate([np.empty(0, np.int64)] + [
+            getattr(t, name).astype(np.int64, copy=False) for t in trees])
 
     node_type, feature = stack("node_type"), stack("feature_index")
     left, right = stack("left_child"), stack("right_child")
-    unknown = np.bincount(tree_of[~np.isin(node_type, (INTERNAL_CONTINUOUS,
-                                                        INTERNAL_CATEGORICAL, LEAF))],
-                          minlength=len(trees)) > 0
     internal = node_type != LEAF
+    unknown = internal & (node_type != INTERNAL_CONTINUOUS) & (node_type != INTERNAL_CATEGORICAL)
+    unknown = np.bincount(tree_of[unknown], minlength=len(trees)) > 0
     flagged = internal & ~((0 <= feature) & (feature < F))
     for child in (left, right):
         flagged |= np.where(internal, ~((0 <= child) & (child < size) & (child != local)),
@@ -176,13 +184,14 @@ def _node_violations(trees: list[TreeArrays], F: int) -> list[list[tuple]]:
     left = np.where(walks, left, local) + start
     right = np.where(walks, right, local) + start
     # any acyclic traversal is bounded by depth <= n_nodes; factor 4 is slack
-    over = np.flatnonzero(walks & ~(_steps_to_leaf(~internal, left, right) <= 4 * size))
+    steps = _steps_to_leaf(~internal, left, right)
+    over = np.flatnonzero(walks & ~(steps <= 4 * size))
     trees_over, first = np.unique(tree_of[over], return_index=True)
     for ti, g in zip(trees_over.tolist(), over[first].tolist()):
         out[ti].append((int(local[g]), f"step budget exceeded: node cannot reach a leaf "
                                        f"within {4 * int(size[g])} steps "
                                        f"(cycle or malformed tree)"))
-    return out
+    return out, (roots, node_type, feature, left, right, steps)
 
 
 def _steps_to_leaf(is_leaf: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -231,68 +240,49 @@ class _PreparedForest:
     pass seen, is reused by every pass and level (fresh allocations at this
     size cause mmap churn that dominates runtime); narrower passes use slices.
 
-    Every gather uses ``mode="clip"``, which lets numpy write ``out`` without
-    an intermediate buffer.  Clipping never changes an index: construction
-    proves every stacked child lies inside its own tree and every feature
-    index below the forest's feature count (``MalformedTreeError``
-    otherwise), codes stay below 8, and the scoring entry points check the
-    batch shape and row addresses.  Payloads are gathered and added one tree
-    at a time in tree order with one divide at the end, keeping the float
-    operation sequence identical to the scalar walk.
+    The tables are built from ``validate_forest``'s own stacked pass, and
+    construction raises ``MalformedTreeError`` with the report's first
+    violation when the forest fails it.  Every gather uses ``mode="clip"``,
+    which lets numpy write ``out`` without an intermediate buffer.  Clipping
+    never changes an index: in a forest that passes, every internal node's
+    children lie inside its own tree and its feature below the forest's
+    feature count; leaves loop on themselves on feature 0, which exists
+    whenever some node is internal (a forest of leaves walks no level, so a
+    zero-feature forest scores too); codes stay below 8; and the scoring
+    entry points check the batch shape and row addresses.  Payloads are
+    gathered and added one tree at a time in tree order with one divide at
+    the end, keeping the float operation sequence identical to the scalar
+    walk.
     """
 
     def __init__(self, forest: ForestArrays, n_part: int):
+        report, (roots, node_type, feature, left, right, steps) = _checked_table(forest)
+        if not report.passed:
+            raise MalformedTreeError(report.violations[0].message)
         trees = forest.trees
-        T, F = forest.n_treatments, forest.n_features
-        for ti, tree in enumerate(trees):
-            n = tree.n_nodes
-            if n == 0 or tree.leaf_payload.shape != (n, T) or any(
-                    len(getattr(tree, f.name)) != n for f in fields(tree)):
-                raise MalformedTreeError(
-                    f"tree {ti}: prepared scorer needs {T}-column tables of one "
-                    f"non-zero node count")
-        self.n_treatments = T
+        self.n_treatments = forest.n_treatments
         self.n_trees = len(trees)
-        self.n_features = F
+        self.n_features = forest.n_features
         self.n_part = n_part
-        sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
-        self.roots = np.cumsum(sizes) - sizes
+        self.roots = roots
 
         def stack(name, dtype):
-            return np.concatenate([np.empty(0, dtype)]
-                                  + [getattr(t, name).astype(dtype, copy=False) for t in trees])
+            return np.concatenate([getattr(t, name).astype(dtype, copy=False) for t in trees])
 
-        start = np.repeat(self.roots, sizes)
-        local = np.arange(int(sizes.sum()), dtype=np.int64) - start
-        node_type = stack("node_type", np.int8)
         is_leaf = node_type == LEAF
-        left = np.where(is_leaf, local, stack("left_child", np.int64))
-        right = np.where(is_leaf, local, stack("right_child", np.int64))
-        feature = np.where(is_leaf, 0, stack("feature_index", np.int64))
-        size = np.repeat(sizes, sizes)
-        if not ((0 <= left) & (left < size) & (0 <= right) & (right < size)).all():
-            raise MalformedTreeError("prepared scorer given a child out of range")
-        if not ((0 <= feature) & (feature < F)).all():
-            raise MalformedTreeError(
-                f"prepared scorer given a feature index out of range [0, {F})")
-        left += start
-        right += start
         code = np.arange(8)
         go_left = np.where(code & 2, stack("nan_goes_left", bool)[:, None],
                            np.where((node_type == INTERNAL_CATEGORICAL)[:, None],
                                     code & 4, code & 1) != 0)
         self.child8 = np.where(go_left, left[:, None], right[:, None]).ravel()
-        self.feature = feature
-        self.feature_scaled = feature * n_part
-        # leaf thresholds never route; keep compares clean
+        # idle leaves read feature 0 against threshold 0.0 and route to themselves
+        self.feature = np.where(is_leaf, 0, feature)
+        self.feature_scaled = self.feature * n_part
         self.split_value = np.where(is_leaf, 0.0, stack("split_value", np.float64))
-        self.payload = np.concatenate([np.empty((0, T))] + [t.leaf_payload for t in trees])
+        self.payload = np.concatenate([t.leaf_payload for t in trees])
         self.is_leaf = is_leaf
         # exact worst-case depth from each root
-        steps = _steps_to_leaf(is_leaf, left, right)[self.roots]
-        if not np.isfinite(steps).all():
-            raise MalformedTreeError("prepared scorer given a cyclic tree")
-        self.depths = steps.astype(np.int64)
+        self.depths = steps[roots].astype(np.int64)
         self._buf: dict = {}
 
     def _passes(self, n: int) -> tuple[int, list[tuple[int, int]]]:
@@ -392,16 +382,13 @@ class _PreparedForest:
 
 
 def _checked_batch(forest: ForestArrays, columns: np.ndarray, row_major: bool) -> np.ndarray:
-    """C-contiguous float64 batch, once the batch holds the forest's features
-    and the forest passes validation."""
+    """C-contiguous float64 batch, once the batch holds the forest's features;
+    building the kernel on it validates the forest."""
     batch = np.ascontiguousarray(columns, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1 if row_major else 0] != forest.n_features:
         raise InvalidArgumentError(
             f"batch of shape {batch.shape} does not hold {forest.n_features} features "
             f"{'per row' if row_major else 'as rows'}")
-    report = validate_forest(forest)
-    if not report.passed:
-        raise MalformedTreeError(report.violations[0].message)
     return batch
 
 

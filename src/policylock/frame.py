@@ -19,7 +19,7 @@ import csv
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -150,27 +150,22 @@ class ColumnFrame:
     def take(self, indices) -> "ColumnFrame":
         """The rows at ``indices``, gathered into new arrays (the shared
         bitmap once)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        ones = self._all_valid[idx]
-        return ColumnFrame(
-            self.row_ids[idx],
-            self.feature_names,
-            [col[idx] for col in self.feature_values],
-            [ones if vld is self._all_valid else vld[idx] for vld in self.feature_valid],
-            self.treatments[idx],
-            self.outcomes[idx],
-        )
+        return self._rows(np.asarray(indices, dtype=np.int64))
 
-    def _row_range(self, lo: int, hi: int) -> "ColumnFrame":
-        """Rows ``lo:hi`` as a frame over read-only slices of this frame's
-        arrays: no gather and no copy, the constructor's checks all run."""
+    def _rows(self, key) -> "ColumnFrame":
+        """The rows at ``key``, an index array or a slice, with every column
+        indexed by it: an index array gathers into new arrays, a slice gives
+        read-only views of this frame's arrays with no copy.  Fully valid
+        columns share one indexing of the shared bitmap, and the
+        constructor's checks all run."""
+        ones = self._all_valid[key]
         return ColumnFrame(
-            self.row_ids[lo:hi],
+            self.row_ids[key],
             self.feature_names,
-            [col[lo:hi] for col in self.feature_values],
-            [vld[lo:hi] for vld in self.feature_valid],
-            self.treatments[lo:hi],
-            self.outcomes[lo:hi],
+            [col[key] for col in self.feature_values],
+            [ones if vld is self._all_valid else vld[key] for vld in self.feature_valid],
+            self.treatments[key],
+            self.outcomes[key],
         )
 
     def feature_matrix_effective(self, names: Sequence[str]) -> np.ndarray:
@@ -224,6 +219,12 @@ class PartitionedFrame:
         return concat_frames(list(self.partitions))
 
 
+def frames_of(data: Union[ColumnFrame, PartitionedFrame]) -> tuple[ColumnFrame, ...]:
+    """The frames of a split input: a partitioned frame's partitions in
+    order, or a lone frame."""
+    return data.partitions if isinstance(data, PartitionedFrame) else (data,)
+
+
 def partition(frame: ColumnFrame, p: int) -> PartitionedFrame:
     """``p`` consecutive row blocks; the first ``n % p`` get one extra row
     (the bounds of ``np.array_split``).  Each block is a read-only view of
@@ -233,7 +234,7 @@ def partition(frame: ColumnFrame, p: int) -> PartitionedFrame:
         raise InvalidArgumentError("partition count must be >= 1")
     q, r = divmod(frame.n_rows, p)
     bounds = [i * q + min(i, r) for i in range(p + 1)]
-    return PartitionedFrame(tuple(frame._row_range(lo, hi)
+    return PartitionedFrame(tuple(frame._rows(slice(lo, hi))
                                   for lo, hi in zip(bounds, bounds[1:])))
 
 

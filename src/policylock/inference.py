@@ -241,9 +241,12 @@ def measure_throughput(pf: PartitionedFrame, forest: ForestArrays,
     """Median-of-repeats throughput after one warm-up call.  ``max_rows``
     caps the scored rows for backends whose per-row cost makes the full frame
     impractical; the cap is recorded and rows/s stays comparable because
-    per-row work is constant."""
+    per-row work is constant.  A measurement must score at least one row."""
     if repeats < 1:
         raise InvalidArgumentError("repeats must be >= 1")
+    if (max_rows is not None and max_rows < 1) or pf.n_rows == 0:
+        raise InvalidArgumentError("throughput needs at least one row to score, "
+                                   f"not max_rows={max_rows} of {pf.n_rows} rows")
     capped = False
     if max_rows is not None and max_rows < pf.n_rows:
         whole = pf.concat()

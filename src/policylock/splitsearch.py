@@ -41,7 +41,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ContractViolationError, InvalidArgumentError
-from .frame import ColumnFrame, PartitionedFrame
+from .frame import ColumnFrame, PartitionedFrame, frames_of
 from . import rng
 
 NAN_LEFT = "left"
@@ -251,7 +251,7 @@ def bin_rows(data: SplitInput, features: Sequence[str],
     partition's."""
     features, treatments = tuple(features), tuple(treatments)
     per_feature = feature_boundaries(boundaries, features)
-    parts = data.partitions if isinstance(data, PartitionedFrame) else (data,)
+    parts = frames_of(data)
     bounds = tuple(accumulate((p.n_rows for p in parts), initial=0))
     dtype = np.min_scalar_type(max((b.missing_bin for b in per_feature), default=0))
     bins = np.empty((len(features), bounds[-1]), dtype=dtype)
@@ -787,9 +787,8 @@ NAIVE_VARIANTS = ("no_total_order", "first_seen_control", "sparse_omit",
 
 
 def _row_order_digest(data: Union[ColumnFrame, PartitionedFrame]) -> int:
-    frames = data.partitions if isinstance(data, PartitionedFrame) else (data,)
     h = hashlib.blake2b(digest_size=8)
-    for f in frames:
+    for f in frames_of(data):
         h.update(np.int64(f.n_rows).tobytes())
         h.update(f.row_ids.astype("<i8").tobytes())
     return int.from_bytes(h.digest(), "little")
@@ -827,10 +826,9 @@ def approx_quantile_boundaries(data: Union[ColumnFrame, PartitionedFrame], featu
     """Epsilon-approximate (eps = 0.01) rank-based boundaries from
     per-partition summaries.  Deliberately depends on partition layout; only
     its instability relative to shared fixed boundaries matters."""
-    frames = data.partitions if isinstance(data, PartitionedFrame) else (data,)
     points: list[tuple[float, int]] = []
     total = 0
-    for part in frames:
+    for part in frames_of(data):
         vals = part.effective_values(feature)
         vals = np.sort(vals[~np.isnan(vals)])
         if vals.size == 0:
@@ -882,8 +880,7 @@ def naive_variant_best_split(variant: str, data: Union[ColumnFrame, PartitionedF
             recomputed[feat] = b if b is not None else boundaries[feat]
         return best_split(data, features, recomputed, treatments, contract_cfg)
     if variant == "first_seen_control":
-        frames = data.partitions if isinstance(data, PartitionedFrame) else (data,)
-        first = next((str(f.treatments[0]) for f in frames if f.n_rows), None)
+        first = next((str(f.treatments[0]) for f in frames_of(data) if f.n_rows), None)
         if first is None:
             raise InvalidArgumentError("cannot infer first-seen control from an empty frame")
         return best_split(data, features, boundaries, treatments,

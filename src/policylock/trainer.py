@@ -25,7 +25,7 @@ from .errors import (AlignmentError, ContractViolationError, InvalidArgumentErro
                      SchemaError)
 from .forest import (ForestArrays, TreeArrays, _leaf_nodes, INTERNAL_CONTINUOUS,
                      LEAF)
-from .frame import ColumnFrame, PartitionedFrame
+from .frame import ColumnFrame, PartitionedFrame, frames_of
 from .splitsearch import (Boundaries, SplitConfig, bin_rows, feature_boundaries,
                           select_control, _count_level, _search_cells, _units,
                           _skip_reason, PATH_REFERENCE, STATUS_OK)
@@ -49,9 +49,7 @@ def row_id_set_digest(row_ids: np.ndarray) -> str:
 def _partitions(data: Union[ColumnFrame, PartitionedFrame]) -> tuple[ColumnFrame, ...]:
     """The frames of ``data`` in partition order; they must agree on their
     feature columns."""
-    if not isinstance(data, PartitionedFrame):
-        return (data,)
-    parts = data.partitions
+    parts = frames_of(data)
     if not parts:
         raise InvalidArgumentError("cannot train on zero partitions")
     if any(p.feature_names != parts[0].feature_names for p in parts[1:]):

@@ -181,6 +181,23 @@ class TestTraversal:
         with pytest.raises(pl.MalformedTreeError, match="out of range"):
             _PreparedForest(forest, 1)
 
+    @pytest.mark.parametrize("forest", [
+        pytest.param(pl.forest_from_text(leaf_child_forest_text(0)), id="leaf-child-0"),
+        pytest.param(pl.forest_from_text(leaf_child_forest_text(2)), id="leaf-child-2"),
+        pytest.param(pl.ForestArrays([TreeArrays([INTERNAL_CONTINUOUS, LEAF], [0, -1],
+                                                 [0.5, 0.0], [0, -1], [1, -1],
+                                                 [False, False], [[0.0], [1.0]])],
+                                     ("f0",), ("a",)), id="child-points-to-itself"),
+    ])
+    def test_prepared_kernel_refuses_what_validation_reports(self, forest):
+        # rules the kernel's own walk would not need: it never reads a leaf's
+        # children, and a self loop is also a cycle; both are refused alike
+        report = pl.validate_forest(forest)
+        assert not report.passed
+        with pytest.raises(pl.MalformedTreeError) as exc:
+            _PreparedForest(forest, 1)
+        assert str(exc.value) == report.violations[0].message
+
 
 _INF, _NAN = float("inf"), float("nan")
 # (threshold, value): below, equal and above the threshold, NaN, +-inf, and
@@ -247,6 +264,32 @@ class TestScoreForest:
                                 (np.zeros(5), False)):
             with pytest.raises(pl.InvalidArgumentError):
                 pl.score_forest(forest, cols, row_major=row_major)
+
+    @pytest.mark.parametrize("frame_features", [(), ("f0", "f1")])
+    def test_zero_feature_forest_scores_on_every_backend(self, frame_features):
+        """A forest of leaves over zero features passes validation, so every
+        backend scores it: its payload on every row."""
+        forest = pl.forest_from_text("forestarrays v1\ntreatments 2\na\nb\nfeatures 0\n"
+                                     "trees 1\ntree 1\nleaf -1 nan -1 -1 0 1.0 0.25\n")
+        assert forest.n_features == 0 and pl.validate_forest(forest).passed
+        payload = np.tile([1.0, 0.25], (7, 1))
+        assert pl.score_forest(forest, np.zeros((0, 7))).tobytes() == payload.tobytes()
+        assert pl.score_forest(forest, np.zeros((7, 0)),
+                               row_major=True).tobytes() == payload.tobytes()
+        assert pl.traverse_batch(forest.trees[0], np.zeros((0, 7))).tobytes() == \
+            payload.tobytes()
+        assert pl.traverse_batch(forest.trees[0], np.zeros((7, 0)),
+                                 row_major=True).tobytes() == payload.tobytes()
+        frame = build_frame({name: [0.5, None, 2.0, -1.0, 0.0, 9.0, 3.0]
+                             for name in frame_features},
+                            treatments=["control"] * 7)
+        for p in (1, 3):
+            pf = pl.partition(frame, p)
+            for kind in ("anti_pattern", "broadcast_rowwise", "vectorized_columnar",
+                         "vectorized_rowmajor"):
+                col = pl.score(pf, forest, pl.InferenceBackend(kind, batch_size=2))
+                assert col.row_ids.tolist() == list(range(7))
+                assert col.vectors.tobytes() == payload.tobytes()
 
 
 def _kernel_batch(n_features, categorical, n_rows, seed):
@@ -759,10 +802,12 @@ class TestStackedValidation:
 
 
 def test_edited_texts_raise_only_engine_errors():
-    """Edited forest texts go through the reader, ``validate_forest`` and
-    ``score``: every failure is an ``EngineError``, validation never raises
-    and reports each tree as if alone, a forest that fails it is refused by
-    ``score``, and one that passes scores like the scalar walk."""
+    """Edited forest texts go through the reader, ``validate_forest``, the
+    prepared kernel and ``score``: every failure is an ``EngineError``,
+    validation never raises and reports each tree as if alone, the kernel
+    refuses exactly the forests that fail it (with the report's first
+    message), ``score`` refuses them too, and a forest that passes scores
+    like the scalar walk."""
     cols = _kernel_batch(3, (1,), 12, seed=4)
     frame = build_frame({f"f{i}": [None if i == 2 and r % 5 == 0 else v
                                    for r, v in enumerate(cols[i].tolist())]
@@ -778,6 +823,12 @@ def test_edited_texts_raise_only_engine_errors():
             continue
         report = pl.validate_forest(forest)
         assert _violations(report) == _per_tree_violations(forest)
+        if report.passed:
+            _PreparedForest(forest, 12)
+        else:
+            with pytest.raises(pl.MalformedTreeError) as exc:
+                _PreparedForest(forest, 12)
+            assert str(exc.value) == report.violations[0].message
         backend = pl.InferenceBackend(("vectorized_columnar", "broadcast_rowwise")[k % 2], 5)
         if not report.passed:
             with pytest.raises(pl.InvalidArgumentError, match="failed validation"):

@@ -331,6 +331,17 @@ class TestCli:
         assert captured.err == f"error: {exc.value}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("knob", ["rowwise_cap=0", "anti_cap=0", "n_rows_grid=[0]"])
+    def test_p1_with_no_row_to_score_exits_2(self, tmp_path, capsys, knob):
+        small = ["n_rows_grid=[40]", "n_features=3", "n_trees=2", "depth=2", "repeats=1"]
+        argv = ["harness", "run", "--block", "P1", "--out", str(tmp_path / "o")]
+        for k in [*small, knob]:
+            argv += ["--knob", k]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "at least one row" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_unusable_out_fails_before_the_block_runs(self, monkeypatch, capsys):
         def no_block(spec):
             raise AssertionError("the block ran before --out was made")

@@ -205,6 +205,14 @@ class TestThroughput:
                                     repeats=1, max_rows=100)
         assert rep.capped and rep.n_rows == 100
 
+    def test_no_row_to_score_is_refused(self, fixture):
+        frame, forest = fixture
+        backend = pl.InferenceBackend("vectorized_columnar")
+        for pf, cap in ((pl.partition(frame, 2), 0), (pl.partition(frame, 2), -3),
+                        (pl.partition(frame.take(np.arange(0)), 2), None)):
+            with pytest.raises(pl.InvalidArgumentError, match="at least one row"):
+                pl.measure_throughput(pf, forest, backend, repeats=1, max_rows=cap)
+
     def test_repeats_must_be_positive(self, fixture):
         frame, forest = fixture
         with pytest.raises(pl.InvalidArgumentError):
