@@ -58,10 +58,13 @@ def plant_missing(values: np.ndarray, mask: np.ndarray,
     return values, valid
 
 
-def _all_distinct(ids: np.ndarray) -> bool:
-    """One sort and an adjacent compare (``np.unique`` adds a hash pass)."""
-    ids = np.sort(ids)
-    return not (ids[1:] == ids[:-1]).any()
+def sorted_row_ids(row_ids) -> np.ndarray:
+    """``row_ids`` as int64, sorted; an id held twice is a ``SchemaError``.
+    One sort and an adjacent compare (``np.unique`` adds a hash pass)."""
+    ids = np.sort(np.asarray(row_ids, dtype=np.int64))
+    if (ids[1:] == ids[:-1]).any():
+        raise SchemaError("row_ids must be unique")
+    return ids
 
 
 class ColumnFrame:
@@ -105,8 +108,7 @@ class ColumnFrame:
 
         if len(self.treatments) != n or len(self.outcomes) != n:
             raise SchemaError("all columns must share the frame length")
-        if not _all_distinct(self.row_ids):
-            raise SchemaError("row_ids must be unique")
+        sorted_row_ids(self.row_ids)
         if not ((self.outcomes == 0) | (self.outcomes == 1)).all():
             raise SchemaError("outcomes must be binary 0/1")
         for arr in (self.row_ids, *self.feature_values, *self.feature_valid,

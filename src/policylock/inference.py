@@ -21,7 +21,7 @@ import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -189,13 +189,7 @@ class ParityReport:
     n_rows: int
 
     def to_record(self) -> dict:
-        return {"reference_backend": self.reference_backend,
-                "candidate_backend": self.candidate_backend,
-                "mismatch_rows": self.mismatch_rows,
-                "max_abs_delta": self.max_abs_delta,
-                "checksum_equal": self.checksum_equal,
-                "tolerance": self.tolerance,
-                "n_rows": self.n_rows}
+        return asdict(self)
 
 
 def parity_from_columns(ref: ScoreColumn, cand: ScoreColumn, reference_backend: str,
@@ -229,10 +223,7 @@ class ThroughputReport:
     capped: bool = False
 
     def to_record(self) -> dict:
-        return {"backend": self.backend, "n_rows": self.n_rows,
-                "wall_seconds": self.wall_seconds,
-                "rows_per_second": self.rows_per_second,
-                "samples": self.samples, "capped": self.capped}
+        return asdict(self)
 
 
 def measure_throughput(pf: PartitionedFrame, forest: ForestArrays,

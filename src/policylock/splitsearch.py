@@ -164,12 +164,25 @@ def candidate_row_count(n_features: int, n_bins: int, n_treatments: int) -> int:
     return n_features * (n_bins - 1) * n_treatments
 
 
+def check_vocabulary(treatment_labels: Sequence[str]) -> tuple[str, ...]:
+    """The treatment vocabulary as a tuple: one or more distinct ``str``
+    labels with no line break (text formats write one label per line), else
+    ``InvalidArgumentError``."""
+    labels = tuple(treatment_labels)
+    if not labels:
+        raise InvalidArgumentError("treatment vocabulary is empty")
+    for i, label in enumerate(labels):
+        if not isinstance(label, str) or "".join(label.splitlines()) != label:
+            raise InvalidArgumentError(f"treatment label {label!r} is not a one-line str")
+        if label in labels[:i]:
+            raise InvalidArgumentError(f"treatment vocabulary lists {label!r} twice")
+    return labels
+
+
 def select_control(treatment_labels: Sequence[str], override: Optional[str] = None) -> str:
     """Deterministic control choice: override, case-insensitive "control",
     exact "0", then the lexicographically smallest label."""
-    labels = list(treatment_labels)
-    if not labels:
-        raise InvalidArgumentError("treatment vocabulary is empty")
+    labels = check_vocabulary(treatment_labels)
     if override is not None:
         if override not in labels:
             raise InvalidArgumentError(f"control override {override!r} not in vocabulary")
@@ -186,11 +199,12 @@ def treatment_codes(frame: ColumnFrame, treatments: tuple[str, ...]) -> np.ndarr
     """Vocabulary index per row; a label outside the fixed vocabulary is a
     contract violation (the vocabulary is never inferred from data), reported
     for the lexicographically smallest unknown label.  Labels match by their
-    ``str``.  The read-only codes are cached on the frame per vocabulary."""
+    ``str``.  The read-only codes are cached per vocabulary, checked on a miss."""
     treatments = tuple(treatments)
     cached = getattr(frame, "_treatment_codes", None)
     if cached is not None and cached[0] == treatments:
         return cached[1]
+    check_vocabulary(treatments)
     lookup = {label: i for i, label in enumerate(treatments)}
     labels = frame.treatments.tolist()
     codes = np.fromiter(map(lookup.get, labels, repeat(-1, len(labels))),
@@ -667,10 +681,8 @@ def _make_best(cand: CandidateScore, control: str) -> BestSplit:
                      })
 
 
-def _total_candidate_rows(features: Sequence[str], boundaries: Mapping[str, Boundaries],
-                          n_treatments: int) -> int:
-    return sum(candidate_row_count(1, b.n_bins, n_treatments)
-               for b in feature_boundaries(boundaries, features))
+def _total_candidate_rows(per_feature: Sequence[Boundaries], n_treatments: int) -> int:
+    return sum(candidate_row_count(1, b.n_bins, n_treatments) for b in per_feature)
 
 
 def _no_valid_summary(reasons: Mapping[str, int]) -> str:
@@ -679,11 +691,9 @@ def _no_valid_summary(reasons: Mapping[str, int]) -> str:
     return "no valid candidate: " + ("; ".join(parts) if parts else "no candidates")
 
 
-def _skip_reason(features: Sequence[str], boundaries: Mapping[str, Boundaries],
-                 treatments: tuple[str, ...], config: SplitConfig) -> Optional[str]:
-    """Why the reference path declines to collect this many candidate rows,
-    or None when it does not."""
-    cand_rows = _total_candidate_rows(features, boundaries, len(treatments))
+def _skip_reason(cand_rows: int, config: SplitConfig) -> Optional[str]:
+    """Why the reference path declines to collect ``cand_rows`` candidate
+    rows, or None when it does not."""
     if config.execution_path == PATH_REFERENCE and cand_rows > config.safety_skip_threshold:
         return (f"candidate rows {cand_rows} exceed safety threshold "
                 f"{config.safety_skip_threshold}")
@@ -716,11 +726,10 @@ def _search_cells(view: BinnedRows, units: Sequence[Sequence[int]],
     treatments = view.treatments
     control = select_control(treatments, config.control_label_override)
     texts = _reason_texts(config.min_leaf_size)
+    cand_rows = _total_candidate_rows(view.boundaries, len(treatments))
     stacks: dict[int, list] = {}
     for unit, cells in zip(units, tables):
         stacks.setdefault(view.boundaries[unit[0]].n_bins, []).append((unit, cells))
-    cand_rows = sum(candidate_row_count(1, view.boundaries[f].n_bins, len(treatments))
-                    for unit in units for f in unit)
     scored, keys, groups = [], [], []
     for parts in stacks.values():
         feats = [f for unit, _ in parts for f in unit]
@@ -766,11 +775,12 @@ def best_split(data: SplitInput, features: Sequence[str],
     treatments = tuple(treatments)
     features = list(features)
     control = select_control(treatments, config.control_label_override)
-    skip = _skip_reason(features, boundaries, treatments, config)
+    cand_rows = _total_candidate_rows(feature_boundaries(boundaries, features),
+                                      len(treatments))
+    skip = _skip_reason(cand_rows, config)
     if skip is not None:
-        return SplitSearchResult(STATUS_SKIPPED_TOO_LARGE, None,
-                                 _total_candidate_rows(features, boundaries, len(treatments)),
-                                 control, reason=skip)
+        return SplitSearchResult(STATUS_SKIPPED_TOO_LARGE, None, cand_rows, control,
+                                 reason=skip)
     view = bin_rows(data, features, boundaries, treatments,
                     config.pool_size or os.cpu_count() or 1)
     units = _units(view, config)
@@ -813,7 +823,7 @@ def _naive_score_sparse(cand: CandidateScore, control_idx: int,
     if not ul or not ur:
         naive.invalid_reason = "no supported non-control treatment on a branch"
         return naive
-    naive.score = float(max(max(ur) - min(ul), max(ul) - min(ur)))
+    naive.score = float(ddp_max(ul, ur))
     if math.isfinite(naive.score):
         naive.valid = True
     else:
@@ -867,7 +877,8 @@ def naive_variant_best_split(variant: str, data: Union[ColumnFrame, PartitionedF
         raise InvalidArgumentError(f"unknown naive variant {variant!r}")
     treatments = tuple(treatments)
     features = list(features)
-    cand_rows = _total_candidate_rows(features, boundaries, len(treatments))
+    cand_rows = _total_candidate_rows(feature_boundaries(boundaries, features),
+                                      len(treatments))
     # the contract search on the reference path, never safety-skipped
     contract_cfg = replace(config, execution_path=PATH_REFERENCE,
                            safety_skip_threshold=max(config.safety_skip_threshold,

@@ -15,7 +15,7 @@ content) and never of row order, partitioning, or execution path.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import count
 from typing import Mapping, Optional, Sequence, Union
 
@@ -25,12 +25,13 @@ from .errors import (AlignmentError, ContractViolationError, InvalidArgumentErro
                      SchemaError)
 from .forest import (ForestArrays, TreeArrays, _leaf_nodes, INTERNAL_CONTINUOUS,
                      LEAF)
-from .frame import ColumnFrame, PartitionedFrame, frames_of
-from .splitsearch import (Boundaries, SplitConfig, bin_rows, feature_boundaries,
-                          select_control, _count_level, _search_cells, _units,
+from .frame import ColumnFrame, PartitionedFrame, frames_of, sorted_row_ids
+from .splitsearch import (Boundaries, SplitConfig, bin_rows, check_vocabulary,
+                          feature_boundaries, select_control, treatment_codes,
+                          _count_level, _search_cells, _total_candidate_rows, _units,
                           _skip_reason, PATH_REFERENCE, STATUS_OK)
-# unused here: perfbench's traced run wraps both on this module
-from .splitsearch import best_split, treatment_codes  # noqa: F401
+# unused here: perfbench's traced run wraps it on this module
+from .splitsearch import best_split  # noqa: F401
 
 SIGNATURE_FORMAT_VERSION = "1"
 
@@ -43,7 +44,8 @@ def _digest_bytes(*chunks: bytes) -> str:
 
 
 def row_id_set_digest(row_ids: np.ndarray) -> str:
-    return _digest_bytes(np.sort(np.asarray(row_ids, dtype=np.int64)).astype("<i8").tobytes())
+    """Digest of the set of ``row_ids``; an id held twice is a ``SchemaError``."""
+    return _digest_bytes(sorted_row_ids(row_ids).astype("<i8").tobytes())
 
 
 def _partitions(data: Union[ColumnFrame, PartitionedFrame]) -> tuple[ColumnFrame, ...]:
@@ -55,15 +57,6 @@ def _partitions(data: Union[ColumnFrame, PartitionedFrame]) -> tuple[ColumnFrame
     if any(p.feature_names != parts[0].feature_names for p in parts[1:]):
         raise SchemaError("frames disagree on feature columns")
     return parts
-
-
-def _unique_row_id_digest(parts: Sequence[ColumnFrame]) -> str:
-    """``row_id_set_digest`` of all partitions' ids, from the same single
-    sort that rejects an id held twice."""
-    ids = np.sort(np.concatenate([p.row_ids for p in parts]))
-    if (ids[1:] == ids[:-1]).any():
-        raise SchemaError("row_ids must be unique")
-    return _digest_bytes(ids.astype("<i8").tobytes())
 
 
 @dataclass(frozen=True)
@@ -79,10 +72,22 @@ class Manifest:
     locked: bool = False
 
     def __post_init__(self):
-        if self.max_depth < 0:
-            raise InvalidArgumentError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.min_leaf_size < 1:
-            raise InvalidArgumentError(f"min_leaf_size must be >= 1, got {self.min_leaf_size}")
+        """The one home of the manifest's field rules (docs/normative.md),
+        so that every manifest made survives its text."""
+        check_vocabulary(self.treatment_labels)
+        for i, name in enumerate(self.feature_names):
+            if not isinstance(name, str) or name.split() != [name]:
+                raise InvalidArgumentError(f"feature name {name!r} is not one word")
+            if name in self.feature_names[:i]:
+                raise InvalidArgumentError(f"feature {name!r} is listed twice")
+        if [(n, b.feature_name) for n, b in self.boundaries] != [(n, n) for n in self.feature_names]:
+            raise InvalidArgumentError("boundaries must be named for the features, in order")
+        for key, least in (("seed", None), ("max_depth", 0), ("min_leaf_size", 1)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                raise InvalidArgumentError(f"{key} must be >= {least}, got {value}")
 
     def boundary_map(self) -> dict[str, Boundaries]:
         return dict(self.boundaries)
@@ -111,13 +116,13 @@ def build_manifest(frame: ColumnFrame, feature_names: Sequence[str],
                    treatment_labels: Sequence[str],
                    boundaries: Mapping[str, Boundaries], seed: int,
                    max_depth: int, min_leaf_size: int) -> Manifest:
+    """Unlocked manifest of ``frame``; ``Manifest`` checks the fields before the digest."""
     feature_names = tuple(feature_names)
-    treatment_labels = tuple(treatment_labels)
     ordered = tuple(zip(feature_names, feature_boundaries(boundaries, feature_names)))
-    digest = _preprocessing_digest(ordered, treatment_labels, seed, max_depth,
-                                   min_leaf_size)
-    return Manifest(row_id_set_digest(frame.row_ids), feature_names, treatment_labels,
-                    ordered, seed, max_depth, min_leaf_size, digest, locked=False)
+    m = Manifest(row_id_set_digest(frame.row_ids), feature_names, tuple(treatment_labels),
+                 ordered, seed, max_depth, min_leaf_size, "", locked=False)
+    return replace(m, preprocessing_digest=_preprocessing_digest(
+        ordered, m.treatment_labels, seed, max_depth, min_leaf_size))
 
 
 MANIFEST_FORMAT_VERSION = "1"
@@ -177,8 +182,8 @@ def _manifest_boundaries(line: str) -> Boundaries:
 def manifest_from_text(text: str) -> Manifest:
     """Reader recomputes the preprocessing digest and rejects tampering.
     Malformed text (truncated, fields missing or out of order, bad counts or
-    numbers, ``max_depth`` or ``min_leaf_size`` out of range, short feature
-    lines, trailing lines) raises ``SchemaError``."""
+    numbers, short feature lines, trailing lines, fields that break a rule
+    of ``Manifest``) raises ``SchemaError``."""
     lines = text.splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "manifest":
@@ -212,8 +217,6 @@ def manifest_from_text(text: str) -> Manifest:
     if len(lines) > pos + 1 + f_count:
         raise SchemaError("manifest has lines after its last feature")
     names = tuple(b.feature_name for b in bounds)
-    if len(set(names)) != len(names):
-        raise SchemaError("manifest lists a feature twice")
     try:
         rebuilt = Manifest(fields["row_id_digest"], names, labels,
                            tuple(zip(names, bounds)),
@@ -290,7 +293,7 @@ def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
     config = SplitConfig(min_leaf_size=manifest.min_leaf_size,
                          control_label_override=control_override,
                          execution_path=execution_path)
-    if manifest.max_depth > 0 and _skip_reason(features, bmap, manifest.treatment_labels,
+    if manifest.max_depth > 0 and _skip_reason(_total_candidate_rows(view.boundaries, T),
                                                config) is not None:
         raise ContractViolationError(
             "split search safety-skipped during training; raise the threshold "
@@ -379,8 +382,8 @@ def train(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
     """Deterministic level-wise training under a locked manifest."""
     if not manifest.locked:
         raise ContractViolationError("manifest must be locked before training")
-    parts = _partitions(data)
-    if _unique_row_id_digest(parts) != manifest.row_id_digest:
+    ids = np.concatenate([p.row_ids for p in _partitions(data)])
+    if row_id_set_digest(ids) != manifest.row_id_digest:
         raise ContractViolationError("frame row_id set does not match the manifest digest")
     return _train_loop(data, manifest, execution_path, None)
 
@@ -392,13 +395,11 @@ def train_unlocked_naive(data: Union[ColumnFrame, PartitionedFrame],
     control taken as the first label seen, trained on the reference path.
     Exists to demonstrate drift."""
     parts = _partitions(data)
-    digest = _unique_row_id_digest(parts)
+    digest = row_id_set_digest(np.concatenate([p.row_ids for p in parts]))
     seen: dict[str, None] = {}
     for part in parts:
         for label in part.treatments:
             seen.setdefault(str(label))
-    if not seen:
-        raise InvalidArgumentError("cannot infer a vocabulary from an empty frame")
     labels = tuple(seen)
     features = tuple(boundaries)
     manifest = Manifest(digest, features, labels,
@@ -476,8 +477,6 @@ class Assignments:
 def assign(tree: PolicyTree, frame: ColumnFrame) -> Assignments:
     """Per-row policy vector, top treatment, and leaf path; routing identical
     to forest traversal semantics."""
-    for name in tree.feature_names:
-        frame.column_index(name)
     arrays, paths = tree_to_arrays(tree)
     columns = frame.feature_matrix_effective(tree.feature_names)
     leaf_idx = _leaf_nodes(ForestArrays([arrays], tree.feature_names, tree.treatment_labels),
@@ -496,18 +495,17 @@ class PolicyValueResult:
     empty_match: bool
 
     def to_record(self) -> dict:
-        return {"value": self.value, "matched_rows": self.matched_rows,
-                "empty_match": self.empty_match}
+        return asdict(self)
 
 
 def policy_value(assignments: Assignments, frame: ColumnFrame) -> PolicyValueResult:
-    """Matched-rows estimator: mean outcome where the observed treatment
-    equals the policy's top treatment; 0 with a warning flag when no match."""
+    """Matched-rows estimator: mean outcome where the observed treatment is
+    the policy's top treatment; 0 with a warning flag when no match.  Rows
+    match labels as ``treatment_codes`` does, by their ``str``, and a label
+    outside the vocabulary is a ``ContractViolationError``."""
     if not np.array_equal(assignments.row_ids, frame.row_ids):
         raise AlignmentError("assignments and frame must cover the same rows in order")
-    labels = np.array(assignments.treatment_labels, dtype=object)
-    chosen = labels[assignments.top_index]
-    matched = frame.treatments == chosen
+    matched = treatment_codes(frame, assignments.treatment_labels) == assignments.top_index
     count = int(matched.sum())
     if count == 0:
         return PolicyValueResult(0.0, 0, True)
@@ -602,12 +600,7 @@ class WitnessReport:
     metric_deltas: dict
 
     def to_record(self) -> dict:
-        return {"signature_equal": self.signature_equal,
-                "policy_vector_mismatches": self.policy_vector_mismatches,
-                "leaf_mismatches": self.leaf_mismatches,
-                "top_agreement": self.top_agreement,
-                "max_vector_delta": self.max_vector_delta,
-                "metric_deltas": self.metric_deltas}
+        return asdict(self)
 
 
 def witness_compare(a: Witness, b: Witness) -> WitnessReport:

@@ -243,6 +243,42 @@ class TestSelectControl:
             pl.select_control([])
 
 
+_BAD_VOCABULARIES = {"repeated": ("control", "treat", "control"), "empty": (),
+                     "not_str": (0, 1)}
+
+
+class TestVocabulary:
+    """A vocabulary must hold one or more distinct ``str`` labels wherever it
+    enters the search; any other is an ``InvalidArgumentError``, never a
+    no-valid result, a silent count or a leaked ``AttributeError``."""
+
+    @pytest.mark.parametrize("labels", list(_BAD_VOCABULARIES.values()),
+                             ids=list(_BAD_VOCABULARIES))
+    @pytest.mark.parametrize("call", [
+        lambda frame, labels: pl.select_control(labels),
+        lambda frame, labels: pl.best_split(frame, ["x"], {"x": pl.Boundaries("x", (0.5,))},
+                                            labels, pl.SplitConfig()),
+        lambda frame, labels: pl.build_prefix_sums(frame, "x", pl.Boundaries("x", (0.5,)),
+                                                   labels),
+    ], ids=["select_control", "best_split", "build_prefix_sums"])
+    def test_bad_vocabulary_rejected(self, six_row_frame, call, labels):
+        frames = [six_row_frame]
+        if labels:   # a frame whose rows hold exactly the vocabulary's labels
+            rows = np.array([labels[i % len(labels)] for i in range(4)], dtype=object)
+            frames.append(pl.ColumnFrame(np.arange(4), ["x"], [[0.1, 0.6, 0.4, 0.9]],
+                                         None, rows))
+        for data in frames:
+            with pytest.raises(pl.InvalidArgumentError, match="^treatment "):
+                call(data, labels)
+
+    def test_codes_check_the_vocabulary_on_a_cache_miss(self, six_row_frame):
+        good = ("control", "treat")
+        codes = splitsearch.treatment_codes(six_row_frame, good)
+        assert splitsearch.treatment_codes(six_row_frame, list(good)) is codes
+        with pytest.raises(pl.InvalidArgumentError, match="lists 'treat' twice"):
+            splitsearch.treatment_codes(six_row_frame, good + ("treat",))
+
+
 class TestPrefixSums:
     def test_six_row_hand_table(self, six_row_frame):
         b = pl.Boundaries("x", (0.5,))

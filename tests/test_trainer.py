@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -344,6 +345,15 @@ class TestPartitionedInput:
         with pytest.raises(pl.SchemaError):
             pl.train(pl.PartitionedFrame((a, other)), manifest)
 
+    def test_row_id_set_digest_is_of_a_set(self):
+        ids = np.array([7, -3, 2 ** 62, 0], dtype=np.int64)
+        want = hashlib.blake2b(np.sort(ids).astype("<i8").tobytes(), digest_size=16)
+        assert pl.row_id_set_digest(ids) == pl.row_id_set_digest(ids[::-1]) \
+            == want.hexdigest()
+        for held_twice in ([3, 1, 3], [0, 0], np.r_[ids, -3]):
+            with pytest.raises(pl.SchemaError, match="^row_ids must be unique$"):
+                pl.row_id_set_digest(held_twice)
+
     def test_zero_partitions(self, manifest):
         with pytest.raises(pl.InvalidArgumentError):
             pl.train(pl.PartitionedFrame(()), manifest)
@@ -457,6 +467,21 @@ class TestPolicyValue:
         res = pl.policy_value(a, frame)
         assert res.value == 0.0 and res.empty_match
 
+    def test_rows_match_labels_by_their_str(self):
+        frame = pl.ColumnFrame(np.arange(5), ["x"], [np.zeros(5)], None,
+                               np.array([0, 1, np.str_("0"), "1", 1], dtype=object),
+                               [1, 0, 1, 1, 0])
+        a = self._assignments(("0", "1"), [0, 0, 0, 1, 0], 5)
+        res = pl.policy_value(a, frame)
+        assert (res.value, res.matched_rows, res.empty_match) == (1.0, 3, False)
+
+    def test_label_outside_vocabulary_is_contract_violation(self):
+        frame = build_frame({"x": [0.0] * 3}, treatments=["A", "C", "B"],
+                            outcomes=[1, 1, 1])
+        a = self._assignments(("A", "B"), [0, 0, 0], 3)
+        with pytest.raises(pl.ContractViolationError, match="'C' outside"):
+            pl.policy_value(a, frame)
+
 
 class TestAuucQini:
     def test_all_zero_outcomes(self):
@@ -520,6 +545,26 @@ class TestAuucQini:
         assert pl.auuc_qini(proxy, labels, outcomes, "0", np.arange(6)) == \
             pl.auuc_qini(proxy, as_text, outcomes, "0", np.arange(6))
 
+    def test_int_labelled_witness_equals_its_str_twin(self):
+        """Rows holding the ints 0/1 train, assign and score as their str
+        twin does, policy value included."""
+        gen = np.random.default_rng(11)
+        n = 400
+        values = [gen.random(n), gen.random(n)]
+        arms = gen.integers(0, 2, n)
+        outcomes = (gen.random(n) < 0.3 + 0.4 * arms * (values[0] > 0.5)).astype(np.int64)
+        witnesses = []
+        for treatments in (arms.astype(object), arms.astype(str).astype(object)):
+            frame = pl.ColumnFrame(np.arange(n), ["a", "b"], values, None, treatments,
+                                   outcomes)
+            man, _ = _manifest(frame, ("0", "1"), max_depth=2, min_leaf=40, n_bins=4)
+            witnesses.append(pl.make_witness(pl.train(frame, man), frame))
+        as_int, as_str = witnesses
+        assert as_int.metrics == as_str.metrics
+        assert as_str.metrics["policy_value_matched_rows"] > 0
+        rep = pl.witness_compare(as_int, as_str)
+        assert rep.signature_equal and rep.policy_vector_mismatches == 0
+
 
 class TestManifestFile:
     def test_round_trip_preserves_everything(self):
@@ -568,6 +613,121 @@ class TestManifestRanges:
             text = text.replace(old, new)
         with pytest.raises(pl.SchemaError, match="must be >= "):
             pl.manifest_from_text(text)
+
+
+def _manifest_text(features, labels, cuts=(0.5,)):
+    """Manifest text of these fields with a matching digest, written by hand."""
+    bounds = tuple((name, pl.Boundaries(name, cuts)) for name in features)
+    digest = trainer._preprocessing_digest(bounds, tuple(labels), 7, 2, 1)
+    lines = ["manifest v1", "locked true", "row_id_digest 00",
+             f"preprocessing_digest {digest}", "seed 7", "max_depth 2", "min_leaf_size 1",
+             f"treatments {len(labels)}", *labels, f"features {len(features)}",
+             *(" ".join([name, str(len(cuts)), *map(repr, cuts)]) for name in features)]
+    return "\n".join(lines) + "\n"
+
+
+class TestManifestFields:
+    """``Manifest`` is the one home of the manifest's field rules: breaking
+    one is an ``InvalidArgumentError`` from ``build_manifest`` and
+    ``Manifest``, and a ``SchemaError`` from ``manifest_from_text``."""
+
+    def test_hand_written_text_reads(self):
+        man = pl.manifest_from_text(_manifest_text(("x", "y"), ("control", "t1")))
+        assert (man.feature_names, man.treatment_labels) == (("x", "y"), ("control", "t1"))
+
+    @pytest.mark.parametrize("features,labels", [
+        (("x", "x"), ("control", "treat")),
+        (("x", "y", "x"), ("control", "treat")),
+        (("x",), ("control", "treat", "control")),
+        (("x",), ("a", "a")),
+        (("x",), ()),
+        (("x",), (0, 1)),
+        (("x",), ("control", None)),
+        (("x y",), ("control", "treat")),
+        (("",), ("control", "treat")),
+        (("x",), ("control", "t\n1")),
+    ], ids=["repeated_feature", "repeated_feature_apart", "repeated_label",
+            "one_label_twice", "empty_vocabulary", "int_labels", "none_label",
+            "feature_with_space", "empty_feature", "label_with_newline"])
+    def test_broken_field_rejected_at_every_entry(self, features, labels):
+        frame = build_frame({"x": [0.1, 0.6, 0.4, 0.9]},
+                            treatments=["control", "treat"] * 2)
+        bmap = {name: pl.Boundaries(name, (0.5,)) for name in features}
+        with pytest.raises(pl.InvalidArgumentError):
+            pl.build_manifest(frame, features, labels, bmap, 7, 2, 1)
+        with pytest.raises(pl.InvalidArgumentError):
+            pl.Manifest("00", features, labels, tuple(bmap.items()), 7, 2, 1, "00")
+        if all(isinstance(label, str) for label in labels):   # text holds only str
+            with pytest.raises(pl.SchemaError, match="^manifest "):
+                pl.manifest_from_text(_manifest_text(features, labels))
+
+    @pytest.mark.parametrize("seed,max_depth,min_leaf", [
+        (1.5, 2, 1), ("7", 2, 1), (True, 2, 1), (None, 2, 1), (7, 2.0, 1), (7, 2, 1.5),
+        (7, False, 1)])
+    def test_non_integer_fields_rejected(self, seed, max_depth, min_leaf):
+        frame = build_frame({"x": [0.1, 0.6]})
+        with pytest.raises(pl.InvalidArgumentError, match="must be an integer"):
+            pl.build_manifest(frame, ["x"], ("control", "treat"),
+                              {"x": pl.Boundaries("x", (0.5,))}, seed, max_depth, min_leaf)
+
+    def test_boundaries_named_for_another_feature_rejected(self):
+        frame = build_frame({"x": [0.1, 0.6], "y": [0.2, 0.3]})
+        with pytest.raises(pl.InvalidArgumentError, match="named for the features"):
+            pl.build_manifest(frame, ["x", "y"], ("control", "treat"),
+                              {"x": pl.Boundaries("y", (0.5,)),
+                               "y": pl.Boundaries("y", (0.5,))}, 7, 2, 1)
+
+
+_GOOD_FEATURES = ("x", "f0", "x_boundary", "\u00e9t\u00e9", "c01", "features")
+_BAD_FEATURES = ("a b", "", " x", "x\n", "\t", "x\xa0y", 7, None)
+_GOOD_LABELS = ("control", "t1", "0", "Control", "", " a ", "a b", "\u00e9", "treatments 2",
+                np.str_("t2"))
+_BAD_LABELS = ("a\nb", "t\r", "\x85", "a\u2028", 0, 1, None, b"t")
+_GOOD_INTS = (0, 1, 3, 40, 2 ** 70, np.int64(5), np.int32(2))
+_BAD_INTS = (-1, -(2 ** 70), 2.0, 1.5, True, "3", None)
+_CUT_POOL = (-np.inf, -1e308, -1.5, -0.0, 5e-324, 0.1, 1 / 3, 0.5, 1e300, np.inf)
+
+
+def _drawn_manifest_fields(gen):
+    """Manifest fields drawn mostly from good values, each sometimes from
+    broken ones: names, labels, boundaries (some named for another feature)
+    and integers."""
+    def pick(good, bad):
+        pool = bad if gen.random() < 0.08 else good
+        return pool[int(gen.integers(len(pool)))]
+
+    features = [pick(_GOOD_FEATURES, _BAD_FEATURES) for _ in range(int(gen.integers(4)))]
+    labels = [pick(_GOOD_LABELS, _BAD_LABELS) for _ in range(int(gen.integers(5)))]
+    bmap = {}
+    for name in features:
+        cuts = np.unique(gen.choice(_CUT_POOL, int(gen.integers(1, 5))))
+        bmap[name] = pl.Boundaries(pick((name,), _GOOD_FEATURES), tuple(cuts))
+    ints = [pick(_GOOD_INTS, _BAD_INTS) for _ in range(3)]
+    return features, labels, bmap, *ints
+
+
+def test_every_built_manifest_survives_its_text():
+    """Seeded property: ``build_manifest`` either raises
+    ``InvalidArgumentError`` or makes a manifest that
+    ``manifest_to_text`` then ``manifest_from_text`` gives back unchanged,
+    locked or not, with the same text."""
+    gen = np.random.default_rng(31)
+    frame = build_frame({"x": [0.1, 0.6, 0.4]}, row_ids=[5, -2, 9])
+    outcomes = Counter()
+    for _ in range(2000):
+        features, labels, bmap, seed, max_depth, min_leaf = _drawn_manifest_fields(gen)
+        try:
+            man = pl.build_manifest(frame, features, labels, bmap, seed, max_depth,
+                                    min_leaf)
+        except pl.InvalidArgumentError:
+            outcomes["rejected"] += 1
+            continue
+        for made in (man, man.lock()):
+            text = pl.manifest_to_text(made)
+            back = pl.manifest_from_text(text)
+            assert back == made and pl.manifest_to_text(back) == text
+        outcomes["kept"] += 1
+    assert min(outcomes.values()) > 400, outcomes
 
 
 class TestManifestErrors:
