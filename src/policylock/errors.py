@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all engine modules."""
+"""Exception hierarchy shared by all engine modules, and one integer check."""
+
+import numbers
 
 
 class EngineError(Exception):
@@ -28,3 +30,12 @@ class AlignmentError(EngineError):
 class MalformedTreeError(EngineError):
     """A tree cannot be traversed: a cycle, an out-of-range child or feature
     index, or corrupt arrays."""
+
+
+def _check_int(value, what: str, least=None) -> None:
+    """An ``InvalidArgumentError`` unless ``value`` is an integer (a Python
+    or numpy int, not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidArgumentError(f"{what} must be >= {least}, got {value}")

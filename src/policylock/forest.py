@@ -211,13 +211,16 @@ _PASS_WIDTH = 2 ** 16
 
 
 class _PreparedForest:
-    """The vectorized traversal kernel, shared by both vectorized backends,
-    ``traverse_batch``, ``score_forest`` and the trainer's assignment.
+    """The vectorized traversal kernel.  Both vectorized backends,
+    ``traverse_batch``, ``score_forest`` and the trainer's assignment call its
+    one entry, ``score(flat, base, stride)``, which reads feature ``f`` of row
+    ``r`` at ``flat[base[r] + f * stride]``: a columnar ``[F, N]`` block has
+    ``stride = N`` and ``base`` the row numbers, a row-major ``[n, F]`` batch
+    ``stride = 1`` and ``base = r * F``.
 
     Every tree's tables are stacked into one node table: tree ``t``'s nodes
     sit at ``roots[t] + local index`` and its children are shifted by the same
-    offset.  Feature indices are pre-scaled by the partition width for
-    columnar addressing, and leaf thresholds are 0.0.
+    offset.  Leaf thresholds are 0.0.
 
     Routing goes through one child table, ``child8[8 * node + code]``, with
     ``code = 4 * (v == s) + 2 * isnan(v) + (v <= s)`` for the row's value
@@ -248,22 +251,20 @@ class _PreparedForest:
     children lie inside its own tree and its feature below the forest's
     feature count; leaves loop on themselves on feature 0, which exists
     whenever some node is internal (a forest of leaves walks no level, so a
-    zero-feature forest scores too); codes stay below 8; and the scoring
-    entry points check the batch shape and row addresses.  Payloads are
-    gathered and added one tree at a time in tree order with one divide at
-    the end, keeping the float operation sequence identical to the scalar
-    walk.
+    zero-feature forest scores too); codes stay below 8; and ``score``
+    checks that every address of every feature lies inside ``flat``.
+    Payloads are gathered and added one tree at a time in tree order with
+    one divide at the end, keeping the float operation sequence identical to
+    the scalar walk.
     """
 
-    def __init__(self, forest: ForestArrays, n_part: int):
+    def __init__(self, forest: ForestArrays):
         report, (roots, node_type, feature, left, right, steps) = _checked_table(forest)
         if not report.passed:
             raise MalformedTreeError(report.violations[0].message)
         trees = forest.trees
-        self.n_treatments = forest.n_treatments
         self.n_trees = len(trees)
         self.n_features = forest.n_features
-        self.n_part = n_part
         self.roots = roots
 
         def stack(name, dtype):
@@ -277,7 +278,6 @@ class _PreparedForest:
         self.child8 = np.where(go_left, left[:, None], right[:, None]).ravel()
         # idle leaves read feature 0 against threshold 0.0 and route to themselves
         self.feature = np.where(is_leaf, 0, feature)
-        self.feature_scaled = self.feature * n_part
         self.split_value = np.where(is_leaf, 0.0, stack("split_value", np.float64))
         self.payload = np.concatenate([t.leaf_payload for t in trees])
         self.is_leaf = is_leaf
@@ -308,8 +308,8 @@ class _PreparedForest:
                 "thr": np.empty(width, dtype=np.float64),
                 "code": np.empty(width, dtype=np.uint8),
                 "bit": np.empty(width, dtype=np.uint8),
-                "acc": np.empty((n, self.n_treatments), dtype=np.float64),
-                "payload": np.empty((n, self.n_treatments), dtype=np.float64)}
+                "acc": np.empty((n, self.payload.shape[1]), dtype=np.float64),
+                "payload": np.empty((n, self.payload.shape[1]), dtype=np.float64)}
         return buf
 
     def _walk(self, t0: int, t1: int, feature_table: np.ndarray,
@@ -348,67 +348,64 @@ class _PreparedForest:
             raise MalformedTreeError("traversal did not reach leaves in depth steps")
         return node
 
-    def _score(self, flat: np.ndarray, addr_base: np.ndarray, n: int,
-               columnar: bool) -> np.ndarray:
+    def score(self, flat: np.ndarray, base: np.ndarray, stride: int) -> np.ndarray:
+        """Mean payload [n, T] of the rows at int64 ``base`` of float64
+        ``flat``; an address outside ``flat`` is an ``InvalidArgumentError``.
+        The feature table is scaled by ``stride`` once per call."""
+        n = len(base)
+        if n and self.n_features:
+            lo, hi = int(base.min()), int(base.max())
+            reach = (self.n_features - 1) * stride
+            if min(lo, lo + reach) < 0 or max(hi, hi + reach) >= flat.size:
+                raise InvalidArgumentError(f"batch addresses {lo}..{hi} with stride "
+                                           f"{stride} leave its {flat.size} values")
+        table = self.feature * stride
         k, passes = self._passes(n)
         buf = self._scratch(k * n, n)
         acc, pbuf = buf["acc"][:n], buf["payload"][:n]
         acc.fill(0.0)
-        table = self.feature_scaled if columnar else self.feature
         for t0, t1 in passes:
-            node = self._walk(t0, t1, table, addr_base, flat)
+            node = self._walk(t0, t1, table, base, flat)
             for j in range(t1 - t0):
                 np.take(self.payload, node[j * n:(j + 1) * n], axis=0, out=pbuf,
                         mode="clip")
                 acc += pbuf
         return acc / float(self.n_trees)
 
-    def score_columnar(self, flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if flat.size != self.n_features * self.n_part or (
-                len(rows) and (rows.min() < 0 or rows.max() >= self.n_part)):
-            raise InvalidArgumentError(
-                f"columnar batch must hold {self.n_features} features of "
-                f"{self.n_part} rows and address rows inside it")
-        return self._score(flat, rows, len(rows), columnar=True)
 
-    def score_rowmajor(self, rm: np.ndarray) -> np.ndarray:
-        n, F = rm.shape
-        if F != self.n_features:
-            raise InvalidArgumentError(
-                f"row-major batch holds {F} features, not {self.n_features}")
-        base = np.arange(n, dtype=np.int64)
-        np.multiply(base, F, out=base)
-        return self._score(rm.ravel(), base, n, columnar=False)
-
-
-def _checked_batch(forest: ForestArrays, columns: np.ndarray, row_major: bool) -> np.ndarray:
-    """C-contiguous float64 batch, once the batch holds the forest's features;
-    building the kernel on it validates the forest."""
+def _layout(forest: ForestArrays, columns: np.ndarray,
+            row_major: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """``score``'s ``(flat, base, stride)`` of a float64 batch holding the
+    forest's features as rows (``[F, n]``) or per row (``[n, F]``); a
+    non-contiguous batch is copied once."""
     batch = np.ascontiguousarray(columns, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1 if row_major else 0] != forest.n_features:
         raise InvalidArgumentError(
             f"batch of shape {batch.shape} does not hold {forest.n_features} features "
             f"{'per row' if row_major else 'as rows'}")
-    return batch
+    n = batch.shape[0 if row_major else 1]
+    rows = np.arange(n, dtype=np.int64)
+    if row_major:
+        return batch.reshape(-1), rows * forest.n_features, 1
+    return batch.reshape(-1), rows, n
 
 
-def _leaf_nodes(forest: ForestArrays, columns: np.ndarray) -> np.ndarray:
-    """Leaf node index per row of a valid one-tree forest over a C-contiguous
-    float64 [F, n] batch whose missing cells are NaN."""
-    n = columns.shape[1]
-    prepared = _PreparedForest(forest, n)
-    return prepared._walk(0, 1, prepared.feature_scaled, np.arange(n, dtype=np.int64),
-                          columns.reshape(-1)).copy()
+def _leaf_nodes(forest: ForestArrays, flat: np.ndarray, base: np.ndarray,
+                stride: int) -> np.ndarray:
+    """Leaf node index per row of a valid one-tree forest over a laid-out
+    batch (see ``score``) whose missing cells are NaN: the kernel's score of
+    the tree with each node's own index as its payload (exact in float64)."""
+    prepared = _PreparedForest(forest)
+    prepared.payload = np.arange(len(prepared.payload), dtype=np.float64)[:, None]
+    return prepared.score(flat, base, stride)[:, 0].astype(np.int64)
 
 
 def traverse_batch(tree: TreeArrays, columns: np.ndarray, row_major: bool = False) -> np.ndarray:
     """Leaf payload [n, T] for a float64 batch whose missing cells are NaN;
     the tree may address every feature the batch holds."""
-    columns = np.asarray(columns, dtype=np.float64)
-    if row_major:
-        columns = columns.T
-    forest = ForestArrays([tree], ("",) * len(columns), ("",) * tree.leaf_payload.shape[-1])
-    return tree.leaf_payload[_leaf_nodes(forest, _checked_batch(forest, columns, False))]
+    n_features = np.shape(columns)[1 if row_major else 0] if np.ndim(columns) == 2 else 0
+    forest = ForestArrays([tree], ("",) * n_features, ("",) * tree.leaf_payload.shape[-1])
+    return tree.leaf_payload[_leaf_nodes(forest, *_layout(forest, columns, row_major))]
 
 
 def score_forest(forest: ForestArrays, columns: np.ndarray, row_major: bool = False) -> np.ndarray:
@@ -416,12 +413,8 @@ def score_forest(forest: ForestArrays, columns: np.ndarray, row_major: bool = Fa
     float operation sequence matches the scalar reference walk exactly."""
     if not forest.trees:
         raise InvalidArgumentError("cannot score an empty forest")
-    batch = _checked_batch(forest, columns, row_major)
-    if row_major:
-        return _PreparedForest(forest, batch.shape[0]).score_rowmajor(batch)
-    n = batch.shape[1]
-    return _PreparedForest(forest, n).score_columnar(batch.reshape(-1),
-                                                     np.arange(n, dtype=np.int64))
+    layout = _layout(forest, columns, row_major)
+    return _PreparedForest(forest).score(*layout)
 
 
 FOREST_FORMAT_VERSION = "1"

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SchemaError
+from .errors import InvalidArgumentError, SchemaError, _check_int
 from . import rng
 
 _CANONICAL_NAN = np.float64(np.nan)
@@ -42,14 +42,13 @@ def plant_missing(values: np.ndarray, mask: np.ndarray,
                   null: bool) -> tuple[np.ndarray, np.ndarray]:
     """Payloads and validity of a feature column whose ``mask`` cells are
     missing: NULL (validity unset, payload 0.0) when ``null``, else a NaN
-    payload.  ``values`` itself is never written, and a column with no
-    ``mask`` cell is returned uncopied (wide synth frames stay one copy).  An
-    all-true validity is a read-only broadcast that holds no buffer; the
-    frame built from it swaps in its own shared bitmap."""
+    payload.  The payloads are planted into ``values`` itself, which is
+    returned (a wide synth block is written once); callers pass arrays they
+    own.  An all-true validity is a read-only broadcast that holds no
+    buffer; the frame built from it swaps in its own shared bitmap."""
     valid = np.broadcast_to(np.True_, len(values))
     if not mask.any():
         return values, valid
-    values = values.copy()
     if null:
         valid = ~mask
         values[mask] = 0.0
@@ -232,8 +231,7 @@ def partition(frame: ColumnFrame, p: int) -> PartitionedFrame:
     (the bounds of ``np.array_split``).  Each block is a read-only view of
     ``frame``'s arrays, not a copy, and keeps ``frame``'s buffers alive; the
     ``repartition``, ``coalesce`` and ``shuffle_rows`` perturbations copy."""
-    if p < 1:
-        raise InvalidArgumentError("partition count must be >= 1")
+    _check_int(p, "partition count", 1)
     q, r = divmod(frame.n_rows, p)
     bounds = [i * q + min(i, r) for i in range(p + 1)]
     return PartitionedFrame(tuple(frame._rows(slice(lo, hi))

@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import AlignmentError, InvalidArgumentError, SchemaError
-from .forest import (ForestArrays, _PreparedForest, forest_from_text, forest_to_text,
-                     validate_forest, LEAF, INTERNAL_CATEGORICAL)
+from .forest import (ForestArrays, _PreparedForest, _layout, forest_from_text,
+                     forest_to_text, validate_forest, LEAF, INTERNAL_CATEGORICAL)
 from .frame import ColumnFrame, PartitionedFrame, partition
 
 BACKEND_KINDS = ("anti_pattern", "broadcast_rowwise", "vectorized_columnar",
@@ -120,19 +120,14 @@ def _score_partition(part: ColumnFrame, forest: ForestArrays, forest_text: str,
             out[r] = model.score_row([col[r] for col in col_lists])
         return out
 
-    # vectorized backends: lazy init on the first batch of the partition
-    model_prepared: Optional[_PreparedForest] = None
-    flat = columns.reshape(-1)  # contiguous [F, n] buffer viewed flat
+    prepared = _PreparedForest(forest_from_text(forest_text))
+    flat, rows, stride = _layout(forest, columns, False)
     for lo in range(0, n, backend.batch_size):
         hi = min(lo + backend.batch_size, n)
-        if model_prepared is None:
-            model_prepared = _PreparedForest(forest_from_text(forest_text), n)
         if backend.kind == "vectorized_columnar":
-            rows = np.arange(lo, hi, dtype=np.int64)
-            out[lo:hi] = model_prepared.score_columnar(flat, rows)
-        else:
-            batch = np.ascontiguousarray(columns[:, lo:hi].T)  # interchange cost
-            out[lo:hi] = model_prepared.score_rowmajor(batch)
+            out[lo:hi] = prepared.score(flat, rows[lo:hi], stride)
+        else:   # the interchange cost: _layout copies the batch to row-major
+            out[lo:hi] = prepared.score(*_layout(forest, columns[:, lo:hi].T, True))
     return out
 
 

@@ -20,11 +20,12 @@ Stage S2 (``_search_cells``) stacks each B group's tables and scores every
 candidate of every feature and node in one array pass, expanding each
 candidate into both missing routes with the full validity checks and the DDP
 max-envelope score.  Each node's winner is picked from those arrays under a
-strict total order.  Every execution path, ``expand_and_score`` and the
-failure catalog share that array routine, so cross-path score deltas are
-exactly zero.  It uses the same IEEE operations as the scalar per-candidate
-scorer ``scalar_candidate`` in ``tests/_oracles.py``, the test oracle it
-matches bit for bit.
+strict total order and handed over as a ``CandidateScore``; only
+``best_split`` makes a ``SplitSearchResult`` of one.  Every execution path,
+``expand_and_score`` and the failure catalog share that array routine, so
+cross-path score deltas are exactly zero.  It uses the same IEEE operations
+as the scalar per-candidate scorer ``scalar_candidate`` in
+``tests/_oracles.py``, the test oracle it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidArgumentError
+from .errors import ContractViolationError, InvalidArgumentError, _check_int
 from .frame import ColumnFrame, PartitionedFrame, frames_of
 from . import rng
 
@@ -99,6 +100,7 @@ def feature_boundaries(boundaries: Mapping[str, Boundaries],
 
 def uniform_boundaries(feature_name: str, n_bins: int) -> Boundaries:
     """``n_bins`` equal-width bins over [0, 1]."""
+    _check_int(n_bins, "n_bins", 2)
     return Boundaries(feature_name, tuple(i / n_bins for i in range(1, n_bins)))
 
 
@@ -517,12 +519,6 @@ def _reason_min_leaf(min_leaf_size: int) -> str:
     return f"branch total below min_leaf_size={min_leaf_size}"
 
 
-def _reason_texts(min_leaf_size: int) -> tuple[Optional[str], ...]:
-    """The invalid reason of each reason code (None for a valid candidate)."""
-    return (None, _REASON_NO_CONTROL, _REASON_ZERO_SUPPORT,
-            _reason_min_leaf(min_leaf_size), _REASON_NOT_FINITE)
-
-
 def _reason_counts(reasons: np.ndarray, texts: Sequence[Optional[str]]) -> Counter:
     """Rejected candidates per reason text, tallied from reason codes."""
     counts = np.bincount(reasons.ravel(), minlength=len(texts))
@@ -560,7 +556,9 @@ class _FeatureScores:
 
     def __init__(self, opps, accepts, control_idx: int, min_leaf_size: int):
         """``opps`` and ``accepts`` are ``_routes``' (left, right) pairs."""
-        self.reason_texts = _reason_texts(min_leaf_size)
+        # the invalid reason of each reason code (None for a valid candidate)
+        self.reason_texts = (None, _REASON_NO_CONTROL, _REASON_ZERO_SUPPORT,
+                             _reason_min_leaf(min_leaf_size), _REASON_NOT_FINITE)
         (self.left_o, self.right_o), (self.left_a, self.right_a) = opps, accepts
         T = len(self.left_o)
         if T < 2:
@@ -717,16 +715,14 @@ def _count_level(view: BinnedRows, units: Sequence[Sequence[int]], config: Split
 
 
 def _search_cells(view: BinnedRows, units: Sequence[Sequence[int]],
-                  tables: Sequence[np.ndarray], n_nodes: int,
-                  config: SplitConfig) -> list[SplitSearchResult]:
+                  tables: Sequence[np.ndarray], n_nodes: int, control_idx: int,
+                  min_leaf_size: int) -> tuple[list[Optional[CandidateScore]], list]:
     """S2 of every node: the units' cell tables of each B are stacked and
     scored in one ``_FeatureScores`` pass, and each node's winner is picked
     from arrays in ``candidate_order_key`` order, feature names ranked by
-    name.  One result per node, each equal to the search on its rows alone."""
-    treatments = view.treatments
-    control = select_control(treatments, config.control_label_override)
-    texts = _reason_texts(config.min_leaf_size)
-    cand_rows = _total_candidate_rows(view.boundaries, len(treatments))
+    name.  Returns each node's winning candidate, equal to the search on its
+    rows alone (None when the node has no valid one), and the scored groups.
+    A winner's branch counts are views of its group's arrays."""
     stacks: dict[int, list] = {}
     for unit, cells in zip(units, tables):
         stacks.setdefault(view.boundaries[unit[0]].n_bins, []).append((unit, cells))
@@ -735,33 +731,30 @@ def _search_cells(view: BinnedRows, units: Sequence[Sequence[int]],
         feats = [f for unit, _ in parts for f in unit]
         stacked = np.concatenate([cells for _, cells in parts])
         scores = _FeatureScores.of_cells(stacked.reshape(-1, *stacked.shape[2:]),
-                                         treatments.index(control), config.min_leaf_size)
+                                         control_idx, min_leaf_size)
         c, d, score, has = (a.reshape(len(feats), n_nodes) for a in scores.best())
         cuts = np.array([view.boundaries[f].cuts for f in feats])
         keys.append((c, d, score, has, np.take_along_axis(cuts, c, axis=1)))
         groups.extend((scores, i, f) for i, f in enumerate(feats))
         scored.append(scores)
-    if groups:
-        c, d, score, has, threshold = (np.concatenate(k) for k in zip(*keys))
-        names = [view.features[f] for _, _, f in groups]
-        rank = np.array(sorted(range(len(names)), key=names.__getitem__)).argsort()
-        # lexsort's last key is its first: valid first, then the total order
-        win = np.lexsort((np.broadcast_to(rank[:, None], c.shape), d, c, threshold,
-                          -score, ~has), axis=0)[0]
+    if not groups:
+        return [None] * n_nodes, scored
+    c, d, score, has, threshold = (np.concatenate(k) for k in zip(*keys))
+    names = [view.features[f] for _, _, f in groups]
+    rank = np.array(sorted(range(len(names)), key=names.__getitem__)).argsort()
+    # lexsort's last key is its first: valid first, then the total order
+    win = np.lexsort((np.broadcast_to(rank[:, None], c.shape), d, c, threshold,
+                      -score, ~has), axis=0)[0]
 
-    def result(k: int) -> SplitSearchResult:
-        if groups and has[win[k], k]:
-            f = win[k]
-            scores, i, feat = groups[f]
-            cand = scores._candidate(i * n_nodes + k, int(d[f, k]), int(c[f, k]),
-                                     view.features[feat], float(threshold[f, k]))
-            return SplitSearchResult(STATUS_OK, _make_best(cand, control), cand_rows, control)
-        rejected = sum((_reason_counts(s.reasons.reshape(-1, n_nodes, s.reasons[0].size)[:, k],
-                                       texts) for s in scored), Counter())
-        return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control,
-                                 reason=_no_valid_summary(rejected))
+    def winner(k: int) -> Optional[CandidateScore]:
+        f = win[k]
+        if not has[f, k]:
+            return None
+        scores, i, feat = groups[f]
+        return scores._candidate(i * n_nodes + k, int(d[f, k]), int(c[f, k]),
+                                 view.features[feat], float(threshold[f, k]))
 
-    return [result(k) for k in range(n_nodes)]
+    return [winner(k) for k in range(n_nodes)], scored
 
 
 def best_split(data: SplitInput, features: Sequence[str],
@@ -785,7 +778,13 @@ def best_split(data: SplitInput, features: Sequence[str],
                     config.pool_size or os.cpu_count() or 1)
     units = _units(view, config)
     tables = _count_level(view, units, config, None, None, 1)
-    return _search_cells(view, units, tables, 1, config)[0]
+    (winner,), scored = _search_cells(view, units, tables, 1, treatments.index(control),
+                                      config.min_leaf_size)
+    if winner is None:
+        rejected = sum((_reason_counts(s.reasons, s.reason_texts) for s in scored), Counter())
+        return SplitSearchResult(STATUS_NO_VALID, None, cand_rows, control,
+                                 reason=_no_valid_summary(rejected))
+    return SplitSearchResult(STATUS_OK, _make_best(winner, control), cand_rows, control)
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +834,9 @@ def approx_quantile_boundaries(data: Union[ColumnFrame, PartitionedFrame], featu
                                n_bins: int) -> Optional[Boundaries]:
     """Epsilon-approximate (eps = 0.01) rank-based boundaries from
     per-partition summaries.  Deliberately depends on partition layout; only
-    its instability relative to shared fixed boundaries matters."""
+    its instability relative to shared fixed boundaries matters.  None when
+    the feature has no non-missing value."""
+    _check_int(n_bins, "n_bins", 2)
     points: list[tuple[float, int]] = []
     total = 0
     for part in frames_of(data):
@@ -863,8 +864,6 @@ def approx_quantile_boundaries(data: Union[ColumnFrame, PartitionedFrame], featu
         k = min(int(np.searchsorted(weights, target, side="left")), len(values) - 1)
         if not cuts or values[k] > cuts[-1]:
             cuts.append(values[k])
-    if not cuts:
-        return None
     return Boundaries(feature, tuple(cuts))
 
 

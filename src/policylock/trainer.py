@@ -22,14 +22,14 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (AlignmentError, ContractViolationError, InvalidArgumentError,
-                     SchemaError)
-from .forest import (ForestArrays, TreeArrays, _leaf_nodes, INTERNAL_CONTINUOUS,
-                     LEAF)
+                     SchemaError, _check_int)
+from .forest import (ForestArrays, TreeArrays, _layout, _leaf_nodes,
+                     INTERNAL_CONTINUOUS, LEAF)
 from .frame import ColumnFrame, PartitionedFrame, frames_of, sorted_row_ids
 from .splitsearch import (Boundaries, SplitConfig, bin_rows, check_vocabulary,
                           feature_boundaries, select_control, treatment_codes,
                           _count_level, _search_cells, _total_candidate_rows, _units,
-                          _skip_reason, PATH_REFERENCE, STATUS_OK)
+                          _skip_reason, PATH_REFERENCE)
 # unused here: perfbench's traced run wraps it on this module
 from .splitsearch import best_split  # noqa: F401
 
@@ -83,11 +83,7 @@ class Manifest:
         if [(n, b.feature_name) for n, b in self.boundaries] != [(n, n) for n in self.feature_names]:
             raise InvalidArgumentError("boundaries must be named for the features, in order")
         for key, least in (("seed", None), ("max_depth", 0), ("min_leaf_size", 1)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
-            if least is not None and value < least:
-                raise InvalidArgumentError(f"{key} must be >= {least}, got {value}")
+            _check_int(getattr(self, key), key, least)
 
     def boundary_map(self) -> dict[str, Boundaries]:
         return dict(self.boundaries)
@@ -116,13 +112,17 @@ def build_manifest(frame: ColumnFrame, feature_names: Sequence[str],
                    treatment_labels: Sequence[str],
                    boundaries: Mapping[str, Boundaries], seed: int,
                    max_depth: int, min_leaf_size: int) -> Manifest:
-    """Unlocked manifest of ``frame``; ``Manifest`` checks the fields before the digest."""
+    """Unlocked manifest of ``frame``; ``Manifest`` checks the fields, then a
+    feature ``frame`` lacks is a ``SchemaError``, before anything is digested."""
     feature_names = tuple(feature_names)
     ordered = tuple(zip(feature_names, feature_boundaries(boundaries, feature_names)))
-    m = Manifest(row_id_set_digest(frame.row_ids), feature_names, tuple(treatment_labels),
-                 ordered, seed, max_depth, min_leaf_size, "", locked=False)
-    return replace(m, preprocessing_digest=_preprocessing_digest(
-        ordered, m.treatment_labels, seed, max_depth, min_leaf_size))
+    m = Manifest("", feature_names, tuple(treatment_labels), ordered, seed, max_depth,
+                 min_leaf_size, "")
+    for name in feature_names:
+        frame.column_index(name)
+    return replace(m, row_id_digest=row_id_set_digest(frame.row_ids),
+                   preprocessing_digest=_preprocessing_digest(
+                       ordered, m.treatment_labels, seed, max_depth, min_leaf_size))
 
 
 MANIFEST_FORMAT_VERSION = "1"
@@ -273,13 +273,14 @@ def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
     The live rows of a level are two arrays, ``rows`` (ascending view rows,
     so each stays in its partition) and ``slots`` (its node in ``frontier``).
     ``tables`` holds each search unit's cell table with one slice per node;
-    one ``_search_cells`` pass answers for every node.  Rows route on bins
-    with one flat gather: with left-inclusive bins ``value <= cuts[c]`` iff
-    ``bin <= c``, and the missing bin B > c follows the NaN direction.  Of
-    each split only the smaller child (by the winner's branch totals, ties
-    left) is counted; the larger child's table is the parent's minus it,
-    exact in int64.  A child's opps and accepts are its branch of the
-    parent's winner; rows of new leaves leave the level."""
+    one ``_search_cells`` pass gives every node's winner (None for a leaf).
+    Rows route on bins with one flat gather: with left-inclusive bins
+    ``value <= cuts[c]`` iff ``bin <= c``, and the missing bin B > c follows
+    the NaN direction.  Of each split only the smaller child (by the
+    winner's branch totals, ties left) is counted; the larger child's table
+    is the parent's minus it, exact in int64.  A child's opps and accepts
+    are its branch of the parent's winner; rows of new leaves leave the
+    level."""
     T = len(manifest.treatment_labels)
     features = manifest.feature_names
     bmap = manifest.boundary_map()
@@ -290,9 +291,9 @@ def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
     N = view.n_rows
     missing_bin = np.array([b.missing_bin for b in view.boundaries], dtype=np.int64)
     bin_axis = np.arange(missing_bin.max(initial=0) + 1)
-    config = SplitConfig(min_leaf_size=manifest.min_leaf_size,
-                         control_label_override=control_override,
-                         execution_path=execution_path)
+    config = SplitConfig(execution_path=execution_path)
+    control_idx = manifest.treatment_labels.index(
+        select_control(manifest.treatment_labels, control_override))
     if manifest.max_depth > 0 and _skip_reason(_total_candidate_rows(view.boundaries, T),
                                                config) is not None:
         raise ContractViolationError(
@@ -307,40 +308,38 @@ def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
     rows = slots = tables = None
     for depth in count():
         K = len(frontier)
+        winners = [None] * K
         if depth < manifest.max_depth:
             if tables is None:
                 tables = _count_level(view, units, config, None, None, 1)
-            results = _search_cells(view, units, tables, K, config)
-        else:
-            results = [None] * K
-        split = np.array([r is not None and r.status == STATUS_OK for r in results])
+            winners = _search_cells(view, units, tables, K, control_idx,
+                                    manifest.min_leaf_size)[0]
+        split = np.array([w is not None for w in winners])
         vectors = np.divide(accepts, opps, out=np.zeros((K, T)), where=opps > 0)
         feature = np.zeros(K, dtype=np.int64)
         candidate_bin = np.zeros(K, dtype=np.int64)
         nan_left = np.zeros(K, dtype=bool)
         branches = []   # per split node: left and right (opps, accepts)
-        for k, (path, r) in enumerate(zip(frontier, results)):
+        for k, (path, w) in enumerate(zip(frontier, winners)):
             n_rows = int(opps[k].sum())
-            if not split[k]:
+            if w is None:
                 nodes[path] = PolicyNode(path, True, n_rows, vector=vectors[k],
                                          opps=opps[k], accepts=accepts[k],
                                          zero_opportunity=tuple(
                                              np.flatnonzero(opps[k] == 0).tolist()))
                 continue
-            best = r.best
-            nodes[path] = PolicyNode(path, False, n_rows, feature=best.feature_name,
-                                     threshold=best.threshold_boundary,
-                                     candidate_bin=best.candidate_bin,
-                                     nan_direction=best.nan_direction)
-            feature[k] = features.index(best.feature_name)
-            candidate_bin[k] = best.candidate_bin
-            nan_left[k] = best.nan_direction == "left"
-            branches.append([best.diagnostics[side + "_" + stat]
-                             for side in ("left", "right") for stat in ("opps", "accepts")])
+            nodes[path] = PolicyNode(path, False, n_rows, w.feature_name,
+                                     w.threshold_boundary, w.candidate_bin, w.nan_direction)
+            feature[k] = features.index(w.feature_name)
+            candidate_bin[k] = w.candidate_bin
+            nan_left[k] = w.nan_direction == "left"
+            branches.append([w.left_opps, w.left_accepts, w.right_opps, w.right_accepts])
         if not split.any():
             break
-        # children of the i-th splitting node take slots 2i (L) and 2i+1 (R)
+        # children of the i-th splitting node take slots 2i (L) and 2i+1 (R);
+        # the counts are copied out of views that keep the level's scores alive
         branches = np.array(branches, dtype=np.int64).reshape(-1, 2, 2, T)
+        del winners, w
         opps, accepts = branches[:, :, 0].reshape(-1, T), branches[:, :, 1].reshape(-1, T)
         frontier = [path + side for path, ok in zip(frontier, split) if ok
                     for side in "LR"]
@@ -478,9 +477,9 @@ def assign(tree: PolicyTree, frame: ColumnFrame) -> Assignments:
     """Per-row policy vector, top treatment, and leaf path; routing identical
     to forest traversal semantics."""
     arrays, paths = tree_to_arrays(tree)
-    columns = frame.feature_matrix_effective(tree.feature_names)
-    leaf_idx = _leaf_nodes(ForestArrays([arrays], tree.feature_names, tree.treatment_labels),
-                           columns)
+    forest = ForestArrays([arrays], tree.feature_names, tree.treatment_labels)
+    leaf_idx = _leaf_nodes(forest, *_layout(
+        forest, frame.feature_matrix_effective(tree.feature_names), False))
     vectors = arrays.leaf_payload[leaf_idx]
     top = np.argmax(vectors, axis=1).astype(np.int64)
     path_table = np.array(paths, dtype=object)
@@ -551,6 +550,9 @@ def auuc_qini(proxy: np.ndarray, treatments: np.ndarray, outcomes: np.ndarray,
     proxy = np.asarray(proxy, dtype=np.float64)
     outcomes = np.asarray(outcomes)
     n = len(proxy)
+    if not len(treatments) == len(outcomes) == len(row_ids) == n:
+        raise InvalidArgumentError("proxy, treatments, outcomes and row_ids must be "
+                                   "equally long")
     treated = _treated_mask(treatments, control_label)
     if n == 0 or not treated.any() or treated.all():
         raise InvalidArgumentError("need at least one control and one treated row")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import policylock as pl
 from policylock.forest import (INTERNAL_CATEGORICAL, INTERNAL_CONTINUOUS, LEAF,
-                               TreeArrays, _leaf_nodes, _PreparedForest)
+                               TreeArrays, _layout, _leaf_nodes, _PreparedForest)
 from policylock import rng
 
 from _oracles import reference_forest_from_text, scalar_leaf, scalar_scores
@@ -179,7 +179,7 @@ class TestTraversal:
         # after the first, so node 2 exists there but not in the first tree
         forest = pl.ForestArrays([tree, single_leaf_tree([5.0])], ("f0",), ("a",))
         with pytest.raises(pl.MalformedTreeError, match="out of range"):
-            _PreparedForest(forest, 1)
+            _PreparedForest(forest)
 
     @pytest.mark.parametrize("forest", [
         pytest.param(pl.forest_from_text(leaf_child_forest_text(0)), id="leaf-child-0"),
@@ -195,7 +195,7 @@ class TestTraversal:
         report = pl.validate_forest(forest)
         assert not report.passed
         with pytest.raises(pl.MalformedTreeError) as exc:
-            _PreparedForest(forest, 1)
+            _PreparedForest(forest)
         assert str(exc.value) == report.violations[0].message
 
 
@@ -390,7 +390,7 @@ class TestOneKernel:
         leaves = [np.array([scalar_leaf(tree, row) for row in pool_rows]) for tree in trees]
         gen = np.random.default_rng(n_trees)
         widths = (1, 13108, 2 ** 16 + 1)
-        passes = [_PreparedForest(forest, n)._passes(n)[1] for n in widths]
+        passes = [_PreparedForest(forest)._passes(n)[1] for n in widths]
         assert len(passes[0]) == 1 and len(passes[2]) == n_trees
         if n_trees == 13:
             assert [t1 - t0 for t0, t1 in passes[1]] == [4, 4, 4, 1]
@@ -458,11 +458,36 @@ class TestOneKernel:
         assert set(leaves) == {4, 6, 7}
         # the trainer's assignment reads original node ids
         one = pl.ForestArrays([dag], names, ("a", "b"))
-        assert _leaf_nodes(one, cols).tolist() == leaves
+        assert _leaf_nodes(one, *_layout(one, cols, False)).tolist() == leaves
         frame = build_frame({name: cols[i].tolist() for i, name in enumerate(names)})
         for kind in ("vectorized_columnar", "vectorized_rowmajor"):
             col = pl.score(pl.partition(frame, 3), forest, pl.InferenceBackend(kind, 64))
             assert col.vectors[np.argsort(col.row_ids)].tobytes() == expected
+
+    def test_one_entry_scores_any_stride_and_checks_every_address(self):
+        """``score(flat, base, stride)`` on a columnar block (stride N), a
+        row-major batch (stride 1) and rows spread through a wider buffer
+        gives the same bits; a negative base, or a base whose last feature
+        lands past the end of ``flat``, is an ``InvalidArgumentError`` on
+        either layout and never a clipped gather."""
+        names = ["f0", "f1", "f2"]
+        forest = pl.random_forest(3, 4, names, ("a", "b"), seed=11,
+                                  categorical_features=(1,), full=False)
+        cols = _kernel_batch(len(names), (1,), 40, seed=12)
+        want = pl.score_forest(forest, cols).tobytes()
+        model = _PreparedForest(forest)
+        rows = np.arange(40, dtype=np.int64)
+        wide = np.full((3, 100), np.inf)
+        wide[:, 7:47] = cols
+        for flat, base, stride in ((cols.ravel(), rows, 40),
+                                   (np.ascontiguousarray(cols.T).ravel(), rows * 3, 1),
+                                   (wide.ravel(), rows + 7, 100)):
+            assert model.score(flat, base, stride).tobytes() == want
+            last = base.copy()
+            last[-1] = flat.size - 2 * stride    # its last feature is past the end
+            for bad in (base - 1 - base.min(), last):
+                with pytest.raises(pl.InvalidArgumentError, match="leave its"):
+                    model.score(flat, bad, stride)
 
     def test_zero_rows(self):
         forest = pl.random_forest(2, 4, ["f0", "f1"], ("a", "b"), seed=5,
@@ -824,10 +849,10 @@ def test_edited_texts_raise_only_engine_errors():
         report = pl.validate_forest(forest)
         assert _violations(report) == _per_tree_violations(forest)
         if report.passed:
-            _PreparedForest(forest, 12)
+            _PreparedForest(forest)
         else:
             with pytest.raises(pl.MalformedTreeError) as exc:
-                _PreparedForest(forest, 12)
+                _PreparedForest(forest)
             assert str(exc.value) == report.violations[0].message
         backend = pl.InferenceBackend(("vectorized_columnar", "broadcast_rowwise")[k % 2], 5)
         if not report.passed:

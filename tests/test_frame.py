@@ -38,6 +38,12 @@ class TestPartition:
         assert [p.n_rows for p in pf.partitions] == [4, 3, 3]
         assert np.array_equal(pf.concat().row_ids, f.row_ids)
 
+    @pytest.mark.parametrize("p", [1.5, None, "2", True, 0, -1])
+    def test_partition_count_must_be_a_positive_int(self, p):
+        f = build_frame({"a": list(range(10))})
+        with pytest.raises(pl.InvalidArgumentError, match="partition count"):
+            pl.partition(f, p)
+
     def test_empty_frame_many_partitions(self):
         f = build_frame({"a": []})
         pf = pl.partition(f, 4)
@@ -340,13 +346,37 @@ _FAMILIES = ("x_boundary", "x_miss", "x_tie", "generic(2)")
 
 class TestPlantMissing:
     def test_null_and_nan_encodings(self):
-        values = np.array([1.0, 2.0, 3.0])
+        """Missing cells are planted into the given array itself."""
         mask = np.array([True, False, True])
+        values = np.array([1.0, 2.0, 3.0])
         vals, valid = plant_missing(values, mask, null=True)
         assert vals.tolist() == [0.0, 2.0, 0.0] and valid.tolist() == [False, True, False]
+        assert vals is values
+        values = np.array([1.0, 2.0, 3.0])
         vals, valid = plant_missing(values, mask, null=False)
         assert np.isnan(vals).tolist() == mask.tolist() and valid.all()
-        assert values.tolist() == [1.0, 2.0, 3.0]
+        assert vals is values and vals[1] == 2.0
+
+    def test_generate_writes_its_feature_block_once(self):
+        """Planting missing cells copies no column: a traced ``generate``
+        with 10% missing cells peaks within half a feature block of the same
+        frame with none (a copy of each planted column is a whole block)."""
+        def peak(p_miss):
+            spec = pl.SynthSpec(n_rows=20_000, n_treatments=4, seed=3, p_miss=p_miss,
+                                families=("generic(50)",))
+            pl.generate(spec)   # first calls import lazily; trace a warm call
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                frame = pl.generate(spec)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert frame.n_rows == 20_000
+            return top - before
+
+        block = 50 * 20_000 * 8
+        assert peak(0.1) < peak(0.0) + block / 2
 
     # digests of the generators that plant missing cells, pinned at their seeds
     @pytest.mark.parametrize("make,digest", [

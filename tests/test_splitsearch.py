@@ -221,6 +221,28 @@ class TestCandidateRowCount:
             pl.candidate_row_count(0, 32, 4)
 
 
+class TestBinCount:
+    """``uniform_boundaries`` and ``approx_quantile_boundaries`` share one
+    bin-count check: an integer >= 2, not a bool."""
+
+    @pytest.mark.parametrize("n_bins", [2.5, 2.0, "4", None, True, 1, 0, -3])
+    def test_bad_bin_count_rejected(self, n_bins, six_row_frame):
+        with pytest.raises(pl.InvalidArgumentError, match="n_bins"):
+            pl.uniform_boundaries("x", n_bins)
+        for data in (six_row_frame, pl.partition(six_row_frame, 2)):
+            with pytest.raises(pl.InvalidArgumentError, match="n_bins"):
+                pl.approx_quantile_boundaries(data, "x", n_bins)
+
+    def test_numpy_bin_count_accepted(self, six_row_frame):
+        assert pl.uniform_boundaries("x", np.int64(4)) == pl.uniform_boundaries("x", 4)
+        assert pl.approx_quantile_boundaries(six_row_frame, "x", np.int32(2)) == \
+            pl.approx_quantile_boundaries(six_row_frame, "x", 2)
+
+    def test_none_only_for_a_feature_without_values(self):
+        frame = build_frame({"x": [None, float("nan")]})
+        assert pl.approx_quantile_boundaries(frame, "x", 4) is None
+
+
 class TestSelectControl:
     def test_case_insensitive_control(self):
         assert pl.select_control(["Control", "offerA"]) == "Control"

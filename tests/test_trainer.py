@@ -221,33 +221,43 @@ class TestLevelWise:
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
     def test_every_level_matches_per_node_searches_and_tables(self, path, monkeypatch):
         """Each node's slice of a level's tables, larger children taken by
-        subtraction included, equals both S1 plans on that node's rows alone,
-        and each node's result of the level's one search, no-valid reason
-        included, equals ``best_split`` on those rows."""
+        subtraction included, equals both S1 plans on that node's rows alone;
+        each node's winner of the level's one search equals ``best_split``'s
+        best on those rows, and a node without one gets ``STATUS_NO_VALID``
+        there."""
         frame, labels = _witness_frame(n_rows=3000)
         man, bmap = _manifest(frame, labels, max_depth=4, min_leaf=150)
         search, levels = trainer._search_cells, []
 
-        def recording(view, units, tables, n_nodes, config):
-            results = search(view, units, tables, n_nodes, config)
-            levels.append((view, units, [t.copy() for t in tables], config, results))
-            return results
+        def recording(view, units, tables, n_nodes, control_idx, min_leaf_size):
+            winners, scored = search(view, units, tables, n_nodes, control_idx,
+                                     min_leaf_size)
+            assert control_idx == labels.index(pl.select_control(labels))
+            assert min_leaf_size == man.min_leaf_size
+            levels.append((view, units, [t.copy() for t in tables], winners))
+            return winners, scored
 
         monkeypatch.setattr(trainer, "_search_cells", recording)
         parts = pl.partition(frame, 4)
         tree = pl.train(parts, man, path)
         rows = parts.concat()   # the view's rows, in order
+        config = pl.SplitConfig(min_leaf_size=man.min_leaf_size, execution_path=path)
+        control = pl.select_control(labels)
         assert len(levels) == man.max_depth
         statuses = Counter()
-        for depth, (view, units, tables, config, results) in enumerate(levels):
+        for depth, (view, units, tables, winners) in enumerate(levels):
             paths = sorted(p for p in tree.nodes if len(p) == depth)
-            assert len(results) == len(paths)
+            assert len(winners) == len(paths)
             for k, node_path in enumerate(paths):
                 node = rows.take(_node_rows(view, tree, node_path))
-                got = results[k]
-                assert got.to_record() == pl.best_split(node, man.feature_names, bmap,
-                                                        labels, config).to_record()
-                statuses[got.status] += 1
+                want = pl.best_split(node, man.feature_names, bmap, labels, config)
+                statuses[want.status] += 1
+                if winners[k] is None:
+                    assert want.status == pl.STATUS_NO_VALID
+                else:
+                    assert want.status == pl.STATUS_OK
+                    assert splitsearch._make_best(winners[k], control).to_record() == \
+                        want.best.to_record()
                 for unit, cells in zip(units, tables):
                     for i, f in enumerate(unit):
                         name = view.features[f]
@@ -525,6 +535,16 @@ class TestAuucQini:
             pl.auuc_qini(np.ones(3), np.array(["t", "t", "t"], dtype=object),
                          np.ones(3, dtype=int), "c", np.arange(3))
 
+    @pytest.mark.parametrize("short", ["treatments", "outcomes", "row_ids", "proxy"])
+    def test_unequal_lengths_rejected(self, short):
+        args = {"proxy": np.linspace(1, 0, 6),
+                "treatments": np.array(["t", "c"] * 3, dtype=object),
+                "outcomes": np.array([1, 0, 0, 1, 1, 0]), "row_ids": np.arange(6)}
+        args[short] = args[short][:4]
+        with pytest.raises(pl.InvalidArgumentError, match="equally long"):
+            pl.auuc_qini(args["proxy"], args["treatments"], args["outcomes"], "c",
+                         args["row_ids"])
+
     def test_tie_break_uses_row_id(self):
         # equal proxies: renumbering the rows reorders the curve
         proxy = np.array([0.5, 0.5, 0.5])
@@ -670,6 +690,19 @@ class TestManifestFields:
             pl.build_manifest(frame, ["x"], ("control", "treat"),
                               {"x": pl.Boundaries("x", (0.5,))}, seed, max_depth, min_leaf)
 
+    def test_feature_missing_from_the_frame_rejected(self, monkeypatch):
+        """A feature the frame has no column for is a ``SchemaError`` from
+        ``build_manifest``, raised before the row ids are digested."""
+        frame = build_frame({"x": [0.1, 0.6]})
+        digested = []
+        monkeypatch.setattr(trainer, "row_id_set_digest",
+                            lambda ids: digested.append(ids) or "00")
+        for features in (["z"], ["x", "z"]):
+            bmap = {name: pl.Boundaries(name, (0.5,)) for name in features}
+            with pytest.raises(pl.SchemaError, match="no feature column named 'z'"):
+                pl.build_manifest(frame, features, ("control", "treat"), bmap, 7, 2, 1)
+        assert digested == []
+
     def test_boundaries_named_for_another_feature_rejected(self):
         frame = build_frame({"x": [0.1, 0.6], "y": [0.2, 0.3]})
         with pytest.raises(pl.InvalidArgumentError, match="named for the features"):
@@ -710,9 +743,11 @@ def test_every_built_manifest_survives_its_text():
     """Seeded property: ``build_manifest`` either raises
     ``InvalidArgumentError`` or makes a manifest that
     ``manifest_to_text`` then ``manifest_from_text`` gives back unchanged,
-    locked or not, with the same text."""
+    locked or not, with the same text.  The frame holds a column for every
+    good feature name, since a feature the frame lacks is a ``SchemaError``."""
     gen = np.random.default_rng(31)
-    frame = build_frame({"x": [0.1, 0.6, 0.4]}, row_ids=[5, -2, 9])
+    frame = build_frame({name: [0.1, 0.6, 0.4] for name in _GOOD_FEATURES},
+                        row_ids=[5, -2, 9])
     outcomes = Counter()
     for _ in range(2000):
         features, labels, bmap, seed, max_depth, min_leaf = _drawn_manifest_fields(gen)
