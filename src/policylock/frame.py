@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -169,15 +169,28 @@ class ColumnFrame:
             self.outcomes[key],
         )
 
-    def feature_matrix_effective(self, names: Sequence[str]) -> np.ndarray:
-        """Columnar [F, n] float64 block with missing cells as NaN, filled
-        row by row in place: the payloads, then NaN where a cell is NULL."""
-        out = np.empty((len(names), self.n_rows))
+    def feature_matrix_effective(self, names: Sequence[str], lo: int = 0,
+                                 hi: Optional[int] = None,
+                                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Columnar [F, hi - lo] float64 block of rows ``lo:hi`` (default:
+        all) with missing cells as NaN, filled row by row in place: the
+        payloads, then NaN where a cell is NULL.  ``out``, when given, is
+        the caller's float64 block of that shape to fill, so that a stream
+        of row ranges can reuse one buffer; it is returned."""
+        hi = self.n_rows if hi is None else hi
+        if not 0 <= lo <= hi <= self.n_rows:
+            raise InvalidArgumentError(f"row range {lo}:{hi} is not within "
+                                       f"the frame's {self.n_rows} rows")
+        if out is None:
+            out = np.empty((len(names), hi - lo))
+        elif out.shape != (len(names), hi - lo) or out.dtype != np.float64:
+            raise InvalidArgumentError(f"out block {out.dtype}{list(out.shape)} does "
+                                       f"not hold {len(names)} features of rows {lo}:{hi}")
         for row, name in zip(out, names):
             i = self.column_index(name)
-            np.copyto(row, self.feature_values[i])
+            np.copyto(row, self.feature_values[i][lo:hi])
             if self.feature_valid[i] is not self._all_valid:
-                row[~self.feature_valid[i]] = np.nan
+                row[~self.feature_valid[i][lo:hi]] = np.nan
         return out
 
 

@@ -5,12 +5,17 @@ Backends differ only in execution strategy, never in routing semantics:
 * ``anti_pattern``       re-parses the canonical forest text for every row
                          (the legacy model-as-row-metadata workflow);
 * ``broadcast_rowwise``  parses once per partition, scores row by row;
-* ``vectorized_columnar`` scores batches straight off columnar buffers;
+* ``vectorized_columnar`` scores each batch's columnar block in place;
 * ``vectorized_rowmajor`` transposes each batch to row-major first, paying an
                          interchange cost before the same traversal kernel.
 
 All four accumulate per-tree payloads in tree order and divide once, so the
 float operation sequence is identical and cross-backend deltas are exactly 0.
+
+Every backend walks a partition batch by batch: each batch's features are
+filled (NULL as NaN) into one reused [F, batch] block, and each partition
+writes its scores straight into its own slice of one [N, T] result, so the
+memory of a ``score`` call beyond that result is set by the batch size.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidArgumentError, SchemaError
+from .errors import AlignmentError, InvalidArgumentError, SchemaError, _check_int
 from .forest import (ForestArrays, _PreparedForest, _layout, forest_from_text,
                      forest_to_text, validate_forest, LEAF, INTERNAL_CATEGORICAL)
 from .frame import ColumnFrame, PartitionedFrame, partition
@@ -44,8 +49,7 @@ class InferenceBackend:
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise InvalidArgumentError(f"unknown backend kind {self.kind!r}")
-        if self.batch_size < 1:
-            raise InvalidArgumentError("batch_size must be >= 1")
+        _check_int(self.batch_size, "batch_size", 1)
 
 
 @dataclass
@@ -92,6 +96,16 @@ class _ScalarForest:
         return acc
 
 
+def _check_score_inputs(pf, forest, backend) -> None:
+    """An ``InvalidArgumentError`` unless the arguments are a partitioned
+    frame, a forest and a backend."""
+    for value, kind in ((pf, PartitionedFrame), (forest, ForestArrays),
+                        (backend, InferenceBackend)):
+        if not isinstance(value, kind):
+            raise InvalidArgumentError(f"expected a {kind.__name__}, "
+                                       f"got {type(value).__name__}")
+
+
 def _feature_order_check(frame: ColumnFrame, forest: ForestArrays) -> None:
     indices = [frame.column_index(name) for name in forest.feature_names]
     if any(b <= a for a, b in zip(indices, indices[1:])):
@@ -100,35 +114,41 @@ def _feature_order_check(frame: ColumnFrame, forest: ForestArrays) -> None:
 
 
 def _score_partition(part: ColumnFrame, forest: ForestArrays, forest_text: str,
-                     backend: InferenceBackend) -> np.ndarray:
+                     backend: InferenceBackend, out: np.ndarray) -> None:
+    """Score ``part`` into ``out`` ([n, T]) as a stream of row batches, the
+    way an executor consumes a partition's record batches: one model init
+    (per row for ``anti_pattern``), then each batch's features filled into
+    one reused [F, batch] block, so memory is set by the batch size, not by
+    the partition size."""
     n = part.n_rows
-    T = forest.n_treatments
-    out = np.empty((n, T), dtype=np.float64)
     if n == 0:
-        return out
-    columns = part.feature_matrix_effective(forest.feature_names)  # [F, n]
-
-    # rowwise backends materialize each row inside the loop; a bulk transpose
-    # up front would already be the vectorized_rowmajor batch strategy
+        return
+    width = min(backend.batch_size, n)
+    block = np.empty((forest.n_features, width))
     if backend.kind in _ROWWISE_KINDS:
         reparse = backend.kind == "anti_pattern"   # the model travels with every row
-        col_lists = [c.tolist() for c in columns]
         model: Optional[_ScalarForest] = None
-        for r in range(n):
-            if model is None or reparse:
-                model = _ScalarForest(forest_from_text(forest_text))
-            out[r] = model.score_row([col[r] for col in col_lists])
-        return out
-
-    prepared = _PreparedForest(forest_from_text(forest_text))
-    flat, rows, stride = _layout(forest, columns, False)
-    for lo in range(0, n, backend.batch_size):
-        hi = min(lo + backend.batch_size, n)
+    else:
+        prepared = _PreparedForest(forest_from_text(forest_text))
+        # a short last batch keeps the block's stride and uses its leading rows
+        flat, rows, stride = _layout(forest, block, False)
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        batch = part.feature_matrix_effective(forest.feature_names, lo, hi,
+                                              block[:, :hi - lo])
         if backend.kind == "vectorized_columnar":
-            out[lo:hi] = prepared.score(flat, rows[lo:hi], stride)
-        else:   # the interchange cost: _layout copies the batch to row-major
-            out[lo:hi] = prepared.score(*_layout(forest, columns[:, lo:hi].T, True))
-    return out
+            out[lo:hi] = prepared.score(flat, rows[:hi - lo], stride)
+        elif backend.kind == "vectorized_rowmajor":
+            # the interchange cost: _layout copies the batch to row-major
+            out[lo:hi] = prepared.score(*_layout(forest, batch.T, True))
+        else:
+            # row by row, each row materialized inside the loop; a bulk
+            # transpose would already be the vectorized_rowmajor strategy
+            col_lists = batch.tolist()
+            for r in range(hi - lo):
+                if model is None or reparse:
+                    model = _ScalarForest(forest_from_text(forest_text))
+                out[lo + r] = model.score_row([col[r] for col in col_lists])
 
 
 def score(pf: PartitionedFrame, forest: ForestArrays, backend: InferenceBackend,
@@ -136,14 +156,19 @@ def score(pf: PartitionedFrame, forest: ForestArrays, backend: InferenceBackend,
     """Per-row treatment-score vectors, aligned to row ids in partition-index
     order; independent of partition count, backend, and batch size.
 
+    Each partition streams its rows through one reused batch block (see
+    ``_score_partition``) and writes its scores straight into its own slice
+    of the one [N, T] result, in partition order.
+
     The vectorized backends score partitions on ``pool_size`` threads
     (default: the CPU count), since their kernels spend most of their time in
     numpy calls that release the interpreter lock.  ``anti_pattern`` and
     ``broadcast_rowwise`` are pure-Python row loops that hold the lock, so
     more threads would only contend for it: they score every partition on
     one worker, whatever ``pool_size`` says."""
-    if pool_size is not None and pool_size < 1:
-        raise InvalidArgumentError("pool_size must be >= 1")
+    _check_score_inputs(pf, forest, backend)
+    if pool_size is not None:
+        _check_int(pool_size, "pool_size", 1)
     report = validate_forest(forest)
     if not report.passed:
         first = report.violations[0]
@@ -157,12 +182,16 @@ def score(pf: PartitionedFrame, forest: ForestArrays, backend: InferenceBackend,
         return ScoreColumn(np.empty(0, dtype=np.int64),
                            np.empty((0, forest.n_treatments)))
 
+    vectors = np.empty((pf.n_rows, forest.n_treatments))
+    bounds = np.cumsum([0] + [p.n_rows for p in pf.partitions]).tolist()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_score_partition, part, forest, forest_text, backend)
-                   for part in pf.partitions]
-        blocks = [f.result() for f in futures]   # merged strictly in partition order
+        futures = [pool.submit(_score_partition, part, forest, forest_text, backend,
+                               vectors[lo:hi])
+                   for part, lo, hi in zip(pf.partitions, bounds, bounds[1:])]
+        for f in futures:   # the first failing partition, in partition order
+            f.result()
     row_ids = np.concatenate([p.row_ids for p in pf.partitions])
-    return ScoreColumn(row_ids, np.vstack(blocks))
+    return ScoreColumn(row_ids, vectors)
 
 
 def score_column_checksum(col: ScoreColumn) -> str:
@@ -228,8 +257,10 @@ def measure_throughput(pf: PartitionedFrame, forest: ForestArrays,
     caps the scored rows for backends whose per-row cost makes the full frame
     impractical; the cap is recorded and rows/s stays comparable because
     per-row work is constant.  A measurement must score at least one row."""
-    if repeats < 1:
-        raise InvalidArgumentError("repeats must be >= 1")
+    _check_score_inputs(pf, forest, backend)
+    _check_int(repeats, "repeats", 1)
+    if max_rows is not None:
+        _check_int(max_rows, "max_rows")
     if (max_rows is not None and max_rows < 1) or pf.n_rows == 0:
         raise InvalidArgumentError("throughput needs at least one row to score, "
                                    f"not max_rows={max_rows} of {pf.n_rows} rows")

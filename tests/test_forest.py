@@ -200,10 +200,12 @@ class TestTraversal:
 
 
 _INF, _NAN = float("inf"), float("nan")
-# (threshold, value): below, equal and above the threshold, NaN, +-inf, and
-# signed zeros against each other
+# (threshold, value): below, equal and above the threshold, NaN, +-inf,
+# signed zeros against each other, and a NaN threshold (valid in a forest and
+# its text) against a number, an infinity and NaN
 _ROUTING_CASES = [(0.5, 0.25), (0.5, 0.5), (0.5, 0.75), (0.5, _NAN), (0.5, _INF),
-                  (0.5, -_INF), (0.0, -0.0), (-0.0, 0.0), (_INF, _INF), (-_INF, -_INF)]
+                  (0.5, -_INF), (0.0, -0.0), (-0.0, 0.0), (_INF, _INF), (-_INF, -_INF),
+                  (_NAN, 0.5), (_NAN, -_INF), (_NAN, _NAN)]
 
 
 class TestRoutingCodes:
@@ -225,10 +227,13 @@ class TestRoutingCodes:
                             categorical=not categorical)
         for group in (trees, trees + [other]):
             forest = pl.ForestArrays(group, ("f0",), ("a", "b"))
+            assert pl.validate_forest(forest).passed
             want = np.array(scalar_scores(forest, rows))
             assert pl.score_forest(forest, values).tobytes() == want.tobytes()
             assert pl.score_forest(forest, values.T, row_major=True).tobytes() == \
                 want.tobytes()
+            read_back = pl.forest_from_text(pl.forest_to_text(forest))
+            assert pl.score_forest(read_back, values).tobytes() == want.tobytes()
 
 
 class TestScoreForest:

@@ -226,6 +226,43 @@ class TestZeroCopyPartition:
             assert got.tobytes() == want.tobytes()
         assert f.feature_matrix_effective(()).shape == (0, f.n_rows)
 
+    def test_row_range_is_the_slice_of_the_whole_block(self):
+        """Rows ``lo:hi`` filled into a reused buffer are the same bytes as
+        that slice of the whole block: NULL cells, NaN payloads and the
+        columns on the shared all-valid bitmap, for full, short-last and
+        empty ranges."""
+        frame = _wide_frame(n_rows=300, n_features=8)
+        quiet = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
+        values = [np.where(np.isnan(v), quiet, v) for v in frame.feature_values]
+        frame = pl.ColumnFrame(frame.row_ids, frame.feature_names, values,
+                               frame.feature_valid, frame.treatments, frame.outcomes)
+        assert any(vld is frame._all_valid for vld in frame.feature_valid)
+        assert any(not vld.all() for vld in frame.feature_valid)
+        names = frame.feature_names[::-1]
+        for f in (frame, *pl.partition(frame, 3).partitions):
+            whole = f.feature_matrix_effective(names)
+            buf = np.full((len(names), 64), -1.0)
+            for lo in range(0, f.n_rows, 64):    # the last batch is short
+                hi = min(lo + 64, f.n_rows)
+                got = f.feature_matrix_effective(names, lo, hi, buf[:, :hi - lo])
+                assert np.shares_memory(got, buf)
+                assert got.tobytes() == whole[:, lo:hi].tobytes()
+                assert f.feature_matrix_effective(names, lo, hi).tobytes() == \
+                    whole[:, lo:hi].tobytes()
+            for lo in (0, 17, f.n_rows):
+                assert f.feature_matrix_effective(names, lo, lo).shape == (len(names), 0)
+                assert f.feature_matrix_effective(names, lo, lo, buf[:, :0]).size == 0
+
+    def test_row_range_and_out_block_are_checked(self):
+        f = _wide_frame(n_rows=20, n_features=3)
+        names = f.feature_names
+        for lo, hi in ((-1, 5), (6, 5), (0, 21)):
+            with pytest.raises(pl.InvalidArgumentError, match="row range"):
+                f.feature_matrix_effective(names, lo, hi)
+        for out in (np.empty((3, 4)), np.empty((2, 5)), np.empty((3, 5), np.float32)):
+            with pytest.raises(pl.InvalidArgumentError, match="out block"):
+                f.feature_matrix_effective(names, 0, 5, out)
+
     def test_scores_equal_on_views_and_copies(self):
         frame, forest = inference_fixture(90, 6, 3, 4, 3, seed=11)
         for kind in pl.BACKEND_KINDS:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,13 +50,22 @@ class TestScore:
             assert rep.mismatch_rows == 0 and rep.max_abs_delta == 0.0
 
     def test_batch_size_invariance(self, fixture):
+        """Every backend streams its partitions in batches: one row, a few,
+        exactly a partition and one more give the same bytes, on even,
+        uneven and partly empty partitionings."""
         frame, forest = fixture
-        pf = pl.partition(frame, 3)
-        base = pl.score(pf, forest, pl.InferenceBackend("vectorized_rowmajor", 1))
-        for batch in (17, 1000, 10**6):
-            other = pl.score(pf, forest,
-                             pl.InferenceBackend("vectorized_rowmajor", batch))
-            assert np.array_equal(base.vectors, other.vectors)
+        frame = frame.take(np.arange(300))
+        whole = pl.score(pl.partition(frame, 1), forest,
+                         pl.InferenceBackend("vectorized_columnar")).vectors
+        # 3 x 100 rows; 43 or 42 rows; 1 row each and 3 empty
+        for pf in (pl.partition(frame, 3), pl.partition(frame, 7),
+                   pl.partition(frame.take(np.arange(5)), 8)):
+            want = whole[:pf.n_rows].tobytes()   # rows keep the frame's order
+            size = max(p.n_rows for p in pf.partitions)
+            for kind in pl.BACKEND_KINDS:
+                for batch in (1, 17, size, size + 1):
+                    got = pl.score(pf, forest, pl.InferenceBackend(kind, batch))
+                    assert got.vectors.tobytes() == want, (kind, batch)
 
     def test_missing_feature_is_schema_error(self, fixture):
         _, forest = fixture
@@ -106,6 +117,9 @@ def model_inits(monkeypatch):
 
 
 class TestLazyInit:
+    """One model init per partition however many batches it streams
+    through (100 rows in batches of 50 here), not one per batch."""
+
     @pytest.mark.parametrize("kind,expected", [
         ("broadcast_rowwise", 5), ("vectorized_columnar", 5),
         ("vectorized_rowmajor", 5)])
@@ -118,8 +132,10 @@ class TestLazyInit:
     def test_anti_pattern_inits_per_row(self, fixture, model_inits):
         frame, forest = fixture
         pf = pl.partition(frame.take(np.arange(40)), 4)
-        pl.score(pf, forest, pl.InferenceBackend("anti_pattern"))
-        assert len(model_inits) == 40
+        for batch_size in (3, 10000):
+            model_inits.clear()
+            pl.score(pf, forest, pl.InferenceBackend("anti_pattern", batch_size))
+            assert len(model_inits) == 40
 
 
 class TestWorkers:
@@ -145,13 +161,84 @@ class TestWorkers:
             assert col.vectors.tobytes() == want
         assert pools == [1, 1, 3, 3]
 
-    @pytest.mark.parametrize("pool_size", [-1, 0])
+    @pytest.mark.parametrize("pool_size", [-1, 0, 1.5, "2"])
     def test_pool_size_below_one_rejected(self, fixture, pool_size):
         frame, forest = fixture
         pf = pl.partition(frame.take(np.arange(20)), 2)
         for kind in pl.BACKEND_KINDS:
             with pytest.raises(pl.InvalidArgumentError, match="pool_size"):
                 pl.score(pf, forest, pl.InferenceBackend(kind), pool_size=pool_size)
+
+
+class TestArguments:
+    """Bad arguments at the scoring entry points raise InvalidArgumentError,
+    never a bare TypeError or AttributeError, and are never accepted."""
+
+    @pytest.mark.parametrize("batch_size", [2.5, "5", True, None])
+    def test_batch_size_must_be_an_integer(self, batch_size):
+        with pytest.raises(pl.InvalidArgumentError, match="batch_size"):
+            pl.InferenceBackend("vectorized_columnar", batch_size)
+
+    def test_numpy_integer_batch_size_accepted(self, fixture):
+        frame, forest = fixture
+        pf = pl.partition(frame.take(np.arange(30)), 2)
+        backend = pl.InferenceBackend("vectorized_columnar", np.int64(7))
+        assert pl.score(pf, forest, backend).n_rows == 30
+
+    @pytest.mark.parametrize("arg,value", [("repeats", 1.5), ("max_rows", 1.5),
+                                           ("max_rows", "10")])
+    def test_throughput_counts_must_be_integers(self, fixture, arg, value):
+        frame, forest = fixture
+        pf = pl.partition(frame.take(np.arange(20)), 2)
+        with pytest.raises(pl.InvalidArgumentError, match=arg):
+            pl.measure_throughput(pf, forest, pl.InferenceBackend("vectorized_columnar"),
+                                  **{"repeats": 1, arg: value})
+
+    @pytest.mark.parametrize("which", ["frame", "forest", "backend"])
+    @pytest.mark.parametrize("call", [pl.score, pl.measure_throughput])
+    def test_inputs_must_have_their_types(self, fixture, which, call):
+        frame, forest = fixture
+        frame = frame.take(np.arange(20))
+        args = {"frame": pl.partition(frame, 2), "forest": forest,
+                "backend": pl.InferenceBackend("vectorized_columnar")}
+        args[which] = {"frame": frame, "forest": pl.forest_to_text(forest),
+                       "backend": "vectorized_columnar"}[which]
+        with pytest.raises(pl.InvalidArgumentError, match="expected a"):
+            call(*args.values())
+
+
+class TestStreamingMemory:
+    """A partition streams through one [F, batch] block, so a ``score``
+    call's traced peak grows per row by little more than the result's own
+    bytes, (T + 1) * 8 with the row ids, and far below the F * 8 a whole
+    [F, n] feature block would add."""
+
+    @staticmethod
+    def _peak(pf, forest, backend):
+        pl.score(pf, forest, backend)   # first calls import lazily
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            pl.score(pf, forest, backend)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - before
+
+    # the row loops are slow, so they score fewer rows; anti_pattern parses
+    # its model per row, so it gets a smaller forest
+    @pytest.mark.parametrize("kind,n,batch,n_trees", [
+        ("vectorized_columnar", 20_000, 1000, 20), ("vectorized_rowmajor", 20_000, 1000, 20),
+        ("broadcast_rowwise", 2000, 100, 20), ("anti_pattern", 400, 20, 2)])
+    def test_peak_grows_by_the_result_not_the_feature_block(self, kind, n, batch, n_trees):
+        frame, forest = inference_fixture(n_rows=2 * n, n_features=32, n_treatments=4,
+                                          n_trees=n_trees, depth=5, seed=3)
+        backend = pl.InferenceBackend(kind, batch)
+        small, large = (self._peak(pl.partition(frame.take(np.arange(m)), 1),
+                                   forest, backend) for m in (n, 2 * n))
+        per_row = (large - small) / n
+        result_row = (forest.n_treatments + 1) * 8
+        assert per_row <= 2 * result_row < forest.n_features * 8
 
 
 class TestParity:
