@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all engine modules, and one integer check."""
+"""Exception hierarchy shared by all engine modules, and the integer and
+argument-type checks."""
 
 import numbers
 
@@ -39,3 +40,14 @@ def _check_int(value, what: str, least=None) -> None:
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise InvalidArgumentError(f"{what} must be >= {least}, got {value}")
+
+
+def _check_types(*pairs) -> None:
+    """An ``InvalidArgumentError`` unless each ``(value, kind)`` pair's value
+    is an instance of ``kind``, a class or a tuple of classes."""
+    for value, kind in pairs:
+        if not isinstance(value, kind):
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+            raise InvalidArgumentError(
+                f"expected a {' or '.join(k.__name__ for k in kinds)}, "
+                f"got {type(value).__name__}")

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SchemaError, _check_int
+from .errors import InvalidArgumentError, SchemaError, _check_int, _check_types
 from . import rng
 
 _CANONICAL_NAN = np.float64(np.nan)
@@ -32,7 +32,18 @@ PRESENT, NULL, NAN = 0, 1, 2  # missing-kind tags, also the checksum tag bytes
 
 
 def _as_float_column(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    """``values`` as float64: a 1-D column of real numbers (bool, integer,
+    float, or objects other than text that convert to float)."""
+    try:
+        raw = np.asarray(values)
+        if raw.dtype.kind == "O":
+            if any(isinstance(v, (str, bytes)) for v in raw.ravel().tolist()):
+                raise TypeError
+        elif raw.dtype.kind not in "biuf":
+            raise TypeError
+        arr = raw.astype(np.float64, copy=False)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("feature columns must hold real numbers") from None
     if arr.ndim != 1:
         raise InvalidArgumentError("feature columns must be 1-D")
     return arr
@@ -268,6 +279,7 @@ class PerturbationSpec:
 
 
 def apply_perturbation(pf: PartitionedFrame, spec: PerturbationSpec) -> PartitionedFrame:
+    _check_types((pf, PartitionedFrame), (spec, PerturbationSpec))
     try:
         kind = PerturbationKind(spec.kind)
     except ValueError:

@@ -31,7 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidArgumentError, SchemaError, _check_int
+from .errors import (AlignmentError, InvalidArgumentError, SchemaError, _check_int,
+                     _check_types)
 from .forest import (ForestArrays, _PreparedForest, _layout, forest_from_text,
                      forest_to_text, validate_forest, LEAF, INTERNAL_CATEGORICAL)
 from .frame import ColumnFrame, PartitionedFrame, partition
@@ -96,16 +97,6 @@ class _ScalarForest:
         return acc
 
 
-def _check_score_inputs(pf, forest, backend) -> None:
-    """An ``InvalidArgumentError`` unless the arguments are a partitioned
-    frame, a forest and a backend."""
-    for value, kind in ((pf, PartitionedFrame), (forest, ForestArrays),
-                        (backend, InferenceBackend)):
-        if not isinstance(value, kind):
-            raise InvalidArgumentError(f"expected a {kind.__name__}, "
-                                       f"got {type(value).__name__}")
-
-
 def _feature_order_check(frame: ColumnFrame, forest: ForestArrays) -> None:
     indices = [frame.column_index(name) for name in forest.feature_names]
     if any(b <= a for a, b in zip(indices, indices[1:])):
@@ -166,7 +157,8 @@ def score(pf: PartitionedFrame, forest: ForestArrays, backend: InferenceBackend,
     ``broadcast_rowwise`` are pure-Python row loops that hold the lock, so
     more threads would only contend for it: they score every partition on
     one worker, whatever ``pool_size`` says."""
-    _check_score_inputs(pf, forest, backend)
+    _check_types((pf, PartitionedFrame), (forest, ForestArrays),
+                 (backend, InferenceBackend))
     if pool_size is not None:
         _check_int(pool_size, "pool_size", 1)
     report = validate_forest(forest)
@@ -257,7 +249,8 @@ def measure_throughput(pf: PartitionedFrame, forest: ForestArrays,
     caps the scored rows for backends whose per-row cost makes the full frame
     impractical; the cap is recorded and rows/s stays comparable because
     per-row work is constant.  A measurement must score at least one row."""
-    _check_score_inputs(pf, forest, backend)
+    _check_types((pf, PartitionedFrame), (forest, ForestArrays),
+                 (backend, InferenceBackend))
     _check_int(repeats, "repeats", 1)
     if max_rows is not None:
         _check_int(max_rows, "max_rows")

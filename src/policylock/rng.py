@@ -23,6 +23,8 @@ and written straight into the output; the words do not depend on the chunks.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -67,7 +69,8 @@ def _splitmix64_array(x: np.ndarray, out=None, tmp=None) -> np.ndarray:
 
 
 def stream_base(seed: int, tag: str) -> int:
-    return splitmix64(splitmix64(seed & _MASK) ^ fnv1a64(tag))
+    # a numpy integer seed is read as the Python int it holds
+    return splitmix64(splitmix64(operator.index(seed) & _MASK) ^ fnv1a64(tag))
 
 
 # words mixed per chunk: the scratch stays in cache, and no full-size

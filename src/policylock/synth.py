@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedConfigurationError
+from .errors import InvalidArgumentError, UnsupportedConfigurationError, _check_int
 from .frame import ColumnFrame, plant_missing
 from .splitsearch import select_control
 from . import rng
@@ -61,10 +61,11 @@ class SynthSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))
-        if self.n_rows < 0:
-            raise InvalidArgumentError("n_rows must be >= 0")
+        _check_int(self.n_rows, "n_rows", 0)
+        _check_int(self.n_treatments, "n_treatments")
         if self.n_treatments < 2:
             raise InvalidArgumentError("need at least two treatments")
+        _check_int(self.seed, "seed")
         if self.skew not in ("balanced", "severe"):
             raise InvalidArgumentError(f"unknown skew {self.skew!r}")
         if not (0.0 <= self.p_miss <= 1.0):

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (AlignmentError, ContractViolationError, InvalidArgumentError,
-                     SchemaError, _check_int)
+                     SchemaError, _check_int, _check_types)
 from .forest import (ForestArrays, TreeArrays, _layout, _leaf_nodes,
                      INTERNAL_CONTINUOUS, LEAF)
 from .frame import ColumnFrame, PartitionedFrame, frames_of, sorted_row_ids
@@ -51,6 +51,7 @@ def row_id_set_digest(row_ids: np.ndarray) -> str:
 def _partitions(data: Union[ColumnFrame, PartitionedFrame]) -> tuple[ColumnFrame, ...]:
     """The frames of ``data`` in partition order; they must agree on their
     feature columns."""
+    _check_types((data, (ColumnFrame, PartitionedFrame)))
     parts = frames_of(data)
     if not parts:
         raise InvalidArgumentError("cannot train on zero partitions")
@@ -379,6 +380,7 @@ def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
 def train(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
           execution_path: str = PATH_REFERENCE) -> PolicyTree:
     """Deterministic level-wise training under a locked manifest."""
+    _check_types((manifest, Manifest))
     if not manifest.locked:
         raise ContractViolationError("manifest must be locked before training")
     ids = np.concatenate([p.row_ids for p in _partitions(data)])
@@ -417,6 +419,7 @@ def signature(tree: PolicyTree) -> TreeSignature:
     """Canonical, byte-deterministic serialization: internal records carry
     (path, feature, threshold, candidate bin, NaN direction); leaf records
     carry (path, fixed treatment order, full policy vector)."""
+    _check_types((tree, PolicyTree))
     lines = [f"treesignature v{SIGNATURE_FORMAT_VERSION}",
              f"treatments {len(tree.treatment_labels)}"]
     lines.extend(tree.treatment_labels)
@@ -471,20 +474,24 @@ class Assignments:
     vectors: np.ndarray      # [N, T]
     top_index: np.ndarray    # [N], argmax with lowest-index tie-break
     leaf_paths: np.ndarray   # [N] object
+    leaf_index: np.ndarray   # [N] int64, node in tree_to_arrays order
 
 
 def assign(tree: PolicyTree, frame: ColumnFrame) -> Assignments:
-    """Per-row policy vector, top treatment, and leaf path; routing identical
-    to forest traversal semantics."""
+    """Per-row policy vector, top treatment, and leaf; routing identical to
+    forest traversal semantics.  Everything that depends only on the leaf
+    (vector, top treatment, path) is worked out once per node and gathered
+    by the row's leaf index."""
+    _check_types((tree, PolicyTree), (frame, ColumnFrame))
     arrays, paths = tree_to_arrays(tree)
     forest = ForestArrays([arrays], tree.feature_names, tree.treatment_labels)
     leaf_idx = _leaf_nodes(forest, *_layout(
         forest, frame.feature_matrix_effective(tree.feature_names), False))
-    vectors = arrays.leaf_payload[leaf_idx]
-    top = np.argmax(vectors, axis=1).astype(np.int64)
-    path_table = np.array(paths, dtype=object)
-    return Assignments(frame.row_ids.copy(), tree.treatment_labels, vectors, top,
-                       path_table[leaf_idx])
+    top = np.argmax(arrays.leaf_payload, axis=1).astype(np.int64)
+    return Assignments(frame.row_ids.copy(), tree.treatment_labels,
+                       np.take(arrays.leaf_payload, leaf_idx, axis=0),
+                       np.take(top, leaf_idx),
+                       np.take(np.array(paths, dtype=object), leaf_idx), leaf_idx)
 
 
 @dataclass
@@ -502,6 +509,7 @@ def policy_value(assignments: Assignments, frame: ColumnFrame) -> PolicyValueRes
     the policy's top treatment; 0 with a warning flag when no match.  Rows
     match labels as ``treatment_codes`` does, by their ``str``, and a label
     outside the vocabulary is a ``ContractViolationError``."""
+    _check_types((assignments, Assignments), (frame, ColumnFrame))
     if not np.array_equal(assignments.row_ids, frame.row_ids):
         raise AlignmentError("assignments and frame must cover the same rows in order")
     matched = treatment_codes(frame, assignments.treatment_labels) == assignments.top_index
@@ -513,14 +521,20 @@ def policy_value(assignments: Assignments, frame: ColumnFrame) -> PolicyValueRes
 
 def uplift_proxy(assignments: Assignments, control_label: str) -> np.ndarray:
     """Max non-control policy-vector entry minus the control entry."""
-    labels = list(assignments.treatment_labels)
+    _check_types((assignments, Assignments))
+    return _proxy(assignments.vectors, assignments.treatment_labels, control_label)
+
+
+def _proxy(vectors: np.ndarray, labels: tuple[str, ...], control_label: str) -> np.ndarray:
+    """``uplift_proxy`` of each row of ``vectors`` ([n, T])."""
+    labels = list(labels)
     if control_label not in labels:
         raise InvalidArgumentError(f"control {control_label!r} not in assignment labels")
     ctrl = labels.index(control_label)
     noncontrol = [i for i in range(len(labels)) if i != ctrl]
     if not noncontrol:
         raise InvalidArgumentError("need at least one non-control treatment")
-    return assignments.vectors[:, noncontrol].max(axis=1) - assignments.vectors[:, ctrl]
+    return vectors[:, noncontrol].max(axis=1) - vectors[:, ctrl]
 
 
 def _treated_mask(treatments, control_label: str) -> np.ndarray:
@@ -534,29 +548,11 @@ def _treated_mask(treatments, control_label: str) -> np.ndarray:
                        count=len(values))
 
 
-def auuc_qini(proxy: np.ndarray, treatments: np.ndarray, outcomes: np.ndarray,
-              control_label: str, row_ids: np.ndarray) -> dict:
-    """Cumulative incremental-gain metrics under the deterministic tie order.
-
-    Normative definitions for this artifact: rows sort by proxy descending
-    with ties broken by ascending row id.  After k rows, with treated/control
-    counts n_t, n_c and outcome sums s_t, s_c,
-
-        gain(k) = (s_t/n_t - s_c/n_c) * k/N   (0 while either arm is empty)
-
-    AUUC is the trapezoid area of gain over k/N in [0, 1] (gain(0) = 0);
-    Qini subtracts the random-targeting diagonal area gain(N)/2.
-    """
-    proxy = np.asarray(proxy, dtype=np.float64)
-    outcomes = np.asarray(outcomes)
-    n = len(proxy)
-    if not len(treatments) == len(outcomes) == len(row_ids) == n:
-        raise InvalidArgumentError("proxy, treatments, outcomes and row_ids must be "
-                                   "equally long")
-    treated = _treated_mask(treatments, control_label)
+def _gain_areas(treated: np.ndarray, outcomes: np.ndarray, order: np.ndarray) -> dict:
+    """AUUC and Qini (see ``auuc_qini``) of the rows taken in ``order``."""
+    n = len(order)
     if n == 0 or not treated.any() or treated.all():
         raise InvalidArgumentError("need at least one control and one treated row")
-    order = np.lexsort((np.asarray(row_ids), -proxy))
     treated = treated[order]
     y = outcomes[order].astype(np.float64)
     nt = np.cumsum(treated)
@@ -574,6 +570,34 @@ def auuc_qini(proxy: np.ndarray, treatments: np.ndarray, outcomes: np.ndarray,
     return {"auuc": auuc, "qini": qini}
 
 
+def auuc_qini(proxy: np.ndarray, treatments: np.ndarray, outcomes: np.ndarray,
+              control_label: str, row_ids: np.ndarray) -> dict:
+    """Cumulative incremental-gain metrics under the deterministic tie order.
+
+    Normative definitions for this artifact: rows sort by proxy descending
+    with ties broken by ascending row id.  After k rows, with treated/control
+    counts n_t, n_c and outcome sums s_t, s_c,
+
+        gain(k) = (s_t/n_t - s_c/n_c) * k/N   (0 while either arm is empty)
+
+    AUUC is the trapezoid area of gain over k/N in [0, 1] (gain(0) = 0);
+    Qini subtracts the random-targeting diagonal area gain(N)/2.  ``proxy``
+    must be a 1-D array of real numbers.
+    """
+    proxy = np.asarray(proxy)
+    if proxy.ndim != 1 or proxy.dtype.kind not in "biuf":
+        raise InvalidArgumentError(f"proxy must be a 1-D array of real numbers, "
+                                   f"not {proxy.ndim}-D {proxy.dtype}")
+    proxy = proxy.astype(np.float64, copy=False)
+    n = len(proxy)
+    if not len(treatments) == len(outcomes) == len(row_ids) == n:
+        raise InvalidArgumentError("proxy, treatments, outcomes and row_ids must be "
+                                   "equally long")
+    treated = _treated_mask(treatments, control_label)
+    order = np.lexsort((np.asarray(row_ids), -proxy))
+    return _gain_areas(treated, np.asarray(outcomes), order)
+
+
 @dataclass
 class Witness:
     signature: TreeSignature
@@ -582,13 +606,28 @@ class Witness:
 
 
 def make_witness(tree: PolicyTree, holdout: ColumnFrame) -> Witness:
+    """Signature, assignments and metrics of ``tree`` on ``holdout``.  AUUC
+    and Qini take the order of ``auuc_qini`` without a per-row sort by
+    proxy: every row of a leaf has the leaf's proxy, so rows sort by the
+    dense rank of their leaf's proxy (descending; -0.0 and 0.0 are one rank,
+    NaN last), then by row id."""
+    _check_types((tree, PolicyTree), (holdout, ColumnFrame))
     control = select_control(tree.treatment_labels)
     assignments = assign(tree, holdout)
     pv = policy_value(assignments, holdout)
     metrics = {"policy_value": pv.value, "policy_value_matched_rows": pv.matched_rows,
                "policy_value_empty_match": pv.empty_match}
-    metrics.update(auuc_qini(uplift_proxy(assignments, control), holdout.treatments,
-                             holdout.outcomes, control, holdout.row_ids))
+    node_proxy = _proxy(tree_to_arrays(tree)[0].leaf_payload, tree.treatment_labels,
+                        control)
+    # ranks as the smallest unsigned type: numpy's stable sort of 8- and
+    # 16-bit keys is a radix sort, about 16x faster here than on int64
+    rank = np.unique(-node_proxy, return_inverse=True)[1].astype(
+        np.min_scalar_type(len(node_proxy)))
+    by_id = np.argsort(holdout.row_ids, kind="stable")
+    order = by_id[np.argsort(rank[assignments.leaf_index][by_id], kind="stable")]
+    treated = treatment_codes(holdout, tree.treatment_labels) != \
+        tree.treatment_labels.index(control)
+    metrics.update(_gain_areas(treated, holdout.outcomes, order))
     return Witness(signature(tree), assignments, metrics)
 
 
@@ -606,6 +645,7 @@ class WitnessReport:
 
 
 def witness_compare(a: Witness, b: Witness) -> WitnessReport:
+    _check_types((a, Witness), (b, Witness))
     ga = np.argsort(a.assignments.row_ids, kind="stable")
     gb = np.argsort(b.assignments.row_ids, kind="stable")
     if not np.array_equal(a.assignments.row_ids[ga], b.assignments.row_ids[gb]):

@@ -2,11 +2,13 @@
 
 Everything here works from raw rows or raw text with plain Python loops and
 stays deliberately independent of the engine's vectorized / prefix-sum /
-bulk-parse code paths, with two exceptions.  ``scalar_candidate`` reads the engine's ``PrefixTable``
-and checks only the array scorer's S2 arithmetic, one candidate at a time.
-``pernode_train`` keeps the engine's per-node split search, run on each
-node's rows of the frame, and checks only how the level-wise trainer batches
-nodes, subtracts sibling tables and routes rows.
+bulk-parse code paths, with three exceptions.  ``scalar_candidate`` reads
+the engine's ``PrefixTable`` and checks only the array scorer's S2
+arithmetic, one candidate at a time.  ``pernode_train`` keeps the engine's
+per-node split search, run on each node's rows of the frame, and checks only
+how the level-wise trainer batches nodes, subtracts sibling tables and routes
+rows.  ``reference_witness`` keeps the engine's per-row metric functions and
+checks only the witness's per-leaf shortcuts.
 """
 
 import itertools
@@ -19,10 +21,11 @@ from policylock.forest import (FOREST_FORMAT_VERSION, INTERNAL_CATEGORICAL, LEAF
                                _NAN_FLAGS, _NODE_TYPE_NAMES, ForestArrays, TreeArrays)
 from policylock.frame import PartitionedFrame
 from policylock.splitsearch import (CandidateScore, SplitConfig, best_split,
-                                    treatment_codes, STATUS_OK, _REASON_NO_CONTROL,
-                                    _REASON_NOT_FINITE, _REASON_ZERO_SUPPORT,
-                                    _reason_min_leaf)
-from policylock.trainer import PolicyNode, PolicyTree
+                                    select_control, treatment_codes, STATUS_OK,
+                                    _REASON_NO_CONTROL, _REASON_NOT_FINITE,
+                                    _REASON_ZERO_SUPPORT, _reason_min_leaf)
+from policylock.trainer import (Assignments, PolicyNode, PolicyTree, Witness, auuc_qini,
+                                policy_value, signature, tree_to_arrays, uplift_proxy)
 
 
 def scalar_leaf(tree, row_values):
@@ -303,3 +306,25 @@ def pernode_train(data, manifest, execution_path, control_override=None):
         queue.append((path + "R", rows[~go_left]))
     return PolicyTree(nodes, manifest.feature_names, labels, manifest.max_depth,
                       manifest.min_leaf_size)
+
+
+def reference_witness(tree, holdout):
+    """The witness composed row by row: each row's leaf from a scalar walk,
+    its vector gathered and its top treatment an ``argmax`` of that row,
+    then ``policy_value``, the per-row ``uplift_proxy`` and ``auuc_qini``,
+    which sorts all rows with ``lexsort``.  Slow, and the reference
+    ``make_witness`` must match bit for bit."""
+    arrays, paths = tree_to_arrays(tree)
+    rows = holdout.feature_matrix_effective(tree.feature_names).T.tolist()
+    leaf = np.array([scalar_leaf(arrays, row) for row in rows], dtype=np.int64)
+    vectors = arrays.leaf_payload[leaf]
+    assignments = Assignments(holdout.row_ids.copy(), tree.treatment_labels, vectors,
+                              np.argmax(vectors, axis=1).astype(np.int64),
+                              np.array(paths, dtype=object)[leaf], leaf)
+    pv = policy_value(assignments, holdout)
+    metrics = {"policy_value": pv.value, "policy_value_matched_rows": pv.matched_rows,
+               "policy_value_empty_match": pv.empty_match}
+    control = select_control(tree.treatment_labels)
+    metrics.update(auuc_qini(uplift_proxy(assignments, control), holdout.treatments,
+                             holdout.outcomes, control, holdout.row_ids))
+    return Witness(signature(tree), assignments, metrics)

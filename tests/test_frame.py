@@ -332,6 +332,17 @@ class TestPerturbations:
         with pytest.raises(pl.EngineError, match="unknown perturbation kind 'bogus'"):
             pl.apply_perturbation(pf, pl.PerturbationSpec("bogus"))
 
+    @pytest.mark.parametrize("spec", [None, "shuffle_rows", pl.PerturbationKind.SHUFFLE_ROWS])
+    def test_spec_must_be_a_perturbation_spec(self, spec):
+        pf = pl.partition(self._frame(), 2)
+        with pytest.raises(pl.InvalidArgumentError, match="expected a PerturbationSpec"):
+            pl.apply_perturbation(pf, spec)
+
+    def test_input_must_be_a_partitioned_frame(self):
+        spec = pl.PerturbationSpec(pl.PerturbationKind.SHUFFLE_ROWS, seed=1)
+        with pytest.raises(pl.InvalidArgumentError, match="expected a PartitionedFrame"):
+            pl.apply_perturbation(self._frame(), spec)
+
     def test_sort_within_partition_postcondition(self):
         pf = pl.partition(self._frame(), 4)
         out = pl.apply_perturbation(pf, pl.PerturbationSpec(
@@ -545,6 +556,31 @@ def _ids_frame(ids, outcomes=None):
     n = len(ids)
     return pl.ColumnFrame(np.asarray(ids, dtype=np.int64), ["a"], [np.arange(n) / 4],
                           outcomes=outcomes)
+
+
+class TestFeatureValues:
+    @pytest.mark.parametrize("values", [
+        np.array(["u", "v"]), ["u", "v"], ["0.5", "1"], np.array([b"1", b"2"]),
+        [1.0, "v"], np.array([1.0, "v"], dtype=object), [1.0, [2.0, 3.0]],
+        np.array(["1.5", 2.0], dtype=object), np.array([b"1", 2], dtype=object),
+        np.array([1 + 2j, 3j]), [{}, 1.0],
+    ])
+    def test_values_must_be_real_numbers(self, values):
+        with pytest.raises(pl.InvalidArgumentError, match="real numbers"):
+            pl.ColumnFrame(np.arange(2), ["a"], [values])
+
+    @pytest.mark.parametrize("values, want", [
+        ([True, False], [1.0, 0.0]), (np.array([3, -2], dtype=np.int8), [3.0, -2.0]),
+        (np.array([0.5, 2.0], dtype=np.float32), [0.5, 2.0]),
+        (np.array([1.0, 2], dtype=object), [1.0, 2.0]),
+    ])
+    def test_real_values_become_float64(self, values, want):
+        col = pl.ColumnFrame(np.arange(2), ["a"], [values]).feature_values[0]
+        assert col.dtype == np.float64 and col.tolist() == want
+
+    def test_none_is_a_nan_payload(self):
+        col = pl.ColumnFrame(np.arange(2), ["a"], [[1.0, None]]).feature_values[0]
+        assert col[0] == 1.0 and np.isnan(col[1])
 
 
 class TestRowIdAndOutcomeChecks:

@@ -37,6 +37,27 @@ class TestSkew:
             pl.generate(spec)
 
 
+class TestSpecArguments:
+    @pytest.mark.parametrize("kwargs", [
+        {"n_rows": "5"}, {"n_rows": 1.5}, {"n_rows": None}, {"n_rows": True},
+        {"n_rows": 5, "n_treatments": 2.5}, {"n_rows": 5, "n_treatments": "3"},
+        {"n_rows": 5, "seed": 1.5}, {"n_rows": 5, "seed": "7"},
+    ])
+    def test_counts_and_seed_must_be_integers(self, kwargs):
+        with pytest.raises(pl.InvalidArgumentError, match="must be an integer"):
+            pl.generate(pl.SynthSpec(**kwargs))
+
+    @pytest.mark.parametrize("kwargs", [{"n_rows": -1}, {"n_rows": 5, "n_treatments": 1}])
+    def test_counts_out_of_range_rejected(self, kwargs):
+        with pytest.raises(pl.InvalidArgumentError):
+            pl.SynthSpec(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        spec = pl.SynthSpec(n_rows=np.int64(6), n_treatments=np.int32(3),
+                            seed=np.uint8(2), families=("generic(1)",))
+        assert pl.generate(spec).n_rows == 6
+
+
 class TestFamilies:
     def test_no_missing_when_p_miss_zero(self):
         frame = pl.generate(pl.SynthSpec(n_rows=5000, seed=7, p_miss=0.0))

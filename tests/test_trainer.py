@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from collections import Counter
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 import policylock as pl
 from policylock.harness import _s1_variants
-from policylock.trainer import tree_to_arrays
+from policylock.forest import LEAF
+from policylock.trainer import PolicyNode, tree_to_arrays
 from policylock import frame as frame_module, rng, splitsearch, trainer
 
 from conftest import build_frame
-from _oracles import oracle_best, oracle_auuc_qini, pernode_train, scalar_leaf
+from _oracles import (oracle_best, oracle_auuc_qini, pernode_train, reference_witness,
+                      scalar_leaf)
 
 
 def _witness_frame(n_rows=8000, p_miss=0.1, seed=7, n_treatments=4):
@@ -455,7 +458,8 @@ class TestPolicyValue:
         for i, t in enumerate(top):
             vectors[i, t] = 1.0
         return pl.Assignments(np.arange(n), labels, vectors,
-                              np.array(top), np.array([""] * n, dtype=object))
+                              np.array(top), np.array([""] * n, dtype=object),
+                              np.zeros(n, dtype=np.int64))
 
     def test_all_match_outcome_one(self):
         frame = build_frame({"x": [0.0] * 3}, treatments=["A"] * 3,
@@ -544,6 +548,25 @@ class TestAuucQini:
         with pytest.raises(pl.InvalidArgumentError, match="equally long"):
             pl.auuc_qini(args["proxy"], args["treatments"], args["outcomes"], "c",
                          args["row_ids"])
+
+    @pytest.mark.parametrize("proxy", [
+        np.ones((6, 1)), np.ones((2, 3)), np.float64(0.5), np.array(["a"] * 6),
+        ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6"], np.array([0.5] * 6, dtype=object),
+        np.full(6, 1 + 1j),
+    ])
+    def test_proxy_must_be_a_1d_real_array(self, proxy):
+        with pytest.raises(pl.InvalidArgumentError, match="proxy must be a 1-D array"):
+            pl.auuc_qini(proxy, np.array(["t", "c"] * 3, dtype=object),
+                         np.array([1, 0, 0, 1, 1, 0]), "c", np.arange(6))
+
+    def test_integer_and_bool_proxies_read_as_float(self):
+        args = (np.array(["t", "c"] * 3, dtype=object), np.array([1, 0, 0, 1, 1, 0]), "c",
+                np.arange(6))
+        want = pl.auuc_qini(np.array([3.0, 1, 2, 0, 2, 1]), *args)
+        assert pl.auuc_qini(np.array([3, 1, 2, 0, 2, 1], dtype=np.int8), *args) == want
+        assert pl.auuc_qini([3, 1, 2, 0, 2, 1], *args) == want
+        assert pl.auuc_qini(np.array([1, 0, 1, 0, 1, 0], dtype=bool), *args) == \
+            pl.auuc_qini(np.array([1.0, 0, 1, 0, 1, 0]), *args)
 
     def test_tie_break_uses_row_id(self):
         # equal proxies: renumbering the rows reorders the curve
@@ -923,3 +946,189 @@ class TestWitness:
         shuffled = frame.take(rng.permutation(99, "shuffle", frame.n_rows))
         drifted = pl.train_unlocked_naive(shuffled, bmap, 2, 200)
         assert pl.signature(base).digest != pl.signature(drifted).digest
+
+
+def _bad_calls():
+    frame, labels = _witness_frame(n_rows=600)
+    man, _ = _manifest(frame, labels, max_depth=1, min_leaf=50)
+    tree = pl.train(frame, man)
+    witness = pl.make_witness(tree, frame)
+    return {
+        "train data": lambda: pl.train("x", man),
+        "train manifest": lambda: pl.train(frame, "x"),
+        "unlocked train data": lambda: pl.train_unlocked_naive("x", {}, 1, 1),
+        "assign frame": lambda: pl.assign(tree, "x"),
+        "assign tree": lambda: pl.assign("x", frame),
+        "assign partitioned": lambda: pl.assign(tree, pl.partition(frame, 2)),
+        "witness tree": lambda: pl.make_witness("x", frame),
+        "witness holdout": lambda: pl.make_witness(tree, "x"),
+        "compare both": lambda: pl.witness_compare("x", "y"),
+        "compare second": lambda: pl.witness_compare(witness, witness.assignments),
+        "signature tree": lambda: pl.signature(witness.signature),
+        "policy value assignments": lambda: pl.policy_value("x", frame),
+        "policy value frame": lambda: pl.policy_value(witness.assignments, "x"),
+        "uplift proxy assignments": lambda: pl.uplift_proxy(witness, labels[0]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_calls()))
+def test_entry_points_refuse_arguments_of_the_wrong_type(case):
+    with pytest.raises(pl.InvalidArgumentError, match="^expected a "):
+        _bad_calls()[case]()
+
+
+_CUTS = np.array([0.25, 0.5, 0.75])
+# few distinct leaf entries, so distinct leaves often share a proxy, -0.0
+# against 0.0 included
+_ENTRIES = np.array([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _random_policy_tree(gen, features, labels, depth, entries=_ENTRIES):
+    """A policy tree grown at random to at most ``depth``, its thresholds on
+    ``_CUTS`` and its leaf vectors drawn from ``entries``."""
+    nodes = {}
+
+    def grow(path):
+        if len(path) == depth or (path and gen.random() < 0.2):
+            nodes[path] = PolicyNode(path, True, 0, vector=gen.choice(entries, len(labels)))
+            return
+        nodes[path] = PolicyNode(path, False, 0, features[gen.integers(len(features))],
+                                 float(gen.choice(_CUTS)), 0,
+                                 "left" if gen.random() < 0.5 else "right")
+        grow(path + "L")
+        grow(path + "R")
+
+    grow("")
+    return pl.PolicyTree(nodes, tuple(features), tuple(labels), depth, 1)
+
+
+def _random_holdout(gen, features, labels, row_ids, int_labels):
+    """Values on the cuts' grid, NaN and NULL; every arm present."""
+    n = len(row_ids)
+    grid = np.array([0.0, 0.25, 0.5, 0.6, 0.75, 1.0, np.nan])
+    values = gen.choice(grid, (len(features), n))
+    valid = gen.random((len(features), n)) > 0.1
+    arms = gen.integers(0, len(labels), n)
+    arms[:len(labels)] = np.arange(len(labels))
+    treatments = arms.astype(object) if int_labels else np.array(labels, dtype=object)[arms]
+    return pl.ColumnFrame(row_ids, features, list(values), list(valid), treatments,
+                          gen.integers(0, 2, n))
+
+
+def _row_ids(gen, n, layout):
+    if layout == "ascending":
+        return np.arange(n)
+    if layout == "descending":
+        return np.arange(n)[::-1] * 3 - 50
+    if layout == "shuffled":
+        return gen.permutation(n)
+    return np.sort(gen.choice(np.arange(-10**12, 10**12, 10**6), n, replace=False))
+
+
+def _assert_same_witness(got, want):
+    assert got.signature == want.signature
+    a, b = got.assignments, want.assignments
+    assert a.treatment_labels == b.treatment_labels
+    for field in ("row_ids", "vectors", "top_index", "leaf_paths", "leaf_index"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), field
+        if x.dtype == object:
+            assert x.tolist() == y.tolist(), field
+        else:
+            assert x.tobytes() == y.tobytes(), field
+    assert list(got.metrics) == list(want.metrics)
+    for key, value in want.metrics.items():
+        assert type(got.metrics[key]) is type(value), key
+        if isinstance(value, float):
+            assert struct.pack("<d", got.metrics[key]) == struct.pack("<d", value), key
+        else:
+            assert got.metrics[key] == value, key
+
+
+class TestLeafGranularWitness:
+    """``make_witness`` works per leaf and gathers per row; the reference
+    composes the per-row functions.  Every field must be bit-equal."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_random_trees_match_the_row_by_row_reference(self, seed):
+        gen = np.random.default_rng(seed)
+        layout = ("ascending", "descending", "shuffled", "sparse")[seed % 4]
+        int_labels = seed % 3 == 0
+        labels = ("0", "1", "2")[:2 + seed % 2] if int_labels else \
+            ("control", "treat_a", "treat_b", "treat_c")[:2 + seed % 3]
+        features = ["f0", "f1", "f2"]
+        depth = seed % 5    # depth 0 is a one-leaf tree
+        entries = np.append(_ENTRIES, np.nan) if seed % 7 == 3 else _ENTRIES
+        tree = _random_policy_tree(gen, features, labels, depth, entries)
+        holdout = _random_holdout(gen, features, labels,
+                                  _row_ids(gen, 300 + 37 * (seed % 5), layout), int_labels)
+        _assert_same_witness(pl.make_witness(tree, holdout),
+                             reference_witness(tree, holdout))
+
+    def test_distinct_leaves_with_equal_proxies_order_by_row_id(self):
+        """Leaves LL and RL share the proxy 0.25, LR (-0.0) and RR (0.0) the
+        proxy zero.  Their rows interleave by row id, so an order that kept
+        each leaf's rows together would change the curve."""
+        tree = pl.PolicyTree({
+            "": PolicyNode("", False, 0, "x", 0.5, 1, "left"),
+            "L": PolicyNode("L", False, 0, "x", 0.25, 0, "left"),
+            "R": PolicyNode("R", False, 0, "x", 0.75, 2, "right"),
+            "LL": PolicyNode("LL", True, 0, vector=np.array([0.25, 0.5])),
+            "LR": PolicyNode("LR", True, 0, vector=np.array([0.0, -0.0])),
+            "RL": PolicyNode("RL", True, 0, vector=np.array([0.5, 0.75])),
+            "RR": PolicyNode("RR", True, 0, vector=np.array([0.5, 0.5])),
+        }, ("x",), ("control", "treat"), 2, 1)
+        n = 400
+        gen = np.random.default_rng(5)
+        holdout = pl.ColumnFrame(gen.permutation(n), ["x"], [gen.random(n)], None,
+                                 np.where(gen.random(n) < 0.5, "control", "treat")
+                                 .astype(object), gen.integers(0, 2, n))
+        got = pl.make_witness(tree, holdout)
+        _assert_same_witness(got, reference_witness(tree, holdout))
+        a = got.assignments
+        proxy = pl.uplift_proxy(a, "control")
+        assert set(proxy.tolist()) == {0.25, 0.0}
+        assert set(a.leaf_paths.tolist()) == {"LL", "LR", "RL", "RR"}
+        by_leaf = np.lexsort((a.row_ids, a.leaf_index, -proxy))
+        position = np.empty(n)
+        position[by_leaf] = -np.arange(n)
+        kept_together = pl.auuc_qini(position, holdout.treatments, holdout.outcomes,
+                                     "control", a.row_ids)
+        assert kept_together["auuc"] != got.metrics["auuc"]
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled", "descending"])
+    def test_trained_tree_matches_the_reference(self, order):
+        frame, labels = _witness_frame(n_rows=3000)
+        man, _ = _manifest(frame, labels, max_depth=3, min_leaf=100)
+        tree = pl.train(frame, man)
+        rows = {"ascending": np.arange(3000), "descending": np.arange(3000)[::-1],
+                "shuffled": rng.permutation(4, "holdout", 3000)}[order]
+        holdout = frame.take(rows[:1500])
+        _assert_same_witness(pl.make_witness(tree, holdout),
+                             reference_witness(tree, holdout))
+
+    def test_leaf_index_addresses_the_path_table(self):
+        frame, labels = _witness_frame(n_rows=2000)
+        man, _ = _manifest(frame, labels, max_depth=3, min_leaf=100)
+        tree = pl.train(frame, man)
+        out = pl.assign(tree, frame)
+        arrays, paths = tree_to_arrays(tree)
+        assert out.leaf_index.dtype == np.int64
+        assert out.leaf_paths.tolist() == [paths[i] for i in out.leaf_index]
+        assert (arrays.node_type[out.leaf_index] == LEAF).all()
+
+    def test_witness_calls_each_traced_layer_once(self, monkeypatch):
+        """The benchmark's traced run times the witness by wrapping these
+        module attributes; a witness that stopped calling one would leave its
+        layer reading 0."""
+        frame, labels = _witness_frame(n_rows=1000)
+        man, _ = _manifest(frame, labels, max_depth=2, min_leaf=100)
+        tree = pl.train(frame, man)
+        calls = Counter()
+        for name in ("assign", "policy_value", "signature"):
+            def spy(*args, _name=name, _original=getattr(trainer, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(trainer, name, spy)
+        pl.make_witness(tree, frame)
+        assert calls == {"assign": 1, "policy_value": 1, "signature": 1}
