@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all engine modules, and the integer and
+"""Exception hierarchy shared by all engine modules, and the number and
 argument-type checks."""
 
 import numbers
@@ -40,6 +40,11 @@ def _check_int(value, what: str, least=None) -> None:
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise InvalidArgumentError(f"{what} must be >= {least}, got {value}")
+
+
+def _is_real(value) -> bool:
+    """A real number: a Python or numpy int or float, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_types(*pairs) -> None:

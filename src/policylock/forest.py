@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, MalformedTreeError, SchemaError
+from .errors import (InvalidArgumentError, MalformedTreeError, SchemaError, _check_int,
+                     _check_types)
 from . import rng
 
 INTERNAL_CONTINUOUS = 0
@@ -40,13 +41,16 @@ class TreeArrays:
     leaf_payload: np.ndarray   # float64 [n_nodes, T]
 
     def __post_init__(self):
-        self.node_type = np.asarray(self.node_type, dtype=np.int8)
-        self.feature_index = np.asarray(self.feature_index, dtype=np.int32)
-        self.split_value = np.asarray(self.split_value, dtype=np.float64)
-        self.left_child = np.asarray(self.left_child, dtype=np.int32)
-        self.right_child = np.asarray(self.right_child, dtype=np.int32)
-        self.nan_goes_left = np.asarray(self.nan_goes_left, dtype=bool)
-        self.leaf_payload = np.asarray(self.leaf_payload, dtype=np.float64)
+        try:
+            self.node_type = np.asarray(self.node_type, dtype=np.int8)
+            self.feature_index = np.asarray(self.feature_index, dtype=np.int32)
+            self.split_value = np.asarray(self.split_value, dtype=np.float64)
+            self.left_child = np.asarray(self.left_child, dtype=np.int32)
+            self.right_child = np.asarray(self.right_child, dtype=np.int32)
+            self.nan_goes_left = np.asarray(self.nan_goes_left, dtype=bool)
+            self.leaf_payload = np.asarray(self.leaf_payload, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidArgumentError(f"tree arrays must hold numbers: {exc}") from None
 
     @property
     def n_nodes(self) -> int:
@@ -60,8 +64,14 @@ class ForestArrays:
     treatment_labels: tuple[str, ...]
 
     def __post_init__(self):
-        self.feature_names = tuple(self.feature_names)
-        self.treatment_labels = tuple(self.treatment_labels)
+        _check_types((self.trees, (list, tuple)))
+        _check_types(*((t, TreeArrays) for t in self.trees))
+        try:
+            self.feature_names = tuple(self.feature_names)
+            self.treatment_labels = tuple(self.treatment_labels)
+        except TypeError:
+            raise InvalidArgumentError("feature names and treatment labels must be "
+                                       "sequences") from None
 
     @property
     def n_treatments(self) -> int:
@@ -114,6 +124,7 @@ def validate_forest(forest: ForestArrays) -> ValidationReport:
     ``_PreparedForest``'s tables.  A tree reports its first failing stage:
     shape, an unknown node type, its flagged nodes in node order, or the
     first node that cannot reach a leaf within ``4 * n_nodes`` steps."""
+    _check_types((forest, ForestArrays))
     return _checked_table(forest)[0]
 
 
@@ -378,7 +389,10 @@ def _layout(forest: ForestArrays, columns: np.ndarray,
     """``score``'s ``(flat, base, stride)`` of a float64 batch holding the
     forest's features as rows (``[F, n]``) or per row (``[n, F]``); a
     non-contiguous batch is copied once."""
-    batch = np.ascontiguousarray(columns, dtype=np.float64)
+    try:
+        batch = np.ascontiguousarray(columns, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("a batch must hold real numbers") from None
     if batch.ndim != 2 or batch.shape[1 if row_major else 0] != forest.n_features:
         raise InvalidArgumentError(
             f"batch of shape {batch.shape} does not hold {forest.n_features} features "
@@ -403,6 +417,7 @@ def _leaf_nodes(forest: ForestArrays, flat: np.ndarray, base: np.ndarray,
 def traverse_batch(tree: TreeArrays, columns: np.ndarray, row_major: bool = False) -> np.ndarray:
     """Leaf payload [n, T] for a float64 batch whose missing cells are NaN;
     the tree may address every feature the batch holds."""
+    _check_types((tree, TreeArrays))
     n_features = np.shape(columns)[1 if row_major else 0] if np.ndim(columns) == 2 else 0
     forest = ForestArrays([tree], ("",) * n_features, ("",) * tree.leaf_payload.shape[-1])
     return tree.leaf_payload[_leaf_nodes(forest, *_layout(forest, columns, row_major))]
@@ -423,6 +438,7 @@ FOREST_FORMAT_VERSION = "1"
 def forest_to_text(forest: ForestArrays) -> str:
     """Canonical structured text: documented field order, full-precision
     (shortest round-trip) decimal floats, bit-exact on read-back."""
+    _check_types((forest, ForestArrays))
     lines = [f"forestarrays v{FOREST_FORMAT_VERSION}"]
     lines.append(f"treatments {forest.n_treatments}")
     lines.extend(forest.treatment_labels)
@@ -581,6 +597,9 @@ def random_forest(n_trees: int, max_depth: int, feature_names: Sequence[str],
     F, T = len(feature_names), len(treatment_labels)
     if F < 1:
         raise InvalidArgumentError("a random forest needs at least one feature")
+    for value, what in ((n_trees, "n_trees"), (max_depth, "max_depth"), (seed, "seed"),
+                        (categorical_cardinality, "categorical_cardinality")):
+        _check_int(value, what)
     if n_trees < 1:
         raise InvalidArgumentError("a random forest needs at least one tree")
     cat_set = set(int(c) for c in categorical_features)

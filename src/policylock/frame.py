@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -29,6 +30,7 @@ from . import rng
 _CANONICAL_NAN = np.float64(np.nan)
 
 PRESENT, NULL, NAN = 0, 1, 2  # missing-kind tags, also the checksum tag bytes
+_INT64_END = 2.0 ** 63        # the first float past int64's range
 
 
 def _as_float_column(values) -> np.ndarray:
@@ -69,9 +71,22 @@ def plant_missing(values: np.ndarray, mask: np.ndarray,
 
 
 def sorted_row_ids(row_ids) -> np.ndarray:
-    """``row_ids`` as int64, sorted; an id held twice is a ``SchemaError``.
-    One sort and an adjacent compare (``np.unique`` adds a hash pass)."""
-    ids = np.sort(np.asarray(row_ids, dtype=np.int64))
+    """``row_ids`` as int64, sorted.  Ids are a 1-D array of integers, or of
+    floats that hold whole numbers inside int64's range; any other id (text,
+    a fraction, NaN, an infinity, a bool, an object) is an
+    ``InvalidArgumentError``, never truncated.  An id held twice is a
+    ``SchemaError``.  One sort and an adjacent compare (``np.unique`` adds
+    a hash pass)."""
+    ids = np.asarray(row_ids)
+    if ids.dtype.kind == "f":
+        whole = ((ids == np.floor(ids)) & (-_INT64_END <= ids) & (ids < _INT64_END)).all()
+    else:
+        whole = ids.dtype.kind == "i" or (
+            ids.dtype.kind == "u" and (ids <= np.iinfo(np.int64).max).all())
+    if ids.ndim != 1 or not whole:
+        raise InvalidArgumentError("row_ids must be a 1-D array of integers "
+                                   f"(whole numbers), got {ids.dtype} of shape {ids.shape}")
+    ids = np.sort(ids.astype(np.int64, copy=False))
     if (ids[1:] == ids[:-1]).any():
         raise SchemaError("row_ids must be unique")
     return ids
@@ -85,7 +100,9 @@ class ColumnFrame:
 
     def __init__(self, row_ids, feature_names: Sequence[str], feature_values,
                  feature_valid=None, treatments=None, outcomes=None):
-        self.row_ids = np.asarray(row_ids, dtype=np.int64)
+        ids = np.asarray(row_ids)
+        sorted_row_ids(ids)
+        self.row_ids = ids.astype(np.int64, copy=False)
         n = len(self.row_ids)
         self.feature_names: tuple[str, ...] = tuple(str(f) for f in feature_names)
         if len(set(self.feature_names)) != len(self.feature_names):
@@ -118,7 +135,6 @@ class ColumnFrame:
 
         if len(self.treatments) != n or len(self.outcomes) != n:
             raise SchemaError("all columns must share the frame length")
-        sorted_row_ids(self.row_ids)
         if not ((self.outcomes == 0) | (self.outcomes == 1)).all():
             raise SchemaError("outcomes must be binary 0/1")
         for arr in (self.row_ids, *self.feature_values, *self.feature_valid,
@@ -232,6 +248,10 @@ def concat_frames(frames: Sequence[ColumnFrame]) -> ColumnFrame:
 class PartitionedFrame:
     partitions: tuple[ColumnFrame, ...]
 
+    def __post_init__(self):
+        _check_types((self.partitions, (tuple, list)))
+        _check_types(*((p, ColumnFrame) for p in self.partitions))
+
     @property
     def partition_count(self) -> int:
         return len(self.partitions)
@@ -284,6 +304,9 @@ def apply_perturbation(pf: PartitionedFrame, spec: PerturbationSpec) -> Partitio
         kind = PerturbationKind(spec.kind)
     except ValueError:
         raise InvalidArgumentError(f"unknown perturbation kind {spec.kind!r}") from None
+    for key in ("target_partitions", "seed"):
+        if getattr(spec, key) is not None:
+            _check_int(getattr(spec, key), key)
     if kind is PerturbationKind.REPARTITION:
         if not spec.target_partitions or spec.target_partitions < 1:
             raise InvalidArgumentError("repartition needs a target partition count >= 1")
@@ -345,6 +368,7 @@ def _digest_update_frame(h, frame: ColumnFrame) -> None:
 def frame_checksum(frame: ColumnFrame) -> str:
     """Order-sensitive 128-bit digest over ids, column order, values and
     missing-kind tags.  Stable across runs and platforms."""
+    _check_types((frame, ColumnFrame))
     h = hashlib.blake2b(digest_size=16)
     _digest_update_frame(h, frame)
     return h.hexdigest()
@@ -372,6 +396,7 @@ def _parse_cell(parse, cell: str, what: str, r: int):
 def read_csv(path, roles: CsvRoles) -> ColumnFrame:
     """Generic ingestion: empty cells -> NULL, literal "NaN" -> NaN payload;
     malformed rows and cells raise ``SchemaError`` (docs/normative.md)."""
+    _check_types((path, (str, bytes, os.PathLike)), (roles, CsvRoles))
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -418,6 +443,7 @@ def read_csv(path, roles: CsvRoles) -> ColumnFrame:
 
 
 def write_csv(frame: ColumnFrame, path) -> None:
+    _check_types((frame, ColumnFrame), (path, (str, bytes, os.PathLike)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_id", *frame.feature_names, "treatment", "outcome"])

@@ -12,6 +12,14 @@ Backends differ only in execution strategy, never in routing semantics:
 All four accumulate per-tree payloads in tree order and divide once, so the
 float operation sequence is identical and cross-backend deltas are exactly 0.
 
+The row-wise backends walk one stacked interval table (``_ScalarForest``):
+a node sends a value ``v`` left exactly when ``lo <= v <= hi``, with ``hi``
+the split value and ``lo`` the split value on categorical nodes and
+``-inf`` on continuous ones, and a NaN to its ``nan_goes_left`` child.  For
+a value that is not NaN that is ``v <= s`` on a continuous node and
+``v == s`` on a categorical one, the scalar walk's rule and the kernel's
+routing codes (docs/normative.md, "Forest routing").
+
 Every backend walks a partition batch by batch: each batch's features are
 filled (NULL as NaN) into one reused [F, batch] block, and each partition
 writes its scores straight into its own slice of one [N, T] result, so the
@@ -27,14 +35,17 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
 
-from .errors import (AlignmentError, InvalidArgumentError, SchemaError, _check_int,
-                     _check_types)
-from .forest import (ForestArrays, _PreparedForest, _layout, forest_from_text,
-                     forest_to_text, validate_forest, LEAF, INTERNAL_CATEGORICAL)
+from .errors import (AlignmentError, InvalidArgumentError, MalformedTreeError, SchemaError,
+                     _check_int, _check_types)
+from .forest import (ForestArrays, _PreparedForest, _checked_table, _layout,
+                     forest_from_text, forest_to_text, validate_forest, LEAF,
+                     INTERNAL_CATEGORICAL)
 from .frame import ColumnFrame, PartitionedFrame, partition
 
 BACKEND_KINDS = ("anti_pattern", "broadcast_rowwise", "vectorized_columnar",
@@ -64,37 +75,69 @@ class ScoreColumn:
 
 
 class _ScalarForest:
-    """Plain-list view of the forest for tight per-row Python walks."""
+    """The row-wise backends' model: every tree's nodes stacked into one
+    node table of plain lists, built from ``validate_forest``'s own stacked
+    pass, so construction raises ``MalformedTreeError`` with the report's
+    first violation on exactly the forests the vectorized kernel refuses.
+
+    Node ``g`` routes a row whose value is ``v = row[feature[g]]``: a value
+    inside the interval, ``lo[g] <= v <= hi[g]``, goes to ``left[g]``, any
+    other value to ``right[g]``, and a NaN to ``nan_child[g]`` (its
+    ``nan_goes_left`` child, resolved here).  ``hi`` is the split value;
+    ``lo`` is the split value on categorical nodes and ``-inf`` on
+    continuous ones.  For a value that is not NaN this is the scalar walk's
+    rule exactly: a continuous node tests ``v <= s``, since ``-inf <= v``
+    always holds; a categorical node tests ``s <= v <= s``, which holds
+    exactly when ``v == s`` (signed zeros and infinities included).  A NaN
+    split value fails both compares, so every value that is not NaN goes
+    right, as ``v <= s`` and ``v == s`` both fail too.  The walk tests
+    ``v <= hi`` first, so a value above the interval skips the lower
+    compare, and asks ``v == v`` only of values outside it: a NaN fails
+    every compare, so it is told apart last.
+
+    A child that is a leaf is stored as ``~k``, ``k`` the leaf's row in
+    ``payload`` (the stacked leaves' payloads), so a walk ends at the first
+    negative node; ``starts`` holds each tree's root the same way.  Each
+    tree's payload is collected in tree order and every treatment's column
+    is summed from ``0.0`` left to right, ``((0.0 + p0) + p1) + ...``, then
+    divided once by the tree count: the float operation sequence of the
+    scalar walk and of the kernel.  ``functools.reduce`` keeps that sequence; ``sum`` may not
+    (it compensates on Python 3.12 and later)."""
 
     def __init__(self, forest: ForestArrays):
-        self.n_treatments = forest.n_treatments
-        self.trees = []
-        for t in forest.trees:
-            self.trees.append((t.node_type.tolist(), t.feature_index.tolist(),
-                               t.split_value.tolist(), t.left_child.tolist(),
-                               t.right_child.tolist(), t.nan_goes_left.tolist(),
-                               t.leaf_payload.tolist()))
+        report, (roots, node_type, feature, left, right, _) = _checked_table(forest)
+        if not report.passed:
+            raise MalformedTreeError(report.violations[0].message)
+        trees = forest.trees
+        is_leaf = node_type == LEAF
+        # a leaf child becomes ~k, k its rank among the stacked leaves
+        code = np.where(is_leaf, ~(np.cumsum(is_leaf) - 1), np.arange(len(is_leaf)))
+        left, right = code[left], code[right]
+        split = np.concatenate([t.split_value for t in trees])
+        nan_left = np.concatenate([t.nan_goes_left for t in trees])
+        self.feature = feature.tolist()
+        self.lo = np.where(node_type == INTERNAL_CATEGORICAL, split, -np.inf).tolist()
+        self.hi = split.tolist()
+        self.left, self.right = left.tolist(), right.tolist()
+        self.nan_child = np.where(nan_left, left, right).tolist()
+        self.starts = code[roots].tolist()
+        self.payload = np.concatenate([t.leaf_payload for t in trees])[is_leaf].tolist()
+        self.n_trees = float(len(trees))
 
-    def score_row(self, row_values: list) -> list:
-        acc = [0.0] * self.n_treatments
-        for node_type, feat, split, left, right, nan_left, payload in self.trees:
-            node = 0
-            while node_type[node] != LEAF:
-                v = row_values[feat[node]]
-                if v != v:  # NaN
-                    go_left = nan_left[node]
-                elif node_type[node] == INTERNAL_CATEGORICAL:
-                    go_left = v == split[node]
-                else:
-                    go_left = v <= split[node]
-                node = left[node] if go_left else right[node]
-            leaf = payload[node]
-            for i in range(self.n_treatments):
-                acc[i] += leaf[i]
-        n_trees = float(len(self.trees))
-        for i in range(self.n_treatments):
-            acc[i] /= n_trees
-        return acc
+    def score_row(self, row: list) -> list:
+        feature, lo, hi = self.feature, self.lo, self.hi
+        left, right, nan_child = self.left, self.right, self.nan_child
+        payload = self.payload
+        leaves = []
+        append = leaves.append
+        for node in self.starts:
+            while node >= 0:
+                v = row[feature[node]]
+                node = (left[node] if v <= hi[node] and lo[node] <= v
+                        else right[node] if v == v else nan_child[node])
+            append(payload[~node])
+        n_trees = self.n_trees
+        return [reduce(add, column, 0.0) / n_trees for column in zip(*leaves)]
 
 
 def _feature_order_check(frame: ColumnFrame, forest: ForestArrays) -> None:

@@ -41,7 +41,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidArgumentError, _check_int
+from .errors import (ContractViolationError, InvalidArgumentError, _check_int, _check_types,
+                     _is_real)
 from .frame import ColumnFrame, PartitionedFrame, frames_of
 from . import rng
 
@@ -130,10 +131,13 @@ def bucketize(value, boundaries: Boundaries, *, out: Optional[np.ndarray] = None
     search over random values mispredicts at every step and is several times
     slower.  Counting is O(B) per value, so wider features keep
     ``searchsorted``."""
+    _check_types((boundaries, Boundaries))
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"bucketize values must be numbers or None: {exc}") from None
+    if out is not None and (not isinstance(out, np.ndarray) or out.shape != arr.shape):
+        raise InvalidArgumentError(f"out must be an array of the values' shape {arr.shape}")
     if boundaries.n_bins <= _COUNT_CUTS_MAX_BINS:
         flat = arr.ravel()
         cuts = np.array(boundaries.cuts)[:, None]
@@ -161,8 +165,8 @@ def bucketize(value, boundaries: Boundaries, *, out: Optional[np.ndarray] = None
 
 
 def candidate_row_count(n_features: int, n_bins: int, n_treatments: int) -> int:
-    if n_features < 1 or n_bins < 1 or n_treatments < 1:
-        raise InvalidArgumentError("F, B, T must all be >= 1")
+    for value, what in ((n_features, "F"), (n_bins, "B"), (n_treatments, "T")):
+        _check_int(value, what, 1)
     return n_features * (n_bins - 1) * n_treatments
 
 
@@ -451,8 +455,12 @@ def windowed_prefix_table(data: SplitInput, feature: str,
 def ddp_max(uplifts_left: Sequence[float], uplifts_right: Sequence[float]) -> float:
     """Maximum separation between the best uplift on one side and the worst
     on the other: max(max(R) - min(L), max(L) - min(R))."""
-    ul = list(uplifts_left)
-    ur = list(uplifts_right)
+    try:
+        ul, ur = list(uplifts_left), list(uplifts_right)
+    except TypeError:
+        raise InvalidArgumentError("ddp_max takes two sequences of numbers") from None
+    if not all(_is_real(u) for u in ul + ur):
+        raise InvalidArgumentError("ddp_max takes two sequences of numbers")
     if not ul or not ur:
         raise InvalidArgumentError("ddp_max needs at least one uplift per side")
     return max(max(ur) - min(ul), max(ul) - min(ur))
@@ -479,11 +487,13 @@ class CandidateScore:
 def candidate_order_key(cand: CandidateScore) -> tuple:
     """Strict total order: score desc, threshold asc, bin asc, NaN-left
     preferred, feature name asc.  min() under this key is the winner."""
+    _check_types((cand, CandidateScore))
     return (-cand.score, cand.threshold_boundary, cand.candidate_bin,
             0 if cand.nan_direction == NAN_LEFT else 1, cand.feature_name)
 
 
 def compare_candidates(a: CandidateScore, b: CandidateScore) -> int:
+    _check_types((a, CandidateScore), (b, CandidateScore))
     if not a.valid or not b.valid:
         raise InvalidArgumentError("compare_candidates is defined for valid candidates")
     ka, kb = candidate_order_key(a), candidate_order_key(b)
@@ -499,12 +509,12 @@ class SplitConfig:
     pool_size: Optional[int] = None
 
     def __post_init__(self):
-        if self.min_leaf_size < 1:
-            raise InvalidArgumentError("min_leaf_size must be >= 1")
+        _check_int(self.min_leaf_size, "min_leaf_size", 1)
+        _check_int(self.safety_skip_threshold, "safety_skip_threshold")
         if self.execution_path not in EXECUTION_PATHS:
             raise InvalidArgumentError(f"unknown execution path {self.execution_path!r}")
-        if self.pool_size is not None and self.pool_size < 1:
-            raise InvalidArgumentError("pool_size must be >= 1")
+        if self.pool_size is not None:
+            _check_int(self.pool_size, "pool_size", 1)
 
     def with_path(self, path: str) -> "SplitConfig":
         return replace(self, execution_path=path)
@@ -622,6 +632,7 @@ def expand_and_score(table: PrefixTable, config: SplitConfig) -> list[CandidateS
     """S2: exactly 2*(B-1) candidates per feature, both NaN routes, missing
     tallies added to the routed branch before rate computation; in (bin,
     route) order."""
+    _check_types((table, PrefixTable), (config, SplitConfig))
     control = select_control(table.treatments, config.control_label_override)
     scores = _FeatureScores.of_cells(table.cells()[None], table.treatments.index(control),
                                      config.min_leaf_size)
@@ -765,6 +776,7 @@ def best_split(data: SplitInput, features: Sequence[str],
     The frame is binned once, its partitions on a pool of ``pool_size``
     threads (default one per CPU) on every path, S1 counts every unit's
     cells, then S2 searches all of them at once."""
+    _check_types((config, SplitConfig))
     treatments = tuple(treatments)
     features = list(features)
     control = select_control(treatments, config.control_label_override)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedConfigurationError, _check_int
+from .errors import (InvalidArgumentError, UnsupportedConfigurationError, _check_int,
+                     _check_types, _is_real)
 from .frame import ColumnFrame, plant_missing
 from .splitsearch import select_control
 from . import rng
@@ -68,8 +69,8 @@ class SynthSpec:
         _check_int(self.seed, "seed")
         if self.skew not in ("balanced", "severe"):
             raise InvalidArgumentError(f"unknown skew {self.skew!r}")
-        if not (0.0 <= self.p_miss <= 1.0):
-            raise InvalidArgumentError("p_miss must be within [0, 1]")
+        if not (_is_real(self.p_miss) and 0.0 <= self.p_miss <= 1.0):
+            raise InvalidArgumentError(f"p_miss must be within [0, 1], got {self.p_miss!r}")
         if self.missing_encoding not in ("null", "nan"):
             raise InvalidArgumentError(f"unknown missing encoding {self.missing_encoding!r}")
         if self.missing_focus not in ("uniform", "control_arm", "treated_arms",
@@ -133,6 +134,7 @@ def uplift_offset(t: int) -> float:
 def generate(spec: SynthSpec) -> ColumnFrame:
     """Deterministic frame for a SynthSpec; see module docstring for the
     outcome model and family constructions."""
+    _check_types((spec, SynthSpec))
     n = spec.n_rows
     labels = spec.treatment_labels()
     probs = spec.treatment_probs()
@@ -206,8 +208,11 @@ def generate(spec: SynthSpec) -> ColumnFrame:
 def split_train_holdout(frame: ColumnFrame, holdout_fraction: float,
                         seed: int) -> tuple[ColumnFrame, ColumnFrame]:
     """Deterministic disjoint split; row order within each part preserved."""
-    if not (0.0 < holdout_fraction < 1.0):
-        raise InvalidArgumentError("holdout_fraction must be in (0, 1)")
+    _check_types((frame, ColumnFrame))
+    if not (_is_real(holdout_fraction) and 0.0 < holdout_fraction < 1.0):
+        raise InvalidArgumentError(
+            f"holdout_fraction must be in (0, 1), got {holdout_fraction!r}")
+    _check_int(seed, "seed")
     n = frame.n_rows
     n_holdout = int(round(n * holdout_fraction))
     perm = rng.permutation(seed, "train-holdout", n)

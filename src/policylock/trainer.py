@@ -131,6 +131,7 @@ MANIFEST_FORMAT_VERSION = "1"
 
 def manifest_to_text(manifest: Manifest) -> str:
     """Versioned manifest file: all lock fields plus both digests."""
+    _check_types((manifest, Manifest))
     lines = [f"manifest v{MANIFEST_FORMAT_VERSION}",
              f"locked {'true' if manifest.locked else 'false'}",
              f"row_id_digest {manifest.row_id_digest}",

@@ -9,6 +9,7 @@ import policylock as pl
 from policylock.forest import (INTERNAL_CATEGORICAL, INTERNAL_CONTINUOUS, LEAF,
                                TreeArrays, _layout, _leaf_nodes, _PreparedForest)
 from policylock import rng
+from policylock.inference import _ScalarForest
 
 from _oracles import reference_forest_from_text, scalar_leaf, scalar_scores
 from conftest import build_frame, leaf_child_forest_text
@@ -309,6 +310,31 @@ def _kernel_batch(n_features, categorical, n_rows, seed):
     return cols
 
 
+def _dag_forest():
+    """A random depth-3 tree, then a DAG-shaped tree (two parents share a
+    child) with right children numbered before left ones and unreachable
+    nodes, over three features; and a [3, 400] batch with NaN cells and
+    cells on the DAG's thresholds."""
+    cont, cat = INTERNAL_CONTINUOUS, INTERNAL_CATEGORICAL
+    dag = TreeArrays(
+        [cont, cat, LEAF, cont, LEAF, cont, LEAF, LEAF, cont],
+        [0, 1, -1, 2, -1, 1, -1, -1, 0],
+        [0.5, 2.0, _NAN, 0.25, _NAN, 0.7, _NAN, _NAN, 0.1],
+        [5, 6, -1, 7, -1, 7, -1, -1, 4],
+        [1, 3, -1, 4, -1, 6, -1, -1, 6],
+        [True, False, False, True, False, False, False, False, True],
+        [[0.0, 0.0], [0.0, 0.0], [9.0, 9.0], [0.0, 0.0], [0.25, 0.5],
+         [0.0, 0.0], [0.75, 0.125], [0.5, 0.0625], [0.0, 0.0]])
+    names = ("f0", "f1", "f2")
+    first = pl.random_forest(1, 3, names, ("a", "b"), seed=5,
+                             categorical_features=(1,)).trees[0]
+    forest = pl.ForestArrays([first, dag], names, ("a", "b"))
+    assert pl.validate_forest(forest).passed
+    cols = _kernel_batch(len(names), (1,), 400, seed=8)
+    cols[0, ::9], cols[2, 1::11], cols[1, 2::4] = 0.5, 0.25, 2.0
+    return forest, cols
+
+
 class TestOneKernel:
     """Every entry point of the prepared kernel against the scalar oracle, on
     partial trees (rows must stay parked at shallow leaves while the
@@ -432,23 +458,8 @@ class TestOneKernel:
         """A DAG-shaped tree (two parents share a child), right children
         numbered before left ones and unreachable nodes, stacked after
         another tree, through every entry point of the kernel."""
-        cont, cat = INTERNAL_CONTINUOUS, INTERNAL_CATEGORICAL
-        dag = TreeArrays(
-            [cont, cat, LEAF, cont, LEAF, cont, LEAF, LEAF, cont],
-            [0, 1, -1, 2, -1, 1, -1, -1, 0],
-            [0.5, 2.0, _NAN, 0.25, _NAN, 0.7, _NAN, _NAN, 0.1],
-            [5, 6, -1, 7, -1, 7, -1, -1, 4],
-            [1, 3, -1, 4, -1, 6, -1, -1, 6],
-            [True, False, False, True, False, False, False, False, True],
-            [[0.0, 0.0], [0.0, 0.0], [9.0, 9.0], [0.0, 0.0], [0.25, 0.5],
-             [0.0, 0.0], [0.75, 0.125], [0.5, 0.0625], [0.0, 0.0]])
-        names = ["f0", "f1", "f2"]
-        first = pl.random_forest(1, 3, names, ("a", "b"), seed=5,
-                                 categorical_features=(1,)).trees[0]
-        forest = pl.ForestArrays([first, dag], names, ("a", "b"))
-        assert pl.validate_forest(forest).passed
-        cols = _kernel_batch(len(names), (1,), 400, seed=8)
-        cols[0, ::9], cols[2, 1::11], cols[1, 2::4] = 0.5, 0.25, 2.0
+        forest, cols = _dag_forest()
+        dag, names = forest.trees[1], list(forest.feature_names)
         rows = cols.T.tolist()
         rm = np.ascontiguousarray(cols.T)
         expected = np.array(scalar_scores(forest, rows)).tobytes()
@@ -512,6 +523,126 @@ class TestOneKernel:
         assert out.row_ids.shape == (0,)
         assert out.vectors.shape == (0, len(tree.treatment_labels))
         assert out.top_index.shape == (0,) and out.leaf_paths.shape == (0,)
+
+
+def _frame_of(cols, nulls=()):
+    """A frame of the [F, n] batch ``cols`` (features ``f0``.. in order);
+    the cells at ``(feature, row)`` in ``nulls`` become NULL."""
+    data = {f"f{i}": cols[i].tolist() for i in range(len(cols))}
+    for f, r in nulls:
+        data[f"f{f}"][r] = None
+    return build_frame(data)
+
+
+def _assert_backends_match_scalar_oracle(forest, frame):
+    """All four backends score ``frame`` byte-identically to the scalar
+    oracle, at batch sizes 1, 3 and 10000 on one and on three partitions."""
+    rows = np.array([frame.effective_values(name) for name in forest.feature_names]).T
+    want = np.array(scalar_scores(forest, rows.tolist()))
+    for p in (1, 3):
+        pf = pl.partition(frame, p)
+        for kind in pl.BACKEND_KINDS:
+            for batch in (1, 3, 10000):
+                col = pl.score(pf, forest, pl.InferenceBackend(kind, batch))
+                assert col.row_ids.tolist() == frame.row_ids.tolist()
+                assert col.vectors.tobytes() == want.tobytes(), (kind, batch, p)
+
+
+class TestRowwiseWalk:
+    """The row-wise backends walk one stacked interval table (each node
+    goes left on ``lo <= v <= hi``); every backend, through ``score``,
+    against the scalar oracle on edge values."""
+
+    @pytest.mark.parametrize("nan_left", [False, True])
+    @pytest.mark.parametrize("categorical", [False, True])
+    def test_routing_cases(self, categorical, nan_left):
+        """Every ``_ROUTING_CASES`` value (a NULL cell too) against one tree
+        per threshold, signed zeros, infinities and a NaN threshold
+        included, with a tree of the other kind and NaN flag last."""
+        values = [v for _, v in _ROUTING_CASES] + [0.5]
+        trees = [depth1_tree(threshold=t, nan_left=nan_left, categorical=categorical)
+                 for t in dict.fromkeys(t for t, _ in _ROUTING_CASES)]
+        trees.append(depth1_tree(threshold=0.5, nan_left=not nan_left,
+                                 categorical=not categorical))
+        forest = pl.ForestArrays(trees, ("f0",), ("a", "b"))
+        _assert_backends_match_scalar_oracle(
+            forest, _frame_of(np.array([values]), nulls=[(0, len(values) - 1)]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_partial_trees(self, seed):
+        """Partial trees with categorical nodes, NaN and NULL cells and
+        cells equal to a node's threshold."""
+        names = [f"f{i}" for i in range(5)]
+        categorical = (1, 3)
+        forest = pl.random_forest(4, 2 + seed, names, ("a", "b", "c"), seed=300 + seed,
+                                  categorical_features=categorical,
+                                  categorical_cardinality=4, full=False)
+        cols = _kernel_batch(len(names), categorical, 40, seed=seed)
+        for tree in forest.trees:
+            for i in np.flatnonzero(tree.node_type != LEAF)[:3]:
+                cols[tree.feature_index[i], int(i) % 40] = tree.split_value[i]
+        _assert_backends_match_scalar_oracle(
+            forest, _frame_of(cols, nulls=[(0, 1), (1, 2), (4, 39)]))
+
+    def test_dag_shaped_tree(self):
+        forest, cols = _dag_forest()
+        _assert_backends_match_scalar_oracle(forest, _frame_of(cols[:, :60]))
+
+    def test_one_leaf_tree(self):
+        """A root that is itself a leaf, alone and between deeper trees;
+        its ``-0.0`` payload sums to ``0.0 + -0.0 = 0.0``, so a sum started
+        at ``-0.0`` shows."""
+        leaf = single_leaf_tree([-0.0, 0.25])
+        cols = np.array([[0.25, _NAN, 0.5, 0.75, -_INF]])
+        alone = pl.ForestArrays([leaf], ("f0",), ("a", "b"))
+        _assert_backends_match_scalar_oracle(alone, _frame_of(cols))
+        deeper = pl.random_forest(2, 3, ("f0",), ("a", "b"), seed=4).trees
+        mixed = pl.ForestArrays([deeper[0], leaf, deeper[1]], ("f0",), ("a", "b"))
+        _assert_backends_match_scalar_oracle(mixed, _frame_of(cols))
+
+    @pytest.mark.parametrize("categorical", [False, True])
+    def test_nan_threshold_sends_every_row_right(self, categorical):
+        tree = depth1_tree(threshold=_NAN, nan_left=True, categorical=categorical)
+        forest = pl.ForestArrays([tree], ("f0",), ("a", "b"))
+        cols = np.array([[-_INF, -0.0, 0.0, 0.5, _INF, _NAN]])
+        _assert_backends_match_scalar_oracle(forest, _frame_of(cols))
+        got = pl.score(pl.partition(_frame_of(cols), 1), forest,
+                       pl.InferenceBackend("broadcast_rowwise"))
+        assert got.vectors.tolist() == [[0.0, 1.0]] * 5 + [[1.0, 0.0]]
+
+    def test_refuses_what_validation_reports(self):
+        """The row-wise model is built from ``validate_forest``'s own pass:
+        it refuses exactly the forests that fail validation, with the
+        report's first message, as the kernel does."""
+        cont = INTERNAL_CONTINUOUS
+        forests = [pl.ForestArrays([tree, single_leaf_tree([5.0])], ("f0",), ("a",))
+                   for tree in (
+            TreeArrays([cont, LEAF], [0, -1], [0.5, 0.0], [1, -1], [2, -1],
+                       [False, False], [[0.0], [1.0]]),
+            TreeArrays([cont, LEAF], [0, -1], [0.5, 0.0], [0, -1], [1, -1],
+                       [False, False], [[0.0], [1.0]]),
+            TreeArrays([cont, cont, LEAF], [0, 0, -1], [0.5, 0.5, 0.0], [1, 0, -1],
+                       [1, 0, -1], [False] * 3, [[0.0], [0.0], [1.0]]),
+            TreeArrays([cont, LEAF, LEAF], [1, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1],
+                       [2, -1, -1], [False] * 3, [[0.0], [1.0], [2.0]]))]
+        forests += [pl.ForestArrays([], ("f0",), ("a",)),
+                    pl.forest_from_text(leaf_child_forest_text(0))]
+        for text, _ in _edited_texts(300, seed=41):
+            try:
+                forests.append(pl.forest_from_text(text))
+            except pl.SchemaError:
+                pass
+        refused = 0
+        for forest in forests:
+            report = pl.validate_forest(forest)
+            if report.passed:
+                _ScalarForest(forest)
+                continue
+            refused += 1
+            with pytest.raises(pl.MalformedTreeError) as exc:
+                _ScalarForest(forest)
+            assert str(exc.value) == report.violations[0].message
+        assert 6 < refused < len(forests) - 50
 
 
 class TestSerialization:

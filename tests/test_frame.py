@@ -594,6 +594,28 @@ class TestRowIdAndOutcomeChecks:
         assert _ids_frame(ids).row_ids.tolist() == ids
 
     @pytest.mark.parametrize("ids", [
+        ["a", "b"], ["1", "2"], [b"1", b"2"], [1.5, 2.0], [0.0, -0.5],
+        [0.0, float("nan")], [0.0, float("inf")], [-float("inf"), 1.0],
+        [2.0 ** 63, 0.0], [-2.0 ** 64, 0.0], [True, False], [1, None],
+        np.array([1, 2], dtype=object), np.array([2 ** 63, 1], dtype=np.uint64),
+        np.array([1, 2], dtype=np.complex128), np.zeros((1, 2)), np.int64(3)])
+    def test_ids_that_are_not_integers_rejected(self, ids):
+        """Text, fractions, NaN, infinities, whole floats outside int64,
+        bools and objects are refused, never truncated or wrapped."""
+        with pytest.raises(pl.InvalidArgumentError, match="row_ids must be"):
+            pl.ColumnFrame(ids, ["a"], [[0.5] * np.size(ids)])
+        with pytest.raises(pl.InvalidArgumentError, match="row_ids must be"):
+            pl.row_id_set_digest(ids)
+
+    @pytest.mark.parametrize("ids,want", [
+        ([2.0, 1.0], [2, 1]), ([-0.0, 3.0], [0, 3]), (np.array([7.0, -9.0]), [7, -9]),
+        ([-2.0 ** 63, 2.0 ** 62], [_I64.min, 2 ** 62]), (np.array([5, 1], dtype=np.uint64), [5, 1]),
+        (np.array([3, -4], dtype=np.int8), [3, -4])])
+    def test_whole_number_ids_become_int64(self, ids, want):
+        frame = pl.ColumnFrame(ids, ["a"], [[0.5, 0.25]])
+        assert frame.row_ids.dtype == np.int64 and frame.row_ids.tolist() == want
+
+    @pytest.mark.parametrize("ids", [
         [7, 7], [_I64.min, _I64.min], [_I64.max, _I64.max], [-3, -3],
         [4, 1, 2, 3, 4],                      # duplicate first and last
         [0, 4, 1, 2, 3, 4],                   # last duplicates an inner id

@@ -57,6 +57,16 @@ class TestSpecArguments:
                             seed=np.uint8(2), families=("generic(1)",))
         assert pl.generate(spec).n_rows == 6
 
+    @pytest.mark.parametrize("p_miss", ["x", "0.1", None, True, 1.5, -0.1, float("nan")])
+    def test_p_miss_must_be_a_number_in_the_unit_interval(self, p_miss):
+        with pytest.raises(pl.InvalidArgumentError, match="p_miss must be within"):
+            pl.SynthSpec(n_rows=5, p_miss=p_miss)
+
+    @pytest.mark.parametrize("p_miss", [0, 1, np.float64(0.25), np.float32(0.5)])
+    def test_real_p_miss_accepted(self, p_miss):
+        spec = pl.SynthSpec(n_rows=50, p_miss=p_miss, families=("generic(1)",))
+        assert pl.generate(spec).n_rows == 50
+
 
 class TestFamilies:
     def test_no_missing_when_p_miss_zero(self):
@@ -175,6 +185,22 @@ class TestTrainHoldout:
             pl.split_train_holdout(frame, 0.0, seed=1)
         with pytest.raises(pl.InvalidArgumentError):
             pl.split_train_holdout(frame, 1.0, seed=1)
+
+    @pytest.mark.parametrize("fraction,seed,match", [
+        ("x", 1, "holdout_fraction"), ("0.2", 1, "holdout_fraction"),
+        (None, 1, "holdout_fraction"), (True, 1, "holdout_fraction"),
+        (float("nan"), 1, "holdout_fraction"),
+        (0.2, 1.5, "seed"), (0.2, "1", "seed"), (0.2, None, "seed")])
+    def test_fraction_and_seed_must_be_numbers(self, fraction, seed, match):
+        frame = pl.generate(pl.SynthSpec(n_rows=10, families=("generic(1)",)))
+        with pytest.raises(pl.InvalidArgumentError, match=match):
+            pl.split_train_holdout(frame, fraction, seed)
+
+    def test_numpy_fraction_and_seed_accepted(self):
+        frame = pl.generate(pl.SynthSpec(n_rows=10, families=("generic(1)",)))
+        want = pl.split_train_holdout(frame, 0.5, 11)
+        got = pl.split_train_holdout(frame, np.float64(0.5), np.int64(11))
+        assert [p.row_ids.tolist() for p in got] == [p.row_ids.tolist() for p in want]
 
 
 _SPECS = {
