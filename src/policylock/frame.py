@@ -395,14 +395,19 @@ def _parse_cell(parse, cell: str, what: str, r: int):
 
 def read_csv(path, roles: CsvRoles) -> ColumnFrame:
     """Generic ingestion: empty cells -> NULL, literal "NaN" -> NaN payload;
-    malformed rows and cells raise ``SchemaError`` (docs/normative.md)."""
+    malformed rows and cells and text that is not UTF-8 raise ``SchemaError``,
+    a path that cannot be opened ``InvalidArgumentError`` (docs/normative.md)."""
     _check_types((path, (str, bytes, os.PathLike)), (roles, CsvRoles))
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot open CSV file: {exc}") from None
+    with fh:
         reader = csv.DictReader(fh)
         try:
             fieldnames = reader.fieldnames
             rows = list(reader)
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise SchemaError(f"malformed CSV: {exc}") from None
     if fieldnames is None:
         raise SchemaError("CSV file has no header row")
@@ -444,7 +449,7 @@ def read_csv(path, roles: CsvRoles) -> ColumnFrame:
 
 def write_csv(frame: ColumnFrame, path) -> None:
     _check_types((frame, ColumnFrame), (path, (str, bytes, os.PathLike)))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_id", *frame.feature_names, "treatment", "outcome"])
         kinds = np.stack([frame.missing_kinds(n) for n in frame.feature_names]) \

@@ -298,8 +298,7 @@ def _units(view: BinnedRows, config: SplitConfig) -> list[list[int]]:
     B (grouped in feature order).  The partitioned path cuts the features into
     contiguous shards, one per worker, before grouping them."""
     F = len(view.features)
-    shards = config.pool_size or min(8, max(F, 1)) \
-        if config.execution_path == PATH_PARTITIONED else 1
+    shards = config.workers if config.execution_path == PATH_PARTITIONED else 1
     units = []
     for shard in np.array_split(np.arange(F), shards):
         groups: dict[int, list[int]] = {}
@@ -516,6 +515,12 @@ class SplitConfig:
         if self.pool_size is not None:
             _check_int(self.pool_size, "pool_size", 1)
 
+    @property
+    def workers(self) -> int:
+        """Threads of every pool the split search runs: ``pool_size``, or
+        one per CPU."""
+        return self.pool_size or os.cpu_count() or 1
+
     def with_path(self, path: str) -> "SplitConfig":
         return replace(self, execution_path=path)
 
@@ -720,7 +725,7 @@ def _count_level(view: BinnedRows, units: Sequence[Sequence[int]], config: Split
         return _count_cells(view, unit, relational, rows, slots, n_slots)
 
     if config.execution_path == PATH_PARTITIONED and units:
-        with ThreadPoolExecutor(max_workers=config.pool_size or min(8, len(units))) as pool:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(count, units))
     return [count(unit) for unit in units]
 
@@ -786,8 +791,7 @@ def best_split(data: SplitInput, features: Sequence[str],
     if skip is not None:
         return SplitSearchResult(STATUS_SKIPPED_TOO_LARGE, None, cand_rows, control,
                                  reason=skip)
-    view = bin_rows(data, features, boundaries, treatments,
-                    config.pool_size or os.cpu_count() or 1)
+    view = bin_rows(data, features, boundaries, treatments, config.workers)
     units = _units(view, config)
     tables = _count_level(view, units, config, None, None, 1)
     (winner,), scored = _search_cells(view, units, tables, 1, treatments.index(control),

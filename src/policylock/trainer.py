@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import (AlignmentError, ContractViolationError, InvalidArgumentError,
                      SchemaError, _check_int, _check_types)
-from .forest import (ForestArrays, TreeArrays, _layout, _leaf_nodes,
-                     INTERNAL_CONTINUOUS, LEAF)
+from .forest import TreeArrays, _leaf_nodes, INTERNAL_CONTINUOUS, LEAF
 from .frame import ColumnFrame, PartitionedFrame, frames_of, sorted_row_ids
 from .splitsearch import (Boundaries, SplitConfig, bin_rows, check_vocabulary,
                           feature_boundaries, select_control, treatment_codes,
@@ -485,9 +484,7 @@ def assign(tree: PolicyTree, frame: ColumnFrame) -> Assignments:
     by the row's leaf index."""
     _check_types((tree, PolicyTree), (frame, ColumnFrame))
     arrays, paths = tree_to_arrays(tree)
-    forest = ForestArrays([arrays], tree.feature_names, tree.treatment_labels)
-    leaf_idx = _leaf_nodes(forest, *_layout(
-        forest, frame.feature_matrix_effective(tree.feature_names), False))
+    leaf_idx = _leaf_nodes(arrays, frame.feature_matrix_effective(tree.feature_names))
     top = np.argmax(arrays.leaf_payload, axis=1).astype(np.int64)
     return Assignments(frame.row_ids.copy(), tree.treatment_labels,
                        np.take(arrays.leaf_payload, leaf_idx, axis=0),
@@ -540,11 +537,9 @@ def _proxy(vectors: np.ndarray, labels: tuple[str, ...], control_label: str) -> 
 
 def _treated_mask(treatments, control_label: str) -> np.ndarray:
     """``str(t) != control_label`` per row, with ``str()`` applied once per
-    distinct label; labels that are exactly ``str`` compare as they are."""
+    distinct label."""
     values = np.asarray(treatments, dtype=object)
     treated = {label: str(label) != control_label for label in set(values.tolist())}
-    if all(type(label) is str for label in treated):
-        return np.not_equal(values, control_label)
     return np.fromiter(map(treated.__getitem__, values.tolist()), dtype=bool,
                        count=len(values))
 

@@ -53,10 +53,10 @@ def _row(fn, args, expected, note):
     return pytest.param(fn, args, expected, id=f"{fn.__name__}: {note}")
 
 
-def _csv(text):
-    """A CSV file of ``text`` in the current directory."""
-    with open("in.csv", "w") as fh:
-        fh.write(text)
+def _csv(data):
+    """A CSV file of ``data``, text or raw bytes, in the current directory."""
+    with open("in.csv", "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
     return "in.csv"
 
 
@@ -122,6 +122,12 @@ TABLE = PROBE + [
     _row(pl.read_csv, lambda x: call(_csv("row_id,a,t\n1,0.5,c\n"),
                                      pl.CsvRoles(("a",), "t", "y", "row_id")), SE,
          "no outcome column"),
+    _row(pl.read_csv, lambda x: call("missing.csv", pl.CsvRoles(("a",), "t", "y")), IAE,
+         "a path that does not exist"),
+    _row(pl.read_csv, lambda x: call(".", pl.CsvRoles(("a",), "t", "y")), IAE,
+         "a directory"),
+    _row(pl.read_csv, lambda x: call(_csv(b"a,t,y\n\xff,c,1\n"),
+                                     pl.CsvRoles(("a",), "t", "y")), SE, "bytes not UTF-8"),
     # forests and scoring
     _row(pl.TreeArrays, lambda x: call(["leaf"], [-1], [0.0], [-1], [-1], [False],
                                        [[1.0]]), IAE, "node type of text"),

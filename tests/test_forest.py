@@ -1,4 +1,5 @@
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -473,8 +474,8 @@ class TestOneKernel:
         leaves = [scalar_leaf(dag, row) for row in rows]
         assert set(leaves) == {4, 6, 7}
         # the trainer's assignment reads original node ids
-        one = pl.ForestArrays([dag], names, ("a", "b"))
-        assert _leaf_nodes(one, *_layout(one, cols, False)).tolist() == leaves
+        assert _leaf_nodes(dag, cols).tolist() == leaves
+        assert _leaf_nodes(dag, rm, row_major=True).tolist() == leaves
         frame = build_frame({name: cols[i].tolist() for i, name in enumerate(names)})
         for kind in ("vectorized_columnar", "vectorized_rowmajor"):
             col = pl.score(pl.partition(frame, 3), forest, pl.InferenceBackend(kind, 64))
@@ -504,6 +505,51 @@ class TestOneKernel:
             for bad in (base - 1 - base.min(), last):
                 with pytest.raises(pl.InvalidArgumentError, match="leave its"):
                     model.score(flat, bad, stride)
+
+    def test_scoring_leaves_the_model_unchanged(self):
+        """After ``__init__`` the model holds only its tables: scoring at
+        several widths, a rejected batch and a leaf lookup set no attribute
+        and write no table."""
+        forest, cols = _dag_forest()
+        model = _PreparedForest(forest)
+        before = dict(vars(model))
+        tables = {k: v.tobytes() for k, v in before.items() if isinstance(v, np.ndarray)}
+        flat, base, stride = _layout(forest, cols, False)
+        for rows in (base, base[:7], base):
+            model.score(flat, rows, stride)
+        with pytest.raises(pl.InvalidArgumentError):
+            model.score(flat, base - 1, stride)
+        _leaf_nodes(forest.trees[1], cols)
+        assert vars(model).keys() == before.keys()
+        assert all(vars(model)[k] is v for k, v in before.items())
+        assert {k: v.tobytes() for k, v in vars(model).items()
+                if isinstance(v, np.ndarray)} == tables
+
+    def test_a_walk_short_of_the_leaves_raises(self):
+        """Every pass checks that its slots end on leaves: a model whose
+        depths fall one short raises ``MalformedTreeError`` rather than
+        scoring internal nodes' payloads."""
+        forest, cols = _dag_forest()
+        model = _PreparedForest(forest)
+        model.depths = model.depths - 1
+        with pytest.raises(pl.MalformedTreeError, match="did not reach leaves"):
+            model.score(*_layout(forest, cols, False))
+
+    def test_one_model_scores_from_many_threads(self):
+        """One model scored from four threads at once, on batches of
+        different widths and pass counts, gives each batch the bytes of
+        serial scoring."""
+        names = ["f0", "f1", "f2"]
+        forest = pl.random_forest(12, 6, names, ("a", "b"), seed=21,
+                                  categorical_features=(1,), full=False)
+        model = _PreparedForest(forest)
+        layouts = [_layout(forest, _kernel_batch(3, (1,), n, seed=30 + i), False)
+                   for i, n in enumerate((1, 300, 6000, 20000, 70000))]
+        serial = [model.score(*layout).tobytes() for layout in layouts]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                jobs = [pool.submit(model.score, *layout) for layout in layouts * 2]
+                assert [job.result().tobytes() for job in jobs] == serial * 2
 
     def test_zero_rows(self):
         forest = pl.random_forest(2, 4, ["f0", "f1"], ("a", "b"), seed=5,

@@ -369,6 +369,22 @@ class TestCli:
         assert captured.err.startswith("error: ") and repr(missing) in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--csv", "{bad}", "--feature-cols", "f00", "--forest", "{bad}"],
+        ["infer", "--forest", "{bad}", "--synth-rows", "20", "--synth-features", "2",
+         "--synth-trees", "1", "--synth-depth", "1"],
+        ["synth", "--out", "{tmp}/x.csv", "--config", "{bad}"],
+        ["harness", "run", "--block", "C2", "--out", "{tmp}/o", "--config", "{bad}"],
+    ], ids=["infer_csv", "infer_forest", "synth_config", "harness_config"])
+    def test_file_not_utf8_exits_2(self, tmp_path, capsys, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("f00,treatment,outcome\n\u00e9,control,1\n".encode("latin-1"))
+        rc = cli_main([arg.format(bad=bad, tmp=tmp_path) for arg in argv])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "utf-8" in captured.err.lower()
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_forest_without_trees_exits_2(self, tmp_path, capsys):
         forest_path = tmp_path / "forest.txt"
         rc = cli_main(["forest-gen", "--trees", "-1", "--out", str(forest_path)])
