@@ -1,20 +1,23 @@
 """Collect-less multi-treatment split search, in two stages that pass count
 tables, not rows.
 
-Stage S1 (``_count_cells``) turns rows into cell tables: int64
-``[F_u, K, B+1, T, 2]`` per unit of features sharing one B, the rows with
-outcome 0 and 1 per node, bin (the missing bin last) and treatment.  Its one
-input is a ``BinnedRows`` view that keeps each partition's row range, built
-by ``bin_rows``, which bucketizes a frame (``ColumnFrame`` or
-``PartitionedFrame``) once.  Every execution path counts each partition's
-cell keys ``((slot*(B+1) + bin)*T + code)*2 + positive`` with one
-``bincount``, one feature at a time into one key buffer; only the count
-tables merge.  ``best_split`` bins its frame, one partition per task on a
-thread pool on every path (binning runs before the paths part), and counts
-all rows as one node (K = 1).  The trainer bins its rows once on its own
-thread and counts a subset of them with a node slot per row, so every table
-has K nodes and one S2 pass answers for every node of a tree level.
-``build_prefix_sums`` and ``windowed_prefix_table`` are one feature's slice.
+Stage S1 turns rows into cell tables: int64 ``[F_u, K, B+1, T, 2]`` per unit
+of features sharing one B, the rows with outcome 0 and 1 per node, bin (the
+missing bin last) and treatment.  Each partition's cell keys
+``((slot*(B+1) + bin)*T + code)*2 + positive`` are counted with one
+``bincount`` per feature, and only the count tables merge: summed on the
+reference and partitioned paths, sort-merged as sparse groups on the
+relational path.  The root (all rows as one node, K = 1) is counted where
+the bins are made: ``_count_partition`` bucketizes each feature of one
+partition into a bin row and counts that row at once.  ``best_split`` runs
+it in one task per partition on a thread pool on every path, each task with
+one reused bin row, so it keeps no [F, N] bin matrix.  ``build_prefix_sums``
+and ``windowed_prefix_table`` run it on the caller's thread for one feature.
+The trainer runs it on its own thread, writing the bins into the
+``BinnedRows`` view that ``bin_rows`` also returns, since row routing needs
+them; below the root ``_count_cells`` counts a subset of the view's rows
+with a node slot per row, so every table has K nodes and one S2 pass
+answers for every node of a tree level.
 
 Stage S2 (``_search_cells``) stacks each B group's tables and scores every
 candidate of every feature and node in one array pass, expanding each
@@ -228,26 +231,35 @@ def treatment_codes(frame: ColumnFrame, treatments: tuple[str, ...]) -> np.ndarr
     return codes
 
 
+def _check_bounds(bounds: Sequence[int], n_rows: int) -> None:
+    if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n_rows or any(np.diff(bounds) < 0):
+        raise InvalidArgumentError("partition bounds must run non-decreasing from 0 to "
+                                   f"{n_rows} over one partition or more")
+
+
 @dataclass(frozen=True)
-class BinnedRows:
-    """S1's input, built by ``bin_rows``: rows bucketized once under fixed
-    boundaries.  ``bins[f]`` is feature ``features[f]``'s bin per row (missing
-    bin B included) and ``tails`` is ``code*2 + positive`` per row, the low
-    digits of every cell key (``code`` the treatment index in
-    ``treatments``, ``positive`` the outcome).  Rows ``bounds[p]:bounds[p+1]``
-    are partition p, which S1 counts on its own."""
+class _Grid:
+    """What S2 reads of its input: the features, their boundaries (in
+    feature order) and the treatment vocabulary."""
     features: tuple[str, ...]
     boundaries: tuple[Boundaries, ...]
     treatments: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class BinnedRows(_Grid):
+    """Rows bucketized once under fixed boundaries, built by ``bin_rows``.
+    ``bins[f]`` is feature ``features[f]``'s bin per row (missing bin B
+    included) and ``tails`` is ``code*2 + positive`` per row, the low digits
+    of every cell key (``code`` the treatment index in ``treatments``,
+    ``positive`` the outcome).  Rows ``bounds[p]:bounds[p+1]`` are partition
+    p, which S1 counts on its own."""
     bins: np.ndarray        # uint8 [F, N]; uint16 (or wider) when some B+1 > 256
     tails: np.ndarray       # int64 [N]
     bounds: tuple[int, ...]  # 0 = bounds[0] <= ... <= bounds[-1] = N
 
     def __post_init__(self):
-        b = self.bounds
-        if len(b) < 2 or b[0] != 0 or b[-1] != self.n_rows or any(np.diff(b) < 0):
-            raise InvalidArgumentError("partition bounds must run non-decreasing from 0 to "
-                                       f"{self.n_rows} over one partition or more")
+        _check_bounds(self.bounds, self.n_rows)
 
     @property
     def n_rows(self) -> int:
@@ -257,103 +269,163 @@ class BinnedRows:
 SplitInput = Union[ColumnFrame, PartitionedFrame]
 
 
+def _count_partition(part: ColumnFrame, grid: _Grid, bins: np.ndarray,
+                     tails: np.ndarray) -> list[np.ndarray]:
+    """S1 at the root, for one partition: each feature's values are
+    bucketized into a bin row, and that row's cell keys ``bin*2T + tail``
+    are counted at once with one ``bincount``.  ``tails`` receives
+    ``code*2 + positive`` per row.  ``bins`` is [F, n], whose row f keeps
+    feature f's bins, or [1, n], one row reused by every feature.  Returns
+    each feature's int64 counts [(B+1)*2T]."""
+    T2 = 2 * len(grid.treatments)
+    np.multiply(treatment_codes(part, grid.treatments), 2, out=tails, casting="unsafe")
+    tails += part.outcomes == 1
+    keys = np.empty(len(tails), dtype=np.int64)
+    tables = []
+    for f, (name, b) in enumerate(zip(grid.features, grid.boundaries)):
+        row = bucketize(part.effective_values(name), b, out=bins[f % len(bins)])
+        np.multiply(row, T2, out=keys, dtype=np.int64)
+        keys += tails
+        tables.append(np.bincount(keys, minlength=(b.n_bins + 1) * T2))
+    return tables
+
+
+def _scan(data: SplitInput, features: Sequence[str], boundaries: Mapping[str, Boundaries],
+          treatments: Sequence[str], workers: int,
+          keep: bool) -> tuple[_Grid, list[list[np.ndarray]]]:
+    """S1's one pass over the rows: every partition of ``data`` through
+    ``_count_partition``, one task per partition on a pool of at most
+    ``workers`` threads (no pool for one task).  Returns the grid and each
+    partition's root tables.  With ``keep`` the grid is a ``BinnedRows``
+    whose ``bins`` and ``tails`` the tasks fill, partition p at rows
+    ``bounds[p]:bounds[p+1]``; without it each task bins into one reused
+    row and narrow tails of its own, so no row-sized array outlives the
+    task.  A task's error is raised as the serial loop would raise it, the
+    first failing partition's."""
+    features, treatments = tuple(features), tuple(treatments)
+    per_feature = feature_boundaries(boundaries, features)
+    parts = frames_of(data)
+    bounds = tuple(accumulate((p.n_rows for p in parts), initial=0))
+    _check_bounds(bounds, bounds[-1])
+    dtype = np.min_scalar_type(max((b.missing_bin for b in per_feature), default=0))
+    if keep:
+        grid = BinnedRows(features, per_feature, treatments,
+                          np.empty((len(features), bounds[-1]), dtype=dtype),
+                          np.empty(bounds[-1], dtype=np.int64), bounds)
+
+        def scan(p: int) -> list[np.ndarray]:
+            rows = slice(bounds[p], bounds[p + 1])
+            return _count_partition(parts[p], grid, grid.bins[:, rows], grid.tails[rows])
+    else:
+        grid = _Grid(features, per_feature, treatments)
+        narrow = np.min_scalar_type(2 * len(treatments))
+
+        def scan(p: int) -> list[np.ndarray]:
+            n = parts[p].n_rows
+            return _count_partition(parts[p], grid, np.empty((1, n), dtype=dtype),
+                                    np.empty(n, dtype=narrow))
+
+    workers = min(workers, len(parts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return grid, list(pool.map(scan, range(len(parts))))
+    return grid, [scan(p) for p in range(len(parts))]
+
+
 def bin_rows(data: SplitInput, features: Sequence[str],
              boundaries: Mapping[str, Boundaries],
              treatments: Sequence[str], workers: int = 1) -> BinnedRows:
     """Bucketize every feature of every partition of ``data`` once and build
     the cell tails; partition p becomes rows ``bounds[p]:bounds[p+1]``.
 
-    With ``workers`` > 1 each partition is binned in a worker of a pool of
-    at most that many threads (and no more than the partitions), writing its
-    own rows ``bounds[p]:bounds[p+1]`` of the one ``bins`` and ``tails``
-    arrays; the result is the serial one bit for bit, and a worker's error
-    is raised as the serial loop would raise it, the first failing
-    partition's."""
-    features, treatments = tuple(features), tuple(treatments)
-    per_feature = feature_boundaries(boundaries, features)
-    parts = frames_of(data)
-    bounds = tuple(accumulate((p.n_rows for p in parts), initial=0))
-    dtype = np.min_scalar_type(max((b.missing_bin for b in per_feature), default=0))
-    bins = np.empty((len(features), bounds[-1]), dtype=dtype)
-    tails = np.empty(bounds[-1], dtype=np.int64)
-
-    def bin_partition(p: int) -> None:
-        part, lo, hi = parts[p], bounds[p], bounds[p + 1]
-        for f, (name, b) in enumerate(zip(features, per_feature)):
-            bucketize(part.effective_values(name), b, out=bins[f, lo:hi])
-        tails[lo:hi] = treatment_codes(part, treatments) * 2 + (part.outcomes == 1)
-
-    workers = min(workers, len(parts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(bin_partition, range(len(parts))))
-    else:
-        for p in range(len(parts)):
-            bin_partition(p)
-    return BinnedRows(features, per_feature, treatments, bins, tails, bounds)
+    The view comes from S1's root pass (``_scan``), which counts each
+    partition's root cells where it makes the partition's bins; the trainer
+    keeps both the view and those counts, and ``best_split`` keeps no bins
+    at all.  With ``workers`` > 1 each partition is binned in a worker of a
+    pool of at most that many threads (and no more than the partitions),
+    writing its own rows of the one ``bins`` and ``tails`` arrays; the
+    result is the serial one bit for bit, and a worker's error is raised as
+    the serial loop would raise it, the first failing partition's."""
+    return _scan(data, features, boundaries, treatments, workers, True)[0]
 
 
-def _units(view: BinnedRows, config: SplitConfig) -> list[list[int]]:
-    """S1's units of work, each a list of the view's feature rows sharing one
-    B (grouped in feature order).  The partitioned path cuts the features into
+def _units(grid: _Grid, config: SplitConfig) -> list[list[int]]:
+    """S1's units of work, each a list of the grid's features sharing one B
+    (grouped in feature order).  The partitioned path cuts the features into
     contiguous shards, one per worker, before grouping them."""
-    F = len(view.features)
+    F = len(grid.features)
     shards = config.workers if config.execution_path == PATH_PARTITIONED else 1
     units = []
     for shard in np.array_split(np.arange(F), shards):
         groups: dict[int, list[int]] = {}
         for f in shard.tolist():
-            groups.setdefault(view.boundaries[f].n_bins, []).append(f)
+            groups.setdefault(grid.boundaries[f].n_bins, []).append(f)
         units.extend(groups.values())
     return units
 
 
 def _partition_counts(keys: np.ndarray, bounds, size: int) -> list[np.ndarray]:
-    """S1's one aggregation: per partition (rows ``bounds[p]:bounds[p+1]``)
-    the ``bincount`` of its cell keys."""
+    """S1's one aggregation below the root: per partition (rows
+    ``bounds[p]:bounds[p+1]``) the ``bincount`` of its cell keys."""
     return [np.bincount(keys[lo:hi], minlength=size) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _merge_counts(counts: Sequence[Sequence[np.ndarray]], relational: bool) -> np.ndarray:
+    """S1's merge of one unit: ``counts[i]`` holds feature i's tables, one
+    per partition, all of one size; the result is int64 [F_u, size].  The
+    dense plan sums each feature's partition tables; the relational plan
+    keeps each partition's non-empty cells as sparse (key, count) groups and
+    merges the whole unit's groups with one stable sort on the key."""
+    if not relational:
+        return np.array([np.sum(c, axis=0) for c in counts], dtype=np.int64)
+    size = len(counts[0][0])
+    nonzero = [(i, c, np.flatnonzero(c)) for i, per_part in enumerate(counts)
+               for c in per_part]
+    # (key, count) packed in one int64, key high (a unit's table has fewer
+    # than 2**31 cells, a cell fewer than 2**32 rows): sorting the packed
+    # groups is a stable sort on the key, since equal packed groups are
+    # indistinguishable
+    packed = np.concatenate([(i * size + g) << 32 | c[g] for i, c, g in nonzero])
+    packed.sort()
+    flat, sizes = packed >> 32, packed & 0xFFFFFFFF
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    cells = np.zeros(len(counts) * size, dtype=np.int64)
+    cells[flat[starts]] = np.add.reduceat(sizes, starts)
+    return cells.reshape(len(counts), size)
+
+
+def _root_cells(grid: _Grid, units: Sequence[Sequence[int]],
+                per_part: Sequence[Sequence[np.ndarray]],
+                relational: bool) -> list[np.ndarray]:
+    """Every unit's root table, int64 ``[F_u, 1, B+1, T, 2]``, merged by
+    ``_merge_counts`` from each partition's tables of ``_scan``."""
+    T = len(grid.treatments)
+    return [_merge_counts([[tables[f] for tables in per_part] for f in unit], relational)
+            .reshape(len(unit), 1, grid.boundaries[unit[0]].n_bins + 1, T, 2)
+            for unit in units]
+
+
 def _count_cells(view: BinnedRows, unit: Sequence[int], relational: bool,
-                 rows: Optional[np.ndarray], slots: Optional[np.ndarray],
-                 n_slots: int) -> np.ndarray:
-    """S1 of one unit (view features sharing a B): int64 cells
-    ``[F_u, n_slots, B+1, T, 2]``, rows with outcome 0 and 1 per node, bin
-    and treatment.  ``rows`` (ascending, all rows when None) picks the view
-    rows to count and ``slots`` places each counted row in a node (node 0
-    when None).  Keys are built one feature at a time into one buffer.  The
-    dense plan sums each partition's table; the relational plan keeps each
-    partition's non-empty cells as sparse (key, count) groups and merges the
-    whole unit's groups with one stable sort on the key."""
+                 rows: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
+    """S1 of one unit (view features sharing a B) on a counted subset of the
+    rows: int64 cells ``[F_u, n_slots, B+1, T, 2]``, rows with outcome 0 and
+    1 per node, bin and treatment.  ``rows`` (ascending) picks the view rows
+    to count and ``slots`` places each counted row in a node.  Keys are
+    built one feature at a time into one buffer, counted per partition and
+    merged by ``_merge_counts``."""
     B1 = view.boundaries[unit[0]].n_bins + 1
     T2 = 2 * len(view.treatments)
     size = n_slots * B1 * T2
-    tails, bounds = (view.tails, view.bounds) if rows is None else \
-        (view.tails[rows], np.searchsorted(rows, view.bounds))
-    base = tails if slots is None else slots * (B1 * T2) + tails
+    bounds = np.searchsorted(rows, view.bounds)
+    base = slots * (B1 * T2) + view.tails[rows]
     keys = np.empty(len(base), dtype=np.int64)
     counts = []
     for f in unit:
-        bins = view.bins[f] if rows is None else np.take(view.bins[f], rows)
-        np.multiply(bins, T2, out=keys, dtype=np.int64)
+        np.multiply(np.take(view.bins[f], rows), T2, out=keys, dtype=np.int64)
         keys += base
         counts.append(_partition_counts(keys, bounds, size))
-    if not relational:
-        cells = np.array([np.sum(c, axis=0) for c in counts], dtype=np.int64)
-    else:
-        nonzero = [(i, c, np.flatnonzero(c)) for i, per_part in enumerate(counts)
-                   for c in per_part]
-        # (key, count) packed in one int64, key high (a unit's table has
-        # fewer than 2**31 cells, a cell fewer than 2**32 rows): sorting the
-        # packed groups is a stable sort on the key, since equal packed
-        # groups are indistinguishable
-        packed = np.concatenate([(i * size + g) << 32 | c[g] for i, c, g in nonzero])
-        packed.sort()
-        flat, sizes = packed >> 32, packed & 0xFFFFFFFF
-        starts = np.flatnonzero(np.diff(flat, prepend=-1))
-        cells = np.zeros(len(unit) * size, dtype=np.int64)
-        cells[flat[starts]] = np.add.reduceat(sizes, starts)
-    return cells.reshape(len(unit), n_slots, B1, len(view.treatments), 2)
+    return _merge_counts(counts, relational).reshape(len(unit), n_slots, B1,
+                                                     len(view.treatments), 2)
 
 
 @dataclass
@@ -427,11 +499,11 @@ class PrefixTable:
 
 def _feature_table(data: SplitInput, feature: str, boundaries: Boundaries,
                    treatments: Sequence[str], relational: bool) -> PrefixTable:
-    """One feature's slice of S1 on ``data``'s rows as one node."""
-    treatments = tuple(treatments)
-    view = bin_rows(data, [feature], {feature: boundaries}, treatments)
-    return PrefixTable.from_cells(feature, treatments, boundaries.cuts,
-                                  _count_cells(view, [0], relational, None, None, 1)[0, 0])
+    """One feature's slice of S1 on ``data``'s rows as one node, counted on
+    the caller's thread."""
+    grid, per_part = _scan(data, [feature], {feature: boundaries}, treatments, 1, False)
+    (cells,) = _root_cells(grid, [[0]], per_part, relational)
+    return PrefixTable.from_cells(feature, grid.treatments, boundaries.cuts, cells[0, 0])
 
 
 def build_prefix_sums(data: SplitInput, feature: str,
@@ -715,10 +787,10 @@ def _skip_reason(cand_rows: int, config: SplitConfig) -> Optional[str]:
 
 
 def _count_level(view: BinnedRows, units: Sequence[Sequence[int]], config: SplitConfig,
-                 rows: Optional[np.ndarray], slots: Optional[np.ndarray],
-                 n_slots: int) -> list[np.ndarray]:
-    """S1 of every unit under the path's plan (see ``_count_cells``); the
-    partitioned path counts each unit in a pool worker."""
+                 rows: np.ndarray, slots: np.ndarray, n_slots: int) -> list[np.ndarray]:
+    """S1 below the root: every unit's cells of a counted subset of the
+    rows under the path's plan (see ``_count_cells``); the partitioned path
+    counts each unit in a pool worker."""
     relational = config.execution_path == PATH_RELATIONAL
 
     def count(unit):
@@ -730,7 +802,7 @@ def _count_level(view: BinnedRows, units: Sequence[Sequence[int]], config: Split
     return [count(unit) for unit in units]
 
 
-def _search_cells(view: BinnedRows, units: Sequence[Sequence[int]],
+def _search_cells(grid: _Grid, units: Sequence[Sequence[int]],
                   tables: Sequence[np.ndarray], n_nodes: int, control_idx: int,
                   min_leaf_size: int) -> tuple[list[Optional[CandidateScore]], list]:
     """S2 of every node: the units' cell tables of each B are stacked and
@@ -741,7 +813,7 @@ def _search_cells(view: BinnedRows, units: Sequence[Sequence[int]],
     A winner's branch counts are views of its group's arrays."""
     stacks: dict[int, list] = {}
     for unit, cells in zip(units, tables):
-        stacks.setdefault(view.boundaries[unit[0]].n_bins, []).append((unit, cells))
+        stacks.setdefault(grid.boundaries[unit[0]].n_bins, []).append((unit, cells))
     scored, keys, groups = [], [], []
     for parts in stacks.values():
         feats = [f for unit, _ in parts for f in unit]
@@ -749,14 +821,14 @@ def _search_cells(view: BinnedRows, units: Sequence[Sequence[int]],
         scores = _FeatureScores.of_cells(stacked.reshape(-1, *stacked.shape[2:]),
                                          control_idx, min_leaf_size)
         c, d, score, has = (a.reshape(len(feats), n_nodes) for a in scores.best())
-        cuts = np.array([view.boundaries[f].cuts for f in feats])
+        cuts = np.array([grid.boundaries[f].cuts for f in feats])
         keys.append((c, d, score, has, np.take_along_axis(cuts, c, axis=1)))
         groups.extend((scores, i, f) for i, f in enumerate(feats))
         scored.append(scores)
     if not groups:
         return [None] * n_nodes, scored
     c, d, score, has, threshold = (np.concatenate(k) for k in zip(*keys))
-    names = [view.features[f] for _, _, f in groups]
+    names = [grid.features[f] for _, _, f in groups]
     rank = np.array(sorted(range(len(names)), key=names.__getitem__)).argsort()
     # lexsort's last key is its first: valid first, then the total order
     win = np.lexsort((np.broadcast_to(rank[:, None], c.shape), d, c, threshold,
@@ -768,7 +840,7 @@ def _search_cells(view: BinnedRows, units: Sequence[Sequence[int]],
             return None
         scores, i, feat = groups[f]
         return scores._candidate(i * n_nodes + k, int(d[f, k]), int(c[f, k]),
-                                 view.features[feat], float(threshold[f, k]))
+                                 grid.features[feat], float(threshold[f, k]))
 
     return [winner(k) for k in range(n_nodes)], scored
 
@@ -778,9 +850,11 @@ def best_split(data: SplitInput, features: Sequence[str],
                config: SplitConfig) -> SplitSearchResult:
     """Deterministic best split; all three execution paths return identical
     results on identical inputs (contract scope: fixed shared boundaries).
-    The frame is binned once, its partitions on a pool of ``pool_size``
-    threads (default one per CPU) on every path, S1 counts every unit's
-    cells, then S2 searches all of them at once."""
+    S1 runs one task per partition on a pool of ``pool_size`` threads
+    (default one per CPU) on every path: each task bins the partition's
+    features into one reused row and counts its root cells from that row at
+    once, so no [F, N] bin matrix is ever made.  Each path merges the
+    partitions' tables under its plan, then S2 searches every unit at once."""
     _check_types((config, SplitConfig))
     treatments = tuple(treatments)
     features = list(features)
@@ -791,10 +865,10 @@ def best_split(data: SplitInput, features: Sequence[str],
     if skip is not None:
         return SplitSearchResult(STATUS_SKIPPED_TOO_LARGE, None, cand_rows, control,
                                  reason=skip)
-    view = bin_rows(data, features, boundaries, treatments, config.workers)
-    units = _units(view, config)
-    tables = _count_level(view, units, config, None, None, 1)
-    (winner,), scored = _search_cells(view, units, tables, 1, treatments.index(control),
+    grid, per_part = _scan(data, features, boundaries, treatments, config.workers, False)
+    units = _units(grid, config)
+    tables = _root_cells(grid, units, per_part, config.execution_path == PATH_RELATIONAL)
+    (winner,), scored = _search_cells(grid, units, tables, 1, treatments.index(control),
                                       config.min_leaf_size)
     if winner is None:
         rejected = sum((_reason_counts(s.reasons, s.reason_texts) for s in scored), Counter())

@@ -2,9 +2,10 @@
 serialized tree signature used as the end-to-end equality witness.
 
 Node expansion is level-wise in node-path order (root "", then "L", "R",
-"LL", ...).  Each partition is bucketized once.  The trainer keeps each
-level's split-search cell tables, one slice per node, and one stacked search
-pass chooses every node's split.  Below the root it counts only the smaller
+"LL", ...).  Each partition is bucketized once, in the pass that counts the
+root's cell tables.  The trainer keeps each level's split-search cell
+tables, one slice per node, and one stacked search pass chooses every
+node's split.  Below the root it counts only the smaller
 child of each split and takes the larger as the parent minus it.  Live rows
 are (row, slot) index arrays routed by a flat gather on the bins.  Each
 node's split is the one the shared split search picks on that node's rows
@@ -25,10 +26,10 @@ from .errors import (AlignmentError, ContractViolationError, InvalidArgumentErro
                      SchemaError, _check_int, _check_types)
 from .forest import TreeArrays, _leaf_nodes, INTERNAL_CONTINUOUS, LEAF
 from .frame import ColumnFrame, PartitionedFrame, frames_of, sorted_row_ids
-from .splitsearch import (Boundaries, SplitConfig, bin_rows, check_vocabulary,
-                          feature_boundaries, select_control, treatment_codes,
-                          _count_level, _search_cells, _total_candidate_rows, _units,
-                          _skip_reason, PATH_REFERENCE)
+from .splitsearch import (Boundaries, SplitConfig, check_vocabulary, feature_boundaries,
+                          select_control, treatment_codes, _count_level, _root_cells,
+                          _scan, _search_cells, _total_candidate_rows, _units,
+                          _skip_reason, PATH_REFERENCE, PATH_RELATIONAL)
 # unused here: perfbench's traced run wraps it on this module
 from .splitsearch import best_split  # noqa: F401
 
@@ -271,6 +272,10 @@ def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
                 execution_path: str, control_override: Optional[str]) -> PolicyTree:
     """Level-wise expansion over rows binned once, partition by partition.
 
+    One pass of S1's partition tasks (``_scan``, on this thread) bins every
+    partition into the kept ``BinnedRows`` view and counts the root's
+    tables where it makes the bins, so the root's tables need no pass of
+    their own.
     The live rows of a level are two arrays, ``rows`` (ascending view rows,
     so each stays in its partition) and ``slots`` (its node in ``frontier``).
     ``tables`` holds each search unit's cell table with one slice per node;
@@ -285,10 +290,10 @@ def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
     T = len(manifest.treatment_labels)
     features = manifest.feature_names
     bmap = manifest.boundary_map()
-    # binned on this thread: a pool here gives each worker thread its own
-    # malloc arena, which raised locked training's peak memory by about 8%
-    # and saved no time
-    view = bin_rows(data, features, bmap, manifest.treatment_labels)
+    # binned and root-counted on this thread: a pool here gives each worker
+    # thread its own malloc arena, which raised locked training's peak
+    # memory by about 8% and saved no time
+    view, per_part = _scan(data, features, bmap, manifest.treatment_labels, 1, True)
     N = view.n_rows
     missing_bin = np.array([b.missing_bin for b in view.boundaries], dtype=np.int64)
     bin_axis = np.arange(missing_bin.max(initial=0) + 1)
@@ -301,18 +306,17 @@ def _train_loop(data: Union[ColumnFrame, PartitionedFrame], manifest: Manifest,
             "split search safety-skipped during training; raise the threshold "
             "or shrink the candidate grid")
     units = _units(view, config)
+    tables = _root_cells(view, units, per_part, execution_path == PATH_RELATIONAL)
 
     nodes: dict[str, PolicyNode] = {}
     frontier = [""]
     cells = np.bincount(view.tails, minlength=2 * T).reshape(1, T, 2)
     opps, accepts = cells.sum(axis=2), cells[..., 1]
-    rows = slots = tables = None
+    rows = slots = None
     for depth in count():
         K = len(frontier)
         winners = [None] * K
         if depth < manifest.max_depth:
-            if tables is None:
-                tables = _count_level(view, units, config, None, None, 1)
             winners = _search_cells(view, units, tables, K, control_idx,
                                     manifest.min_leaf_size)[0]
         split = np.array([w is not None for w in winners])

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -215,7 +216,13 @@ class TestStreamingMemory:
 
     @staticmethod
     def _peak(pf, forest, backend):
-        pl.score(pf, forest, backend)   # first calls import lazily
+        # a full collection also empties the interpreter's free lists, after
+        # which each new float or tuple is a traced allocation.  One that fell
+        # inside the traced call (garbage left by earlier tests can bring it
+        # on) added about 0.3 MB to that call's peak alone, so it runs first,
+        # and the untraced call refills the lists (and imports lazily)
+        gc.collect()
+        pl.score(pf, forest, backend)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import hashlib
+import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,6 +18,7 @@ from policylock.splitsearch import (CandidateScore, PrefixTable, _FeatureScores,
                                     candidate_order_key)
 
 from conftest import build_frame
+from _golden import mixed_instance
 from _oracles import oracle_best, oracle_candidates, pernode_train, scalar_candidate
 
 
@@ -512,6 +516,24 @@ class TestBestSplit:
                 assert got.status == pl.STATUS_OK
                 assert got.best.as_tuple() == expected
 
+    def test_wide_vocabulary_matches_exhaustive_oracle(self):
+        """130 treatments put cell tails ``code*2 + positive`` past 255."""
+        gen = np.random.default_rng(13)
+        n, names = 6000, ["a", "b"]
+        labels = ("control",) + tuple(f"t{i:03d}" for i in range(129))
+        values = [np.where(gen.random(n) < 0.1, np.nan, gen.random(n)) for _ in names]
+        frame = pl.ColumnFrame(np.arange(n), names, values, [np.ones(n, bool)] * 2,
+                               np.array(labels, dtype=object)[gen.integers(0, 130, n)],
+                               (gen.random(n) < 0.4).astype(np.int64))
+        bmap = {name: pl.uniform_boundaries(name, 3) for name in names}
+        expected = oracle_best(frame, names, bmap, labels, "control", 1)
+        assert expected is not None
+        config = pl.SplitConfig(safety_skip_threshold=10 ** 6)
+        for data in (frame, pl.partition(frame, 3)):
+            for path in pl.EXECUTION_PATHS:
+                got = pl.best_split(data, names, bmap, labels, config.with_path(path))
+                assert got.best.as_tuple() == expected
+
     def test_row_shuffle_and_partition_invariance(self):
         frame, names, bmap, labels, config = random_small_instance(77)
         base = pl.best_split(frame, names, bmap, labels, config)
@@ -589,22 +611,6 @@ def _per_feature_record(data, names, bmap, labels, config):
                                 reason=_no_valid_summary(rejected)).to_record()
 
 
-def _mixed_instance(n=600, seed=5):
-    """Eight features of B = 40, 2, 300, 5 (twice each, interleaved and
-    named out of sorted order), T = 3, 10% NULL and NaN cells."""
-    gen = np.random.default_rng(seed)
-    sizes = [40, 2, 300, 5, 2, 40, 5, 300]
-    names = [f"m{i}" for i in (6, 3, 7, 0, 5, 1, 4, 2)]
-    values = [np.where(gen.random(n) < 0.1, np.nan, gen.random(n)) for _ in names]
-    valid = [gen.random(n) >= 0.05 for _ in names]
-    labels = ("control", "t1", "t2")
-    frame = pl.ColumnFrame(np.arange(n), names, values, valid,
-                           np.array(labels, dtype=object)[gen.integers(0, 3, n)],
-                           (gen.random(n) < 0.4).astype(np.int64))
-    bmap = {name: pl.uniform_boundaries(name, b) for name, b in zip(names, sizes)}
-    return frame, names, bmap, labels
-
-
 class TestStackedSearch:
     """S2 stacks each B group's features and picks every node's winner from
     arrays; the result must be the per-feature winner under the total order."""
@@ -632,22 +638,24 @@ class TestStackedSearch:
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
     @pytest.mark.parametrize("min_leaf", [10, 600])
     def test_mixed_bins_match_per_feature_results(self, path, min_leaf, monkeypatch):
-        frame, names, bmap, labels = _mixed_instance()
+        frame, names, bmap, labels = mixed_instance()
         config = pl.SplitConfig(min_leaf_size=min_leaf, execution_path=path)
         view = _binned(frame, names, bmap, labels)
         assert view.bins.dtype == np.uint16
         want = _per_feature_record(frame, names, bmap, labels, config)
         assert (want["best"] is None) == (min_leaf == 600)
-        count_cells, units = splitsearch._count_cells, []
+        search, units = splitsearch._search_cells, []
 
-        def recording(view, unit, *args):
-            units.append([view.boundaries[f].n_bins for f in unit])
-            return count_cells(view, unit, *args)
+        def recording(grid, searched, tables, *args):
+            for unit, cells in zip(searched, tables, strict=True):
+                units.append([grid.boundaries[f].n_bins for f in unit])
+                assert cells.shape[:3] == (len(unit), 1, units[-1][0] + 1)
+            return search(grid, searched, tables, *args)
 
-        monkeypatch.setattr(splitsearch, "_count_cells", recording)
+        monkeypatch.setattr(splitsearch, "_search_cells", recording)
         for data in (frame, pl.partition(frame, 3)):
             assert pl.best_split(data, names, bmap, labels, config).to_record() == want
-        # one table per B group, in order of first appearance; the
+        # one root table per B group, in order of first appearance; the
         # partitioned path splits each worker's shard by B
         assert all(len(set(unit)) == 1 for unit in units)
         if path != pl.PATH_PARTITIONED:
@@ -655,7 +663,7 @@ class TestStackedSearch:
 
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
     def test_mixed_bins_train_matches_pernode_oracle(self, path):
-        frame, names, bmap, labels = _mixed_instance(n=1500)
+        frame, names, bmap, labels = mixed_instance(n=1500)
         man = pl.build_manifest(frame, names, labels, bmap, 0, 4, 40).lock()
         want = pl.signature(pernode_train(frame, man, path)).text
         assert want.count("internal") > 3
@@ -923,8 +931,8 @@ class TestBinnedRows:
 
 
 class TestBinningPool:
-    """``best_split`` bins partitions on a pool on every path; the trainer
-    bins on its own thread."""
+    """``best_split`` bins and counts each partition in a task on a pool on
+    every path; the trainer runs those tasks on its own thread."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -938,8 +946,20 @@ class TestBinningPool:
         monkeypatch.setattr(splitsearch, "ThreadPoolExecutor", CountingPool)
         return made
 
+    @pytest.fixture
+    def tasks(self, monkeypatch):
+        """The thread of every partition's S1 task."""
+        threads, count_partition = [], splitsearch._count_partition
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return count_partition(*args)
+
+        monkeypatch.setattr(splitsearch, "_count_partition", recording)
+        return threads
+
     @pytest.mark.parametrize("path", [pl.PATH_REFERENCE, pl.PATH_RELATIONAL])
-    def test_train_makes_no_pool(self, pools, path):
+    def test_train_makes_no_pool(self, pools, tasks, path):
         spec = pl.SynthSpec(n_rows=800, seed=3, families=("x_boundary",))
         frame, labels = pl.generate(spec), spec.treatment_labels()
         bmap = {n: pl.uniform_boundaries(n, 8) for n in frame.feature_names}
@@ -948,16 +968,99 @@ class TestBinningPool:
         tree = pl.train(pl.partition(frame, 4), manifest, path)
         assert len(tree.nodes) > 1
         assert pools == []
+        assert tasks == [threading.current_thread()] * 4
 
-    def test_reference_best_split_makes_one_pool(self, pools):
+    def test_reference_best_split_makes_one_pool(self, pools, tasks):
         frame, names, bmap, labels, config = random_small_instance(6000)
         pl.best_split(pl.partition(frame, 3), names, bmap, labels,
                       dataclasses.replace(config, pool_size=2))
         assert pools == [2]
+        assert len(tasks) == 3 and threading.current_thread() not in tasks
         pools.clear()
         pl.best_split(pl.partition(frame, 3), names, bmap, labels,
                       dataclasses.replace(config, pool_size=8))
         assert pools == [3]
+
+
+def _wide_partitions(n, F=64, P=4):
+    """``n`` rows of ``F`` features with NaN cells (B = 32, T = 4) in ``P``
+    partitions."""
+    gen = np.random.default_rng(n)
+    names = [f"f{i}" for i in range(F)]
+    values = [np.where(gen.random(n) < 0.1, np.nan, gen.random(n)) for _ in names]
+    labels = ("control", "t1", "t2", "t3")
+    frame = pl.ColumnFrame(np.arange(n), names, values, [np.ones(n, bool)] * F,
+                           np.array(labels, dtype=object)[gen.integers(0, 4, n)],
+                           (gen.random(n) < 0.4).astype(np.int64))
+    return (pl.partition(frame, P), names, {m: pl.uniform_boundaries(m, 32) for m in names},
+            labels)
+
+
+class TestSplitMemory:
+    """S1 counts each partition's root cells from one reused bin row, so a
+    ``best_split`` call holds no [F, N] bin matrix: its traced peak grows by
+    far less than one byte per feature and row."""
+
+    @staticmethod
+    def _peak(n, F, path):
+        data, names, bmap, labels = _wide_partitions(n, F)
+        config = pl.SplitConfig(min_leaf_size=10, execution_path=path, pool_size=4)
+        # a full collection empties the interpreter's free lists, so it runs
+        # before the untraced call, which refills them and caches the codes
+        gc.collect()
+        pl.best_split(data, names, bmap, labels, config)
+        tracemalloc.start()
+        try:
+            pl.best_split(data, names, bmap, labels, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
+    def test_peak_grows_by_at_most_a_quarter_byte_per_feature_and_row(self, path):
+        F, n = 64, 20_000
+        small, large = (self._peak(m, F, path) for m in (n, 2 * n))
+        assert large - small <= F // 4 * n
+
+
+class TestLayerCounterSeams:
+    """``perfbench/layers.py`` wraps ``bucketize``, ``treatment_codes`` and
+    ``ThreadPoolExecutor`` on this module, and its ``bucketize_calls``,
+    ``bucketize_rows`` and ``pool_busy_s`` figures read those wrappers, so
+    ``best_split`` must reach each through the module's globals, and bin
+    each feature of each partition in one call."""
+
+    @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
+    def test_best_split_reaches_the_wrapped_names(self, path, monkeypatch):
+        data, names, bmap, labels = _wide_partitions(1003, F=5, P=4)
+        calls = Counter()
+        bucketize, codes = splitsearch.bucketize, splitsearch.treatment_codes
+
+        def counting_bucketize(value, boundaries, **kwargs):
+            bins = bucketize(value, boundaries, **kwargs)
+            calls["bucketize"] += 1
+            calls["values"] += len(value)
+            calls["bins"] += bins.size
+            return bins
+
+        def counting_codes(*args):
+            calls["codes"] += 1
+            return codes(*args)
+
+        class CountingPool(splitsearch.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                calls["pools"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(splitsearch, "bucketize", counting_bucketize)
+        monkeypatch.setattr(splitsearch, "treatment_codes", counting_codes)
+        monkeypatch.setattr(splitsearch, "ThreadPoolExecutor", CountingPool)
+        config = pl.SplitConfig(min_leaf_size=10, execution_path=path, pool_size=2)
+        for call in range(1, 3):
+            assert pl.best_split(data, names, bmap, labels, config).status == pl.STATUS_OK
+            F, P, N = len(names), data.partition_count, data.n_rows
+            assert calls == {"bucketize": call * F * P, "values": call * F * N,
+                             "bins": call * F * N, "codes": call * P, "pools": call}
 
 
 class TestNaiveVariants:

@@ -198,12 +198,21 @@ class TestLevelWise:
 
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
     def test_every_level_counts_each_partition_on_its_own(self, path, monkeypatch):
-        """S1 counts one key slice per partition for every feature of every
-        counted level."""
+        """S1 counts each partition on its own at every counted level: the
+        root in one ``_count_partition`` call per partition, which counts
+        every feature, and each level below in one key slice per partition
+        for every feature."""
         frame, labels = _witness_frame(n_rows=3000)
         man, _ = _manifest(frame, labels, max_depth=4, min_leaf=150)
+        parts = pl.partition(frame, 3)
+        count_partition = splitsearch._count_partition
         partition_counts, count_cells = splitsearch._partition_counts, splitsearch._count_cells
-        tables, features = [], []
+        roots, tables, features = [], [], []
+
+        def counting_partition(part, *args):
+            counts = count_partition(part, *args)
+            roots.append((part, len(counts)))
+            return counts
 
         def counting_tables(*args):  # the partitioned path calls it from threads
             counts = partition_counts(*args)
@@ -214,11 +223,16 @@ class TestLevelWise:
             features.append(len(unit))
             return count_cells(view, unit, *args)
 
+        monkeypatch.setattr(splitsearch, "_count_partition", counting_partition)
         monkeypatch.setattr(splitsearch, "_partition_counts", counting_tables)
         monkeypatch.setattr(splitsearch, "_count_cells", counting_cells)
-        pl.train(pl.partition(frame, 3), man, path)
-        assert sum(features) % len(man.feature_names) == 0
-        assert sum(features) // len(man.feature_names) > 1   # the root and more
+        pl.train(parts, man, path)
+        F = len(man.feature_names)
+        assert len(roots) == parts.partition_count
+        assert all(part is want and n == F
+                   for (part, n), want in zip(roots, parts.partitions))
+        assert sum(features) % F == 0
+        assert sum(features) // F >= 1   # levels below the root
         assert tables == [3] * sum(features)
 
     @pytest.mark.parametrize("path", pl.EXECUTION_PATHS)
@@ -277,38 +291,45 @@ class TestLevelWise:
         (ties to the left)."""
         frame, labels = _witness_frame(n_rows=3000)
         man, _ = _manifest(frame, labels, max_depth=4, min_leaf=150)
-        count_cells, search = splitsearch._count_cells, trainer._search_cells
-        events = []
+        count_partition, count_cells = splitsearch._count_partition, splitsearch._count_cells
+        search, events = trainer._search_cells, []
+
+        def counting_partition(part, *args):
+            events.append(("root", part.n_rows))
+            return count_partition(part, *args)
 
         def counting_cells(view, unit, relational, rows, slots, n_slots):
-            events.append(view.n_rows if rows is None else len(rows))
+            events.append(len(rows))
             return count_cells(view, unit, relational, rows, slots, n_slots)
 
         def marking_search(*args):
             events.append("search")
             return search(*args)
 
+        monkeypatch.setattr(splitsearch, "_count_partition", counting_partition)
         monkeypatch.setattr(splitsearch, "_count_cells", counting_cells)
         monkeypatch.setattr(trainer, "_search_cells", marking_search)
-        tree = pl.train(pl.partition(frame, 3), man, path)
-        levels = [[]]   # rows counted per unit, level by level
+        parts = pl.partition(frame, 3)
+        tree = pl.train(parts, man, path)
+        levels = [[]]   # rows counted per partition at the root, per unit below
         for event in events:
             if event == "search":
                 levels.append([])
             else:
                 levels[-1].append(event)
-        levels = [level for level in levels if level]
-        assert all(len(level) == len(levels[0]) for level in levels)
-        counted = [set(level) for level in levels]
+        root, *below = [level for level in levels if level]
+        assert root == [("root", part.n_rows) for part in parts.partitions]
+        assert all(len(level) == len(below[0]) for level in below)
+        counted = [set(level) for level in below]
         sizes = {p: node.n_rows for p, node in tree.nodes.items()}
-        want = [{frame.n_rows}]
+        want = []
         lopsided = False
-        for depth in range(1, len(counted)):
+        for depth in range(1, len(counted) + 1):
             split = [p for p in sizes if len(p) == depth - 1 and p + "L" in sizes]
             want.append({sum(min(sizes[p + "L"], sizes[p + "R"]) for p in split)})
             lopsided |= any(sizes[p + "L"] > sizes[p + "R"] for p in split)
         assert counted == want
-        assert lopsided and len(counted) == man.max_depth
+        assert lopsided and len(counted) + 1 == man.max_depth
 
 
 def _node_rows(view, tree, path):
